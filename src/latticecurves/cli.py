@@ -49,17 +49,21 @@ def load_oracle(path):
     with open(path) as fh:
         raw = json.load(fh)
     oracle = {}
-    for item in raw:
-        poly = LatticePolygon.from_json(item["polygon"])
-        m = int(item["m"])
-        if item["verdict"] != "reducible":
-            continue
-        factors = tuple(LaurentPolynomial.from_json(f) for f in item["factors"])
-        member = compute_system(poly, m).members()
+    for index, item in enumerate(raw):
+        try:
+            poly = LatticePolygon.from_json(item["polygon"])
+            m = int(item["m"])
+            if item["verdict"] != "reducible":
+                continue
+            factors = tuple(LaurentPolynomial.from_json(f) for f in item["factors"])
+            member = compute_system(poly, m).members()
+        except (KeyError, TypeError, ValueError, ZeroDivisionError,
+                LatticeCurveError) as exc:
+            raise ParseError(f"oracle entry {index}: {exc!r}") from exc
         if not member or not verify_factorization(member[0], factors):
             raise ParseError(
-                f"oracle factors do not reproduce the system member for "
-                f"{poly.vertices} at m={m}", 0)
+                f"oracle entry {index}: factors do not reproduce the system "
+                f"member for {poly.vertices} at m={m}")
         oracle[(canonical_form(poly)[0].vertices, m)] = factors
     return oracle
 
@@ -238,9 +242,6 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"input error (line {exc.line}): {exc}", file=sys.stderr)
-        return 2
     except (ValueError, OSError, LatticeCurveError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

@@ -70,4 +70,3 @@ class ParseError(LatticeCurveError):
     def __init__(self, message, line=None):
         super().__init__(message if line is None else f"line {line}: {message}")
         self.line = line
-        self.line = line

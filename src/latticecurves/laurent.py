@@ -509,17 +509,19 @@ def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
 
 
 def _rational_kth_root(c: Fraction, k: int) -> Fraction | None:
+    """Exact k-th root of c, or None; integer Newton iteration, no floats."""
     def iroot(n: int) -> int | None:
         if n < 0:
             if k % 2 == 0:
                 return None
             r = iroot(-n)
             return None if r is None else -r
-        r = round(n ** (1.0 / k)) if n else 0
-        for cand in (r - 1, r, r + 1, r + 2):
-            if cand >= 0 and cand ** k == n:
-                return cand
-        return None
+        r = n
+        if n > 1:  # Newton from 2**ceil(bits/k) >= n**(1/k) falls to the floor
+            r = 1 << -(-n.bit_length() // k)
+            while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+                r = y
+        return r if r ** k == n else None
 
     num = iroot(c.numerator)
     den = iroot(c.denominator)

@@ -2,11 +2,23 @@
 
 L(poly, m) is the space of Laurent polynomials supported on the lattice
 points of the polygon vanishing to order at least m at the identity of the
-torus.  Conditions are encoded with falling-factorial rows, which stay exact
-for negative exponents.  Kernels are computed exactly: small systems by
-rational elimination, large ones by elimination modulo several word-sized
-primes, Chinese remaindering, rational reconstruction and a final exact
-verification of M x = 0.
+torus.  Condition (a, b), a + b <= m - 1, is the row of binomials
+C(p - x0, a) C(q - y0, b) over the lattice points (p, q), with (x0, y0) the
+lower-left corner of the bounding box: the order-(a, b) derivative at (1, 1),
+divided by a! b!, of the polynomial moved into the first quadrant by a
+monomial, which keeps its vanishing order there.
+
+Kernels take one exact route, modulo word-sized primes, and each answer
+carries an integer certificate.  Rank mod p is a lower bound for the rank
+over Q, so full column rank mod one prime proves the system empty.
+Otherwise the reduced pivot rows, restricted to the free columns, are
+combined by Chinese remaindering over the primes that agree on the highest
+rank and the earliest pivots, then lifted by rational reconstruction.  The
+lift is accepted once its vectors, denominators cleared, satisfy M x = 0
+over the integers: there is one per free column, independent, as many as
+the nullity bound the rank mod p gives, so they span the kernel.  Since
+the columns are eliminated right to left, these vectors are already the
+RREF rows of the kernel, scaled to coprime integers.
 """
 
 from __future__ import annotations
@@ -14,7 +26,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd
+from itertools import count
+from math import comb, gcd, isqrt, lcm
 
 import numpy as np
 
@@ -22,26 +35,15 @@ from .errors import RangeError
 from .laurent import LaurentPolynomial
 from .polygon import LatticePolygon
 
-_FRACTION_CUTOFF = 60  # max(rows, cols) above which the modular path is used
-_PRIMES = (2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
-           2147483549, 2147483543, 2147483497, 2147483489, 2147483477)
-
-
-def falling_factorial(x: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= x - i
-    return out
-
 
 def condition_matrix(points, m: int) -> list[list[int]]:
     """Rows indexed by (a, b), a + b <= m - 1; columns by lattice points."""
-    rows = []
-    for a in range(m):
-        for b in range(m - a):
-            rows.append([falling_factorial(p, a) * falling_factorial(q, b)
-                         for p, q in points])
-    return rows
+    x0 = min((p for p, _ in points), default=0)
+    y0 = min((q for _, q in points), default=0)
+    cx = [[comb(p - x0, a) for p, _ in points] for a in range(m)]
+    cy = [[comb(q - y0, b) for _, q in points] for b in range(m)]
+    return [[u * v for u, v in zip(cx[a], cy[b])]
+            for a in range(m) for b in range(m - a)]
 
 
 @dataclass(frozen=True)
@@ -80,71 +82,68 @@ def is_expected(poly: LatticePolygon, m: int) -> bool:
     return poly.lattice_counts()[0] > m * (m + 1) // 2
 
 
-def _rref(rows: list[list[Fraction]]) -> tuple[list[list[Fraction]], list[int]]:
-    rows = [r[:] for r in rows]
-    ncols = len(rows[0]) if rows else 0
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if piv is None:
+def _is_prime(n: int) -> bool:
+    """Miller-Rabin for odd n > 7 with bases 2, 3, 5, 7: exact below 3.2e9."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in (2, 3, 5, 7):
+        x = pow(a, d, n)
+        if x in (1, n - 1):
             continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    return rows[:r], pivots
-
-
-def _kernel_from_rref(rref, pivots, ncols) -> list[list[Fraction]]:
-    free = [c for c in range(ncols) if c not in set(pivots)]
-    basis = []
-    for f in free:
-        vec = [Fraction(0)] * ncols
-        vec[f] = Fraction(1)
-        for r, p in enumerate(pivots):
-            vec[p] = -rref[r][f]
-        basis.append(vec)
-    return basis
-
-
-def _mod_rank_and_kernel(mat: np.ndarray, p: int):
-    """RREF of an int matrix mod p via numpy; returns (pivots, rref rows)."""
-    m = np.mod(mat.astype(object), p).astype(np.int64)
-    rows, cols = m.shape
-    r = 0
-    pivots = []
-    for c in range(cols):
-        piv = None
-        for i in range(r, rows):
-            if m[i, c] % p:
-                piv = i
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
                 break
-        if piv is None:
-            continue
-        m[[r, piv]] = m[[piv, r]]
-        inv = pow(int(m[r, c]), p - 2, p)
-        m[r] = (m[r] * inv) % p
-        col = m[:, c].copy()
-        col[r] = 0
-        m = (m - np.outer(col, m[r])) % p
-        pivots.append(c)
-        r += 1
-        if r == rows:
+        else:
+            return False
+    return True
+
+
+@lru_cache(maxsize=None)
+def _word_prime(i: int) -> int:
+    """The i-th prime below 2**31, largest first; found once per process."""
+    n = (_word_prime(i - 1) if i else 2**31 + 1) - 2
+    while not _is_prime(n):
+        n -= 2
+    return n
+
+
+def _word_primes():
+    return map(_word_prime, count())
+
+
+def _reduce_mod(ints: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
+    """Gauss-Jordan elimination mod a prime p < 2**31: (pivot columns, pivot rows).
+
+    Entries stay in [0, p), so each product is reduced below 2**62 before it
+    is subtracted.  A pivot updates only the trailing columns of the rows
+    with a nonzero entry in its column.
+    """
+    a = (ints % p).astype(np.int64)
+    nrows, ncols = a.shape
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
             break
-    return pivots, m[:r]
+        below = np.flatnonzero(a[r:, c])
+        if not below.size:
+            continue
+        if below[0]:
+            a[[r, r + below[0]]] = a[[r + below[0], r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        hit = np.flatnonzero(a[:, c])
+        hit = hit[hit != r]
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[r, c:] % p) % p
+        pivots.append(c)
+    return pivots, a[:len(pivots)]
 
 
 def _rational_reconstruct(a: int, mod: int) -> Fraction | None:
     """Lift a mod `mod` to n/d with |n|, d <= sqrt(mod / 2)."""
-    bound = int((mod // 2) ** 0.5)
+    bound = isqrt(mod // 2)
     r0, r1 = mod, a % mod
     s0, s1 = 0, 1
     while r1 > bound:
@@ -156,80 +155,64 @@ def _rational_reconstruct(a: int, mod: int) -> Fraction | None:
     return Fraction(r1, s1)
 
 
-def _modular_kernel(mat: list[list[int]]) -> list[list[Fraction]]:
-    arr = np.array(mat, dtype=object)
-    ncols = arr.shape[1]
-    crt_mod = 1
-    crt_rref = None
-    pivots_ref = None
-    for p in _PRIMES:
-        pivots, rref = _mod_rank_and_kernel(arr, p)
-        if pivots_ref is None or len(pivots) > len(pivots_ref):
-            # an earlier prime was unlucky (rank dropped): restart
-            pivots_ref = pivots
-            crt_mod = 1
-            crt_rref = np.zeros_like(rref, dtype=object)
-        if pivots != pivots_ref:
-            continue  # bad prime
-        rref_obj = rref.astype(object)
-        if crt_mod == 1:
-            crt_rref = rref_obj % p
-            crt_mod = p
-        else:
-            inv = pow(crt_mod % p, p - 2, p)
-            delta = ((rref_obj - crt_rref) * inv) % p
-            crt_rref = crt_rref + crt_mod * delta
-            crt_mod *= p
-        # try rational reconstruction of the full RREF
-        flat = crt_rref.ravel()
-        rec = []
-        ok = True
-        for val in flat:
-            f = _rational_reconstruct(int(val), crt_mod)
-            if f is None:
-                ok = False
-                break
-            rec.append(f)
-        if not ok:
-            continue
-        rr = [rec[i * ncols:(i + 1) * ncols] for i in range(len(pivots_ref))]
-        cand = _kernel_from_rref(rr, pivots_ref, ncols)
-        if _verify_kernel(mat, cand, len(pivots_ref)):
-            return cand
-    raise ArithmeticError("modular kernel: reconstruction failed for all primes")
+def _lift(residues: np.ndarray, mod: int, pivots: list[int],
+          free: list[int]) -> list[list[int]] | None:
+    """One integer kernel vector per free column, from the residues of the
+    pivot rows in the free columns; None while some entry has no lift."""
+    basis = []
+    for j, f in enumerate(free):
+        col = []
+        for v in residues[:, j]:
+            q = _rational_reconstruct(int(v), mod)
+            if q is None:
+                return None
+            col.append(q)
+        den = lcm(*(q.denominator for q in col))
+        vec = [0] * (len(pivots) + len(free))
+        vec[f] = den
+        for c, q in zip(pivots, col):
+            vec[c] = -q.numerator * (den // q.denominator)
+        basis.append(vec)
+    return basis
 
 
-def _verify_kernel(mat, basis, rank) -> bool:
-    ncols = len(mat[0]) if mat else 0
-    if len(basis) != ncols - rank:
-        return False
-    for vec in basis:
-        for row in mat:
-            if sum(r * v for r, v in zip(row, vec) if v):
-                return False
-    return True
+def _kernel(mat: list[list[int]], primes=None) -> list[list[int]]:
+    """The RREF rows of {x : M x = 0} over Q, each scaled to integers;
+    `primes` defaults to the stream of primes below 2**31.
+
+    Columns are eliminated right to left.  Then the vector of each free
+    column, zero on the other free columns, is zero left of its own column
+    too: it is an RREF row of the kernel.
+    """
+    exact = np.array(mat, dtype=object)[:, ::-1]
+    try:
+        ints = np.array(mat, dtype=np.int64)[:, ::-1]
+    except OverflowError:
+        ints = exact
+    ncols = exact.shape[1]
+    best = None
+    for p in _word_primes() if primes is None else primes:
+        pivots, rows = _reduce_mod(ints, p)
+        if len(pivots) == ncols:
+            return []  # rank over Q >= rank mod p = ncols
+        key = (-len(pivots), pivots)
+        if best is None or key < best:
+            best, crt, mod = key, 0, 1  # restart: any earlier primes were unlucky
+        elif key != best:
+            continue  # this prime is unlucky
+        free = sorted(set(range(ncols)).difference(pivots))
+        crt = crt + mod * ((rows[:, free].astype(object) - crt) * pow(mod, -1, p) % p)
+        mod *= p
+        basis = _lift(crt, mod, pivots, free)
+        if basis is not None and not exact.dot(np.array(basis, dtype=object).T).any():
+            return [vec[::-1] for vec in reversed(basis)]
+    raise ArithmeticError("kernel: primes ran out before the integer check passed")
 
 
-def _normalize_basis(basis: list[list[Fraction]]) -> tuple[tuple[Fraction, ...], ...]:
-    """RREF the basis, clear denominators, strip content, pivot positive."""
-    if not basis:
-        return ()
-    rref, _ = _rref([list(v) for v in basis])
-    out = []
-    for row in rref:
-        den = 1
-        for c in row:
-            den = den * c.denominator // gcd(den, c.denominator)
-        ints = [c * den for c in row]
-        g = 0
-        for c in ints:
-            g = gcd(g, abs(c.numerator))
-        ints = [c / g for c in ints]
-        lead = next(c for c in ints if c)
-        if lead < 0:
-            ints = [-c for c in ints]
-        out.append(tuple(ints))
-    return tuple(out)
+def _normalize_basis(basis: list[list[int]]) -> tuple[tuple[Fraction, ...], ...]:
+    """The integer RREF rows of a kernel as stored.  Each row is primitive,
+    with a positive lead: its lead is the lcm of the row's denominators."""
+    return tuple(tuple(Fraction(c) for c in vec) for vec in basis)
 
 
 @lru_cache(maxsize=256)
@@ -238,15 +221,5 @@ def compute_system(poly: LatticePolygon, m: int) -> LinearSystem:
     if m < 1:
         raise RangeError("vanishing order must be at least 1")
     points = tuple(poly.lattice_points())
-    mat = condition_matrix(points, m)
-    n = len(points)
-    if not mat:
-        basis = [[Fraction(1) if j == i else Fraction(0) for j in range(n)]
-                 for i in range(n)]
-    elif max(len(mat), n) <= _FRACTION_CUTOFF:
-        frac = [[Fraction(x) for x in row] for row in mat]
-        rref, pivots = _rref(frac)
-        basis = _kernel_from_rref(rref, pivots, n)
-    else:
-        basis = _modular_kernel(mat)
+    basis = _kernel(condition_matrix(points, m))
     return LinearSystem(poly, m, points, _normalize_basis(basis))

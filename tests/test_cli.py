@@ -1,4 +1,6 @@
 import json
+import subprocess
+import sys
 from importlib import resources
 
 import pytest
@@ -100,6 +102,31 @@ def test_dataset_ingestion_reports_line(tmp_path):
     with pytest.raises(ParseError) as err:
         list(ingest_polygon_dataset(str(f)))
     assert err.value.line == 2
+
+
+def test_parse_error_exit_code_names_line_once(tmp_path):
+    f = tmp_path / "bad.txt"
+    f.write_text("0,0 1,0 0,1\n0,0 oops\n")
+    proc = subprocess.run(
+        [sys.executable, "-m", "latticecurves.cli", "classify", "--dataset", str(f)],
+        capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.count("line 2") == 1
+    assert "Traceback" not in proc.stderr
+
+
+def test_bad_oracle_entry_names_its_index(tmp_path, capsys):
+    entries = json.loads(open(data_path("oracle_vol6.json")).read())
+    dataset = tmp_path / "polys.txt"
+    dataset.write_text("0,0 1,0 0,1\n")
+    for index, broken in ((1, {"verdict": "reducible"}),
+                          (2, {**entries[0], "factors": entries[0]["factors"][:1]})):
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(json.dumps(entries[:index] + [broken]))
+        assert main(["classify", "--dataset", str(dataset),
+                     "--oracle", str(oracle)]) == 2
+        err = capsys.readouterr().err
+        assert f"oracle entry {index}:" in err and "line" not in err
 
 
 def test_load_oracle_verifies():

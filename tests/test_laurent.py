@@ -15,6 +15,7 @@ from latticecurves.laurent import (
     UniPoly,
     _const_lp,
     _perfect_power_root,
+    _rational_kth_root,
     _trim,
     geometric_sum,
     implicitize,
@@ -131,6 +132,30 @@ def test_perfect_power_extraction():
     assert k == 2 and verify_factorization(g, [root])
     _, k1 = _perfect_power_root(g)
     assert k1 == 1
+
+
+def test_rational_kth_root_is_exact_beyond_float_range():
+    big = 10**20 + 7
+    assert _rational_kth_root(Fraction(big**3), 3) == big
+    assert _rational_kth_root(Fraction(big**3 + 1), 3) is None
+    for k in (2, 4, 5, 10):
+        assert _rational_kth_root(Fraction(2**1100), k) == 2**(1100 // k)
+    assert _rational_kth_root(Fraction(2**1100 + 1), 2) is None
+    assert _rational_kth_root(Fraction(-3**1401, 2**2001), 3) == Fraction(-3**467, 2**667)
+    assert _rational_kth_root(Fraction(-2**1100), 2) is None
+    for n in range(200):
+        for k in (1, 2, 3):
+            root = _rational_kth_root(Fraction(n), k)
+            assert (root is not None) == any(r**k == n for r in range(n + 1))
+
+
+def test_perfect_power_round_trip_with_huge_coefficients():
+    g = LaurentPolynomial({(0, 0): 1, (1, 0): 2**550 + 3, (1, 1): -5})
+    power = LaurentPolynomial.one()
+    for k in (1, 2, 3):
+        power = power * g
+        root, found = _perfect_power_root(power)
+        assert found == k and verify_factorization(g, [root])
 
 
 def test_ord_profile():

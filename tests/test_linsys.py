@@ -1,14 +1,21 @@
+import random
 from fractions import Fraction
+from itertools import chain, islice
+from math import gcd, lcm
 
+import numpy as np
 import pytest
 
 from latticecurves.errors import RangeError
 from latticecurves.laurent import LaurentPolynomial, verify_factorization
 from latticecurves.linsys import (
-    _modular_kernel,
+    _kernel,
+    _normalize_basis,
+    _rational_reconstruct,
+    _reduce_mod,
+    _word_primes,
     compute_system,
     condition_matrix,
-    falling_factorial,
     is_expected,
 )
 from latticecurves.polygon import polygon
@@ -21,10 +28,77 @@ REMARK_M5_MEMBER = LaurentPolynomial({
 })
 
 
-def test_falling_factorial_handles_negatives():
-    assert falling_factorial(5, 3) == 60
-    assert falling_factorial(-2, 2) == 6
-    assert falling_factorial(3, 0) == 1
+# ---- reference route: falling-factorial rows, Gauss-Jordan over Fraction
+
+def falling_factorial(x, k):
+    out = 1
+    for i in range(k):
+        out *= x - i
+    return out
+
+
+def falling_rows(points, m):
+    """The derivative conditions at (1, 1) on the untranslated exponents."""
+    return [[falling_factorial(p, a) * falling_factorial(q, b) for p, q in points]
+            for a in range(m) for b in range(m - a)]
+
+
+def rref(rows):
+    rows = [[Fraction(x) for x in r] for r in rows]
+    pivots = []
+    for c in range(len(rows[0]) if rows else 0):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        rows[r] = [x / rows[r][c] for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                f = rows[i][c]
+                rows[i] = [x - f * y for x, y in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return rows[:len(pivots)], pivots
+
+
+def reference_kernel(mat, ncols):
+    rows, pivots = rref(mat)
+    basis = []
+    for f in sorted(set(range(ncols)) - set(pivots)):
+        vec = [Fraction(0)] * ncols
+        vec[f] = Fraction(1)
+        for row, p in zip(rows, pivots):
+            vec[p] = -row[f]
+        basis.append(vec)
+    return basis
+
+
+def normalized(vectors):
+    """Canonical basis of the span: RREF rows scaled to coprime integers."""
+    out = []
+    for row in rref(vectors)[0]:
+        den = lcm(*(c.denominator for c in row))
+        ints = [c.numerator * (den // c.denominator) for c in row]
+        out.append(tuple(Fraction(c, gcd(*ints)) for c in ints))
+    return tuple(out)
+
+
+def random_polygon(rng):
+    pts = {(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 6))}
+    return polygon(*sorted(pts))
+
+
+# ---- tests
+
+
+def test_binomial_rows_match_falling_factorial_rows():
+    poly = polygon((-3, -1), (2, -2), (1, 3), (-1, 2))
+    pts = tuple(poly.lattice_points())
+    for m in (2, 3, 4):
+        system = compute_system(poly, m)
+        falling = falling_rows(pts, m)
+        assert _normalize_basis(_kernel(falling)) == system.basis
+        assert normalized(reference_kernel(falling, len(pts))) == system.basis
 
 
 def test_condition_matrix_shape():
@@ -72,14 +146,70 @@ def test_modular_path_agrees_with_rational_path():
     poly = polygon((0, 0), (6, 1), (1, 6))
     pts = tuple(poly.lattice_points())
     mat = condition_matrix(pts, 5)
-    from latticecurves.linsys import _kernel_from_rref, _rref
-    frac = [[Fraction(x) for x in row] for row in mat]
-    rref, pivots = _rref(frac)
-    small = _kernel_from_rref(rref, pivots, len(pts))
-    large = _modular_kernel(mat)
-    # same column space: equal after normalization
-    from latticecurves.linsys import _normalize_basis
-    assert _normalize_basis(small) == _normalize_basis(large)
+    modular = _kernel(mat)
+    assert not (np.array(mat, dtype=object).dot(np.array(modular, dtype=object).T)).any()
+    assert _normalize_basis(modular) == normalized(reference_kernel(mat, len(pts)))
+
+
+def test_random_polygons_agree_with_fraction_reference():
+    rng = random.Random(20210218)
+    for _ in range(30):
+        poly = random_polygon(rng)
+        m = rng.randint(1, 5)
+        pts = tuple(poly.lattice_points())
+        want = normalized(reference_kernel(falling_rows(pts, m), len(pts)))
+        assert compute_system(poly, m).basis == want, (poly.vertices, m)
+
+
+def test_random_polygons_agree_with_sympy_nullspace():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(7)
+    for _ in range(12):
+        poly = random_polygon(rng)
+        m = rng.randint(1, 4)
+        pts = tuple(poly.lattice_points())
+        null = sympy.Matrix(falling_rows(pts, m)).nullspace()
+        want = normalized([[Fraction(int(e.p), int(e.q)) for e in v] for v in null])
+        assert compute_system(poly, m).basis == want, (poly.vertices, m)
+
+
+def test_unlucky_primes_are_outvoted():
+    # mod 2 the falling-factorial rows lose rank: a! b! divides row (a, b)
+    pts = tuple(polygon((-2, -1), (3, 0), (0, 3)).lattice_points())
+    falling = falling_rows(pts, 4)
+    big = next(_word_primes())
+    assert len(_reduce_mod(np.array(falling), 2)[0]) < len(_reduce_mod(np.array(falling), big)[0])
+    want = _normalize_basis(_kernel(falling))
+    assert _normalize_basis(_kernel(falling, chain([2, 3], islice(_word_primes(), 20)))) == want
+    # mod 3 the first pivot of [[3, 1, 3]] moves to column 1, in either
+    # column order; the lucky prime 5 comes first but is too small to lift
+    # 1/3, so the unlucky 3 must be skipped
+    mat = [[3, 1, 3]]
+    assert _reduce_mod(np.array(mat), 3)[0] == [1] != _reduce_mod(np.array(mat), big)[0]
+    want = _normalize_basis(_kernel(mat))
+    assert want == normalized(reference_kernel(mat, 3))
+    for primes in ([5, 3], [3, 5]):
+        assert _normalize_basis(_kernel(mat, chain(primes, islice(_word_primes(), 20)))) == want
+
+
+def test_kernel_reports_exhausted_primes():
+    with pytest.raises(ArithmeticError):
+        _kernel([[3, 1, 3]], [3, 5])
+
+
+def test_rational_reconstruct_above_float_range():
+    mod = 1
+    for p, _ in zip(_word_primes(), range(40)):
+        mod *= p
+    assert mod > 2**1024
+    for q in (Fraction(-3**300, 7**200), Fraction(2**500 + 1, 3), Fraction(0)):
+        assert _rational_reconstruct(q.numerator * pow(q.denominator, -1, mod), mod) == q
+
+
+def test_prime_stream_starts_below_two_to_the_31():
+    head = [p for p, _ in zip(_word_primes(), range(10))]
+    assert head == [2147483647, 2147483629, 2147483587, 2147483579, 2147483563,
+                    2147483549, 2147483543, 2147483497, 2147483489, 2147483477]
 
 
 def test_rejects_bad_order():
@@ -89,7 +219,6 @@ def test_rejects_bad_order():
 
 def test_basis_normalization_integer_content_free():
     system = compute_system(polygon((0, 0), (3, 1), (1, 3)), 3)
-    from math import gcd
     for vec in system.basis:
         nums = [c.numerator for c in vec if c]
         assert all(c.denominator == 1 for c in vec)
