@@ -19,7 +19,7 @@ from .laurent import (
     LaurentPolynomial,
     irreducibility_certificate,
 )
-from .linsys import compute_system
+from .linsys import compute_system, is_expected
 from .polygon import LatticePolygon, canonical_form, mixed_volume
 
 
@@ -52,7 +52,7 @@ def numeric_invariants(poly: LatticePolygon, m: int) -> IntrinsicPair:
         tags.add("NumericallyNonPositive")
     if c2 < 0 and pa == 0:
         tags.add(("MinusNPair", -c2))
-    if poly.lattice_counts()[0] > m * (m + 1) // 2:
+    if is_expected(poly, m):
         tags.add("Expected")
     return IntrinsicPair(poly, m, c2, pa, frozenset(tags))
 
@@ -109,15 +109,10 @@ class ClassificationHit:
         }
 
 
-def _oracle_factors(oracle, poly: LatticePolygon, m: int):
-    """Annotation lookup: factors for reducible verdicts, keyed canonically."""
-    if not oracle:
-        return None
-    key = (canonical_form(poly)[0].vertices, m)
-    return oracle.get(key)
-
-
-def _examine(poly: LatticePolygon, m: int, oracle):
+def _examine(task):
+    """The hit for one (polygon, m) task, or None; factors come from the oracle."""
+    vertices, m, factors = task
+    poly = LatticePolygon(vertices)
     system = compute_system(poly, m)
     if system.dimension != 1:
         return None
@@ -125,9 +120,7 @@ def _examine(poly: LatticePolygon, m: int, oracle):
     if f.newton_polygon() != poly.translated_to_origin():
         return None
     pair = numeric_invariants(poly, m)
-    cert = irreducibility_certificate(f, witness_factors=_oracle_factors(oracle, poly, m))
-    if cert.verdict == IrreducibilityCertificate.INCONCLUSIVE and not _oracle_factors(oracle, poly, m):
-        cert = irreducibility_certificate(f)
+    cert = irreducibility_certificate(f, witness_factors=factors)
     if cert.verdict == IrreducibilityCertificate.REDUCIBLE:
         return None
     return ClassificationHit(
@@ -136,50 +129,39 @@ def _examine(poly: LatticePolygon, m: int, oracle):
     )
 
 
-def _job(args):
-    vertices, m, oracle_items = args
-    poly = LatticePolygon(vertices)
-    oracle = dict(oracle_items) if oracle_items else None
-    hit = _examine(poly, m, oracle)
-    return None if hit is None else (canonical_form(poly)[0].vertices, m, hit)
-
-
 def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
                      jobs: int | None = None) -> list[ClassificationHit]:
     """Unique-curve pairs from a polygon stream, deduplicated by canonical form.
 
     oracle maps (canonical vertices, m) to a factor list certifying
-    reducibility; such pairs are dropped.  jobs defaults to the
-    INTRINSIC_CURVES_JOBS environment variable, then to serial execution.
+    reducibility; such pairs are dropped.  jobs above 1 runs the tasks in a
+    process pool; None takes the job count from the environment variable
+    read below, and runs serially when it is unset.
     """
     if m_max < 1:
         raise RangeError("m_max must be at least 1")
-    tasks = []
+    oracle = oracle or {}
+    keys, tasks = [], []
     seen_input = set()
     for poly in polygons:
+        # volume is a unimodular invariant, so skipping before keying keeps the dedupe
+        vol = poly.volume
+        if vol > volume_max or vol > m_max * m_max:
+            continue
         key = canonical_form(poly)[0].vertices
         if key in seen_input:
             continue
         seen_input.add(key)
-        vol = poly.volume
-        if vol > volume_max:
-            continue
         for m in range(1, m_max + 1):
             if vol - m * m <= 0:
-                tasks.append((poly.vertices, m, tuple(oracle.items()) if oracle else ()))
+                keys.append((key, m))
+                tasks.append((poly.vertices, m, oracle.get((key, m))))
     if jobs is None:
         jobs = int(os.environ.get("INTRINSIC_CURVES_JOBS", "0")) or None
-    results = {}
     if jobs and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            for out in pool.map(_job, tasks, chunksize=8):
-                if out:
-                    key, m, hit = out
-                    results.setdefault((key, m), hit)
+            hits = list(pool.map(_examine, tasks, chunksize=8))
     else:
-        for t in tasks:
-            out = _job(t)
-            if out:
-                key, m, hit = out
-                results.setdefault((key, m), hit)
+        hits = map(_examine, tasks)
+    results = {k: hit for k, hit in zip(keys, hits) if hit}
     return [results[k] for k in sorted(results, key=lambda k: (k[1], k[0]))]

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from fractions import Fraction
 
@@ -119,8 +118,8 @@ def cmd_classify(args) -> int:
     if args.enumerate:
         polys += enumerate_polygons()
     oracle = load_oracle(args.oracle) if args.oracle else None
-    jobs = args.jobs or int(os.environ.get("INTRINSIC_CURVES_JOBS", "0")) or None
-    hits = classify_dataset(polys, args.m_max, args.volume_max, oracle, jobs=jobs)
+    hits = classify_dataset(polys, args.m_max, args.volume_max, oracle,
+                            jobs=args.jobs or None)
     _emit({"hits": [h.to_json() for h in hits], "count": len(hits)}, args.pretty)
     return 0
 

@@ -582,7 +582,6 @@ def _uni_kth_root(p: list[Fraction], k: int) -> list[Fraction] | None:
 def _perfect_power_root(f: LaurentPolynomial) -> tuple[LaurentPolynomial, int]:
     """Largest k with f = g^k up to unit; returns (g, k); k = 1 if none."""
     f = f.unit_normalized()
-    poly = f.newton_polygon()
     du = max(p for p, _ in f.terms)
     dv = max(q for _, q in f.terms)
     for k in range(max(du, dv, 1), 1, -1):
@@ -651,9 +650,10 @@ def implicitize(f1: UniPoly, f2: UniPoly, f3: UniPoly, f4: UniPoly,
     certified power nor certifiably irreducible it is returned unchanged and
     tagged NotNormalized in the details dict.
     """
-    if not f1.gcd(f2).is_zero() and f1.gcd(f2).degree > 0:
+    g12, g34 = f1.gcd(f2), f3.gcd(f4)
+    if not g12.is_zero() and g12.degree > 0:
         raise SharedRoot("f1 and f2 share a factor")
-    if not f3.gcd(f4).is_zero() and f3.gcd(f4).degree > 0:
+    if not g34.is_zero() and g34.degree > 0:
         raise SharedRoot("f3 and f4 share a factor")
     if f1.degree <= 0 and f2.degree <= 0 and f3.degree <= 0 and f4.degree <= 0:
         raise ConstantMap("parametrization is constant")

@@ -13,7 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from math import gcd
+from itertools import count
+from math import ceil, floor, gcd
 
 from .errors import DegeneratePolygon
 
@@ -48,6 +49,27 @@ def _hull_vertices(points) -> tuple[Point, ...]:
         # all collinear: keep the two endpoints
         return (pts[0], pts[-1])
     return tuple(hull)
+
+
+def _slice(halfplanes, t: int) -> tuple[Fraction, Fraction] | None:
+    """Real bounds of {s : n0*t + n1*s >= c for every (n0, n1, c)}, or None if empty.
+
+    The half-planes must cut out a bounded region, so every nonempty slice
+    has both a lower and an upper bound.
+    """
+    lo = hi = None
+    for n0, n1, c in halfplanes:
+        if n1 > 0:
+            bound = Fraction(c - n0 * t, n1)
+            if lo is None or bound > lo:
+                lo = bound
+        elif n1 < 0:
+            bound = Fraction(c - n0 * t, n1)
+            if hi is None or bound < hi:
+                hi = bound
+        elif n0 * t < c:
+            return None
+    return None if lo > hi else (lo, hi)
 
 
 def _canonical_order(verts: tuple[Point, ...]) -> tuple[Point, ...]:
@@ -123,37 +145,17 @@ class LatticePolygon:
         if self.is_point:
             return [self.vertices[0]]
         if self.is_segment:
-            (x0, y0), (x1, y1) = self.vertices
-            g = gcd(x1 - x0, y1 - y0)
-            dx, dy = (x1 - x0) // g, (y1 - y0) // g
+            x0, y0 = self.vertices[0]
+            (dx, dy), g = _edge_multiset(self)[0]
             return sorted((x0 + k * dx, y0 + k * dy) for k in range(g + 1))
+        xs = [x for x, _ in self.vertices]
+        # n . p >= -a for each inward normal n with ample coefficient a
+        halfplanes = [(nx, ny, -a) for (nx, ny), a in self.ample_coefficients()]
         pts = []
-        xmin = min(x for x, _ in self.vertices)
-        xmax = max(x for x, _ in self.vertices)
-        fan = self.normal_fan()
-        consts = [
-            (n, min(w[0] * n[0] + w[1] * n[1] for w in self.vertices))
-            for n, _ in fan
-        ]
-        for x in range(xmin, xmax + 1):
-            lo, hi = None, None
-            feasible = True
-            for (nx, ny), c in consts:
-                # nx*x + ny*y >= c
-                if ny > 0:
-                    bound = Fraction(c - nx * x, ny)
-                    lo = bound if lo is None else max(lo, bound)
-                elif ny < 0:
-                    bound = Fraction(c - nx * x, ny)
-                    hi = bound if hi is None else min(hi, bound)
-                elif nx * x < c:
-                    feasible = False
-                    break
-            if not feasible:
-                continue
-            ylo = -(-lo.numerator // lo.denominator)  # ceil
-            yhi = hi.numerator // hi.denominator  # floor
-            pts.extend((x, y) for y in range(ylo, yhi + 1))
+        for x in range(min(xs), max(xs) + 1):
+            bounds = _slice(halfplanes, x)
+            if bounds is not None:
+                pts.extend((x, y) for y in range(ceil(bounds[0]), floor(bounds[1]) + 1))
         return pts
 
     def contains(self, p: Point) -> bool:
@@ -178,12 +180,7 @@ class LatticePolygon:
         """One (inward primitive normal, edge lattice length) pair per edge."""
         if self.is_degenerate:
             raise DegeneratePolygon("normal fan needs a two-dimensional polygon")
-        rays = []
-        for (x0, y0), (x1, y1) in self.edges():
-            dx, dy = x1 - x0, y1 - y0
-            g = gcd(dx, dy)
-            rays.append(((-dy // g, dx // g), g))
-        return rays
+        return [((-dy, dx), g) for (dx, dy), g in _edge_multiset(self)]
 
     def ample_coefficients(self) -> list[tuple[Point, int]]:
         """Coefficients a_i = -min over the polygon of w . v_i, in fan order."""
@@ -208,9 +205,7 @@ class LatticePolygon:
         if self.is_point:
             return 0, (0, 1)
         if self.is_segment:
-            (x0, y0), (x1, y1) = self.vertices
-            g = gcd(x1 - x0, y1 - y0)
-            dx, dy = (x1 - x0) // g, (y1 - y0) // g
+            (dx, dy), _ = _edge_multiset(self)[0]
             # width 0 along either normal; normalize the representative
             cands = [(-dy, dx), (dy, -dx)]
             cands = [c for c in cands if c[0] > 0 or (c[0] == 0 and c[1] > 0)]
@@ -223,30 +218,14 @@ class LatticePolygon:
         )
         seed = [(0, 1), (1, 0)] + [r for r, _ in self.normal_fan()]
         bound = min(self.width_in_direction(v) for v in seed)
+        # a*wx + b*wy <= bound for every w in K; the slice a = 0 holds b = 0
+        halfplanes = [(-wx, -wy, -bound) for wx, wy in diff]
         best = None
-        a = 0
-        while True:
-            lo, hi = None, None
-            feasible = True
-            for wx, wy in diff:
-                # a*wx + b*wy <= bound
-                if wy > 0:
-                    t = Fraction(bound - a * wx, wy)
-                    hi = t if hi is None else min(hi, t)
-                elif wy < 0:
-                    t = Fraction(bound - a * wx, wy)
-                    lo = t if lo is None else max(lo, t)
-                elif a * wx > bound:
-                    feasible = False
-                    break
-            if not feasible or (lo is not None and hi is not None and lo > hi):
-                if a > 0:
-                    break
-                a += 1
-                continue
-            blo = -(-lo.numerator // lo.denominator)
-            bhi = hi.numerator // hi.denominator
-            for b in range(blo, bhi + 1):
+        for a in count():
+            bounds = _slice(halfplanes, a)
+            if bounds is None:
+                break
+            for b in range(ceil(bounds[0]), floor(bounds[1]) + 1):
                 if a == 0 and b <= 0:
                     continue
                 if gcd(a, b) != 1:
@@ -255,7 +234,6 @@ class LatticePolygon:
                 key = (w, abs(a) + abs(b), a, b)
                 if best is None or key < best[0]:
                     best = (key, (a, b))
-            a += 1
         assert best is not None
         return best[0][0], best[1]
 
@@ -392,12 +370,6 @@ def equivalent(a: LatticePolygon, b: LatticePolygon) -> bool:
 def _edge_multiset(poly: LatticePolygon) -> list[tuple[Point, int]]:
     """(primitive edge vector, lattice length) per edge, CCW order."""
     out = []
-    if poly.is_segment:
-        (x0, y0), (x1, y1) = poly.vertices
-        g = gcd(x1 - x0, y1 - y0)
-        out.append((((x1 - x0) // g, (y1 - y0) // g), g))
-        out.append((((x0 - x1) // g, (y0 - y1) // g), g))
-        return out
     for (x0, y0), (x1, y1) in poly.edges():
         dx, dy = x1 - x0, y1 - y0
         g = gcd(dx, dy)
@@ -405,26 +377,15 @@ def _edge_multiset(poly: LatticePolygon) -> list[tuple[Point, int]]:
     return out
 
 
-def _angle_key(v: Point):
-    half = 0 if (v[1] > 0 or (v[1] == 0 and v[0] > 0)) else 1
-    return half
-
-
 def _polygon_from_edges(edges: list[tuple[Point, int]]) -> LatticePolygon:
-    """Rebuild the summand polygon from its primitive edge multiset."""
-    import functools
+    """Rebuild the summand polygon from a sub-multiset of a CCW edge list.
 
-    def cmp(u, v):
-        hu, hv = _angle_key(u[0]), _angle_key(v[0])
-        if hu != hv:
-            return -1 if hu < hv else 1
-        c = u[0][0] * v[0][1] - u[0][1] * v[0][0]
-        return 0 if c == 0 else (-1 if c > 0 else 1)
-
-    ordered = sorted(edges, key=functools.cmp_to_key(cmp))
+    The sub-multiset keeps the cyclic angle order of the edges, so walking
+    it traces the summand's boundary.
+    """
     pts = [(0, 0)]
     x = y = 0
-    for (dx, dy), mult in ordered:
+    for (dx, dy), mult in edges:
         x += dx * mult
         y += dy * mult
         pts.append((x, y))
@@ -495,18 +456,25 @@ def enumerate_polygons(coord_max: int = 3, volume_max: int = 6) -> list[LatticeP
     """Hulls of all subsets of the [0, coord_max]^2 grid, up to equivalence.
 
     Self-check enumerator for small-volume datasets; keeps polygons (including
-    degenerate ones) with normalized volume <= volume_max.
+    degenerate ones) with normalized volume <= volume_max.  The search grows
+    distinct hulls one grid point at a time: adding the vertices of a subset's
+    hull one by one reaches that hull, and every intermediate hull lies inside
+    it, so hulls above volume_max can be dropped as soon as they appear.
     """
     grid = [(x, y) for x in range(coord_max + 1) for y in range(coord_max + 1)]
-    seen = {}
     hulls = set()
-    for mask in range(1, 1 << len(grid)):
-        pts = [grid[i] for i in range(len(grid)) if mask >> i & 1]
-        hulls.add(LatticePolygon.hull(pts).vertices)
-    for verts in hulls:
-        p = LatticePolygon(verts)
-        if p.volume > volume_max:
-            continue
+    frontier = [()]
+    while frontier:
+        grown = []
+        for verts in frontier:
+            for p in grid:
+                h = LatticePolygon.hull(verts + (p,))
+                if h.vertices not in hulls and h.volume <= volume_max:
+                    hulls.add(h.vertices)
+                    grown.append(h.vertices)
+        frontier = grown
+    seen = {}
+    for p in {LatticePolygon(verts).translated_to_origin() for verts in hulls}:
         key = canonical_form(p)[0].vertices
         if key not in seen:
             seen[key] = LatticePolygon(key)

@@ -71,21 +71,16 @@ def is_principal(a) -> bool:
     return all(x * r1[i] + y * r2[i] == a[i] for i in range(7))
 
 
-def _poly_k(c0: int, c1: int, c2: int):
-    """Coefficient triple for c0 + c1*k + c2*k²."""
-    return (c0, c1, c2)
-
-
 def e_k_coefficient_polynomials():
     """E_k coordinates as (constant, k, k²) integer triples."""
     return (
-        _poly_k(0, 0, 0),
-        _poly_k(0, 0, 0),
-        _poly_k(-1, 0, 7),
-        _poly_k(-9, -49, 161),
-        _poly_k(9, -53, 70),
-        _poly_k(2, -12, 14),
-        _poly_k(0, 19, -42),
+        (0, 0, 0),
+        (0, 0, 0),
+        (-1, 0, 7),
+        (-9, -49, 161),
+        (9, -53, 70),
+        (2, -12, 14),
+        (0, 19, -42),
     )
 
 

@@ -61,7 +61,7 @@ def self_intersection_on_x(ctx: WppContext, e: ClassEntry) -> Fraction:
     return Fraction(e.d * e.d, ctx.abc) - e.m * e.m
 
 
-def _approx_error_key(ctx: WppContext, e: ClassEntry):
+def _approx_error_key(e: ClassEntry):
     """Comparable proxy for |d/m − √(abc)| over the Above entries.
 
     For slopes above the boundary the error is d/m − √(abc), and
@@ -77,7 +77,7 @@ def best_approximation(ctx: WppContext, entries, predicate=None) -> ClassEntry:
     pool = [e for e in pool if slope_compare(ctx, e) == ABOVE]
     if not pool:
         raise EmptyAfterFilter("no entries above the light cone after filtering")
-    return min(pool, key=lambda e: _approx_error_key(ctx, e))
+    return min(pool, key=_approx_error_key)
 
 
 def intrinsic_minus_one(e: ClassEntry) -> bool:
@@ -95,12 +95,14 @@ def ingest_table(path=None):
             lines = fh.read().splitlines()
     reader = csv.reader(lines)
     entries = []
+    header_seen = False  # the header is the first row that is not blank or a comment
     for lineno, row in enumerate(reader, start=1):
         if not row or (row[0].startswith("#")):
             continue
-        if lineno == 1:
+        if not header_seen:
             if [c.strip() for c in row] != ["d", "m", "c2", "pa"]:
                 raise ParseError("expected header d,m,c2,pa", lineno)
+            header_seen = True
             continue
         try:
             d, m, c2, pa = (int(x) for x in row)

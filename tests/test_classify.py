@@ -1,5 +1,6 @@
 from collections import Counter
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -9,6 +10,7 @@ from latticecurves.classify import (
     intersection_product,
     numeric_invariants,
 )
+from latticecurves.cli import load_oracle
 from latticecurves.errors import RangeError
 from latticecurves.laurent import LaurentPolynomial, verify_factorization
 from latticecurves.linsys import compute_system
@@ -142,3 +144,14 @@ def test_classify_parallel_matches_serial():
     serial = classify_dataset(polys, 3, 16)
     parallel = classify_dataset(polys, 3, 16, jobs=2)
     assert [h.to_json() for h in serial] == [h.to_json() for h in parallel]
+
+
+def test_classify_parallel_matches_serial_with_oracle():
+    oracle = load_oracle(
+        str(resources.files("latticecurves.data").joinpath("oracle_vol6.json")))
+    polys = ELEVEN + enumerate_polygons()
+    serial = classify_dataset(polys, 4, 16, oracle)
+    parallel = classify_dataset(polys, 4, 16, oracle, jobs=2)
+    assert [h.to_json() for h in serial] == [h.to_json() for h in parallel]
+    # the oracle drops reducible members, so the comparison covers its lookup
+    assert len(serial) < len(classify_dataset(polys, 4, 16))

@@ -1,10 +1,14 @@
+import hashlib
 import json
+import os
 import subprocess
 import sys
 from importlib import resources
+from pathlib import Path
 
 import pytest
 
+import latticecurves
 from latticecurves.cli import (
     ingest_polygon_dataset,
     load_oracle,
@@ -87,6 +91,15 @@ def test_classify_command(capsys):
     assert code == 0 and out["count"] == 11
 
 
+def test_readme_classify_stdout_is_golden(capsys):
+    # the README classify command; its stdout must stay byte-identical
+    assert main(["classify", "--dataset", data_path("polygons.txt"),
+                 "--oracle", data_path("oracle_vol6.json"), "--enumerate"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == \
+        "8e1a930a353e1bfbf3705fdf1c96c9f0b8bdc73420f4893cef6b444782990441"
+
+
 def test_dataset_ingestion(tmp_path):
     f = tmp_path / "polys.txt"
     f.write_text("# comment\n0,0 1,0 0,1\n\n0,0 2,0 1,0  # collinear\n")
@@ -107,9 +120,13 @@ def test_dataset_ingestion_reports_line(tmp_path):
 def test_parse_error_exit_code_names_line_once(tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("0,0 1,0 0,1\n0,0 oops\n")
+    # the child process imports the same package as this one
+    src = str(Path(latticecurves.__file__).parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-m", "latticecurves.cli", "classify", "--dataset", str(f)],
-        capture_output=True, text=True)
+        capture_output=True, text=True, env=env)
     assert proc.returncode == 2
     assert proc.stderr.count("line 2") == 1
     assert "Traceback" not in proc.stderr

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -126,6 +127,53 @@ def test_enumerate_polygons_small():
     assert len(keys) == len(polys)
     assert all(p.volume <= 4 for p in polys)
     assert any(p.is_segment for p in polys)
+
+
+def all_subsets_enumeration(coord_max, volume_max):
+    """Reference: hull every nonempty subset of the grid, then key by canonical form."""
+    grid = [(x, y) for x in range(coord_max + 1) for y in range(coord_max + 1)]
+    hulls = {
+        LatticePolygon.hull([grid[i] for i in range(len(grid)) if mask >> i & 1])
+        for mask in range(1, 1 << len(grid))
+    }
+    keys = {canonical_form(p)[0].vertices for p in hulls if p.volume <= volume_max}
+    return [LatticePolygon(k) for k in sorted(keys)]
+
+
+@pytest.mark.parametrize("coord_max,volume_max",
+                         [(2, v) for v in range(9)] + [(3, 6)])
+def test_enumerate_polygons_matches_all_subsets(coord_max, volume_max):
+    assert enumerate_polygons(coord_max, volume_max) == \
+        all_subsets_enumeration(coord_max, volume_max)
+
+
+def test_lattice_points_match_contains_scan():
+    r = random.Random(2718)
+    for _ in range(300):
+        pts = [(r.randint(-7, 7), r.randint(-7, 7)) for _ in range(r.randint(1, 6))]
+        p = convex_hull(pts)
+        xs = [x for x, _ in p.vertices]
+        ys = [y for _, y in p.vertices]
+        scan = [(x, y) for x in range(min(xs), max(xs) + 1)
+                for y in range(min(ys), max(ys) + 1) if p.contains((x, y))]
+        assert p.lattice_points() == scan
+
+
+def test_minkowski_decompositions_sum_back():
+    r = random.Random(1618)
+    checked = 0
+    for _ in range(150):
+        a = convex_hull([(r.randint(-3, 3), r.randint(-3, 3)) for _ in range(r.randint(1, 4))])
+        b = convex_hull([(r.randint(-3, 3), r.randint(-3, 3)) for _ in range(r.randint(2, 4))])
+        s = minkowski_sum(a, b)
+        for p, q in minkowski_decompositions(s):
+            assert minkowski_sum(p, q).translated_to_origin() == s.translated_to_origin()
+            checked += 1
+    assert checked > 100
+    # a segment of length g splits into lengths (c, g - c)
+    seg = polygon((1, -2), (7, 7))
+    assert [(p.vertices, q.vertices) for p, q in minkowski_decompositions(seg)] == \
+        [(((0, 0), (2, 3)), ((0, 0), (4, 6)))]
 
 
 def test_json_roundtrip():

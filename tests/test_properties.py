@@ -109,6 +109,12 @@ def brute_force_width(p):
 
 def test_lattice_width_vs_brute_force_200():
     r = rng(777)
-    for _ in range(200):
-        p = random_polygon(r, span=6, npts=5)
+    polys = [random_polygon(r, span=6, npts=5) for _ in range(200)]
+    # thin slanted triangles: a slice with no integer point comes before the
+    # last nonempty real slice of the direction search
+    for k in range(1, 13):
+        polys += [polygon((0, 0), (1, 0), (k, k + 1)),
+                  polygon((0, 0), (1, 0), (k + 1, k)),
+                  polygon((0, 0), (0, 1), (k, 2 * k + 1))]
+    for p in polys:
         assert p.lattice_width()[0] == brute_force_width(p)

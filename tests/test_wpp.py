@@ -1,8 +1,10 @@
+import json
 from fractions import Fraction
 from importlib import resources
 
 import pytest
 
+from latticecurves.cli import main
 from latticecurves.errors import EmptyAfterFilter, ParseError, RangeError
 from latticecurves.wpp import (
     ClassEntry,
@@ -69,6 +71,21 @@ def test_ingest_rejects_malformed(tmp_path):
     nohdr.write_text("36,1,0,0\n")
     with pytest.raises(ParseError):
         ingest_table(str(nohdr))
+    nohdr.write_text("# generators\n\n36,1,0,0\n")
+    with pytest.raises(ParseError) as err:
+        ingest_table(str(nohdr))
+    assert err.value.line == 3
+
+
+def test_ingest_header_after_comment(tmp_path, capsys):
+    # the header is the first row that is not blank or a comment
+    path = resources.files("latticecurves.data").joinpath("x_9_10_13.csv")
+    commented = tmp_path / "commented.csv"
+    commented.write_text("# X(9,10,13) generators\n\n" + path.read_text())
+    assert ingest_table(str(commented)) == shipped()
+    assert main(["wpp", "--a", "9", "--b", "10", "--c", "13",
+                 "--table", str(commented)]) == 0
+    assert json.loads(capsys.readouterr().out)["entries"] == 52
 
 
 def test_best_approximation():
