@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import comb, gcd
+from math import comb, gcd, lcm
 
 from .errors import (
     ConstantMap,
@@ -367,21 +367,12 @@ def _trim(a: TPoly) -> TPoly:
     return a
 
 
-def sylvester_matrix(a: TPoly, b: TPoly) -> list[list[LaurentPolynomial]]:
+def sylvester_matrix(a: list, b: list) -> list[list]:
+    """Sylvester matrix of two coefficient lists of numbers or Laurent polynomials."""
     n, m = len(a) - 1, len(b) - 1
-    size = n + m
-    rows = []
-    arev = list(reversed(a))
-    brev = list(reversed(b))
-    for i in range(m):
-        row = [LaurentPolynomial.zero()] * size
-        row[i : i + n + 1] = arev
-        rows.append(row)
-    for i in range(n):
-        row = [LaurentPolynomial.zero()] * size
-        row[i : i + m + 1] = brev
-        rows.append(row)
-    return rows
+    zero = a[-1] * 0  # of the entries' type
+    rows = [[zero] * i + a[::-1] + [zero] * (m - 1 - i) for i in range(m)]
+    return rows + [[zero] * i + b[::-1] + [zero] * (n - 1 - i) for i in range(n)]
 
 
 def sylvester_det_direct(a: TPoly, b: TPoly) -> LaurentPolynomial:
@@ -409,51 +400,51 @@ def sylvester_det_direct(a: TPoly, b: TPoly) -> LaurentPolynomial:
     return det(list(range(n)), list(range(n)))
 
 
-def _bareiss_det(m: list[list[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-style elimination over Q."""
+def _bareiss_det(m: list[list[int]]) -> int:
+    """Determinant by fraction-free Bareiss elimination; each `//` is exact."""
     n = len(m)
     m = [row[:] for row in m]
-    sign = 1
-    det = Fraction(1)
-    for k in range(n):
-        piv = next((i for i in range(k, n) if m[i][k]), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != k:
+    sign, prev = 1, 1
+    for k in range(n - 1):
+        if not m[k][k]:
+            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
+            if piv is None:
+                return 0
             m[k], m[piv] = m[piv], m[k]
             sign = -sign
-        det *= m[k][k]
-        inv = 1 / m[k][k]
-        for i in range(k + 1, n):
-            f = m[i][k] * inv
-            if not f:
-                continue
+        rk, pk = m[k], m[k][k]
+        for ri in m[k + 1 :]:
+            c = ri[k]
             for j in range(k + 1, n):
-                m[i][j] -= f * m[k][j]
-    return sign * det
+                ri[j] = (pk * ri[j] - c * rk[j]) // prev
+        prev = pk
+    return sign * m[-1][-1]
 
 
-def _lagrange_interpolate(xs, ys) -> list[Fraction]:
-    """Coefficients (lowest first) of the interpolating polynomial."""
+def _interpolate(xs, ys) -> list[Fraction]:
+    """Coefficients (lowest first) of the interpolant, by divided differences."""
     n = len(xs)
-    coeffs = [Fraction(0)] * n
-    for i in range(n):
-        # basis polynomial prod_{j != i} (x - xs[j]) / (xs[i] - xs[j])
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j in range(n):
-            if j == i:
-                continue
-            new = [Fraction(0)] * (len(basis) + 1)
-            for k, c in enumerate(basis):
-                new[k + 1] += c
-                new[k] -= c * xs[j]
-            basis = new
-            denom *= xs[i] - xs[j]
-        scale = ys[i] / denom
-        for k, c in enumerate(basis):
-            coeffs[k] += scale * c
-    return coeffs
+    c = [Fraction(y) for y in ys]
+    for k in range(1, n):
+        for i in range(n - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - k])
+    out = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):  # out <- out * (x - xs[k]) + c[k]
+        for i in range(n - 1, 0, -1):
+            out[i] = out[i - 1] - xs[k] * out[i]
+        out[0] = c[k] - xs[k] * out[0]
+    return out
+
+
+def _integer_side(side: TPoly):
+    """Integer terms (p, q, c) of lam * u^dp * v^dq * side, (dp, dq) and lam."""
+    mins = [c.min_exponents() for c in side if not c.is_zero()]
+    dp = -min(0, min(p for p, _ in mins))
+    dq = -min(0, min(q for _, q in mins))
+    lam = lcm(*(c.denominator for t in side for c in t.terms.values()))
+    terms = [[(p + dp, q + dq, c.numerator * (lam // c.denominator))
+              for (p, q), c in t.terms.items()] for t in side]
+    return terms, (dp, dq), lam
 
 
 def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
@@ -461,51 +452,43 @@ def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
 
     Coefficients live in the Laurent ring; leading t-coefficients must be
     nonzero (raise DegenerateInput otherwise; trimming is the caller's job).
+    Each side is scaled to integer coefficients and nonnegative exponents.
+    On a (u, v) grid each t-coefficient is evaluated once, and the Sylvester
+    determinant of the formal t-degree is taken by integer Bareiss
+    elimination; Newton interpolation in u, then in v, gives the resultant.
+    Res(lam A, mu B) = lam^deg B mu^deg A Res(A, B) undoes the scaling.
     """
     if len(a) < 2 or len(b) < 2:
         raise DegenerateInput("resultant needs deg_t >= 1 on both sides")
     if a[-1].is_zero() or b[-1].is_zero():
         raise DegenerateInput("leading t-coefficient is identically zero")
-    # clear negative exponents; undo via resultant homogeneity at the end
-    def clearing_shift(coeffs):
-        dps = [c.min_exponents() for c in coeffs if not c.is_zero()]
-        dp = min(0, min(p for p, _ in dps))
-        dq = min(0, min(q for _, q in dps))
-        return -dp, -dq
+    (ia, sa, la), (ib, sb, lb) = _integer_side(a), _integer_side(b)
+    deg_a, deg_b = len(a) - 1, len(b) - 1
 
-    sa = clearing_shift(a)
-    sb = clearing_shift(b)
-    a2 = [c.shift(*sa) for c in a]
-    b2 = [c.shift(*sb) for c in b]
-    deg_a, deg_b = len(a2) - 1, len(b2) - 1
+    def maxdeg(side, axis):
+        return max(e[axis] for t in side for e in t)
 
-    def maxdeg(coeffs, axis):
-        return max(
-            max((e[axis] for e in c.terms), default=0) for c in coeffs
-        )
-
-    du = deg_b * maxdeg(a2, 0) + deg_a * maxdeg(b2, 0)
-    dv = deg_b * maxdeg(a2, 1) + deg_a * maxdeg(b2, 1)
-    xs = list(range(1, du + 2))
-    ys = list(range(1, dv + 2))
-    mat = sylvester_matrix(a2, b2)
-    values = {}
-    for x in xs:
-        for y in ys:
-            num = [[entry.evaluate(x, y) for entry in row] for row in mat]
-            values[(x, y)] = _bareiss_det(num)
-    # interpolate in u for every y, then in v coefficientwise
-    upolys = {y: _lagrange_interpolate(xs, [values[(x, y)] for x in xs]) for y in ys}
+    du = deg_b * maxdeg(ia, 0) + deg_a * maxdeg(ib, 0)
+    dv = deg_b * maxdeg(ia, 1) + deg_a * maxdeg(ib, 1)
+    xs = range(1, du + 2)
+    ys = range(1, dv + 2)
+    upolys = []  # the resultant on each line v = y, as a polynomial in u
+    for y in ys:
+        dets = []
+        for x in xs:
+            at = [[sum(c * x ** p * y ** q for p, q, c in t) for t in side]
+                  for side in (ia, ib)]
+            dets.append(_bareiss_det(sylvester_matrix(*at)))
+        upolys.append(_interpolate(xs, dets))
+    shift_u = deg_b * sa[0] + deg_a * sb[0]
+    shift_v = deg_b * sa[1] + deg_a * sb[1]
+    scale = la ** deg_b * lb ** deg_a
     terms = {}
     for p in range(du + 1):
-        col = _lagrange_interpolate(ys, [upolys[y][p] for y in ys])
+        col = _interpolate(ys, [up[p] for up in upolys])
         for q, c in enumerate(col):
-            if c:
-                terms[(p, q)] = c
-    res = LaurentPolynomial(terms)
-    # Res(mu*A, B) = mu^deg(B) Res(A, B); undo both clearing monomials
-    return res.shift(-(deg_b * sa[0] + deg_a * sb[0]),
-                     -(deg_b * sa[1] + deg_a * sb[1]))
+            terms[(p - shift_u, q - shift_v)] = c / scale
+    return LaurentPolynomial(terms)
 
 
 def _rational_kth_root(c: Fraction, k: int) -> Fraction | None:
@@ -531,96 +514,50 @@ def _rational_kth_root(c: Fraction, k: int) -> Fraction | None:
 
 
 def _uni_kth_root(p: list[Fraction], k: int) -> list[Fraction] | None:
-    """k-th root of a univariate coefficient list (lowest first), if it exists."""
-    while p and not p[-1]:
-        p.pop()
-    if not p:
-        return []
-    n = len(p) - 1
-    if n % k:
-        return None
-    d = n // k
-    lead = _rational_kth_root(p[-1], k)
-    if lead is None:
-        return None
-    q = [Fraction(0)] * (d + 1)
-    q[d] = lead
+    """k-th root of a coefficient list (lowest first, last entry nonzero), if any.
 
-    def power_coeff(qs, idx):
-        # coefficient of t^idx in qs^k, qs known up to current fill level
-        total = Fraction(0)
-        # k-fold convolution is small here (d <= ~40)
-        cur = [Fraction(1)]
-        for _ in range(k):
-            new = [Fraction(0)] * (len(cur) + d)
-            for i2, a2 in enumerate(cur):
-                if not a2:
-                    continue
-                for j2, b2 in enumerate(qs):
-                    new[i2 + j2] += a2 * b2
-            cur = new
-        return cur[idx] if idx < len(cur) else total
-
-    for j in range(d - 1, -1, -1):
-        target = p[(k - 1) * d + j]
-        have = power_coeff(q, (k - 1) * d + j)
-        # coefficient is linear in q[j] with slope k * lead^(k-1)
-        q[j] = (target - have) / (k * lead ** (k - 1))
-    # verify
-    check = [Fraction(1)]
+    The reversed list r has r_0 != 0 and root q = r^(1/k) as a power series:
+    n r_0 q_n = sum_{i=1..n} ((1/k + 1) i - n) r_i q_(n-i), from q' r = r' q / k.
+    """
+    if (len(p) - 1) % k:
+        return None
+    r = p[::-1]
+    q0 = _rational_kth_root(r[0], k)
+    if q0 is None:
+        return None
+    q = [q0]
+    for n in range(1, (len(p) - 1) // k + 1):
+        s = sum(((k + 1) * i - k * n) * r[i] * q[n - i] for i in range(1, n + 1))
+        q.append(s / (k * n * r[0]))
+    q.reverse()
+    power = UniPoly([1])
     for _ in range(k):
-        new = [Fraction(0)] * (len(check) + d)
-        for i2, a2 in enumerate(check):
-            for j2, b2 in enumerate(q):
-                new[i2 + j2] += a2 * b2
-        check = new
-    if [c for c in check] == list(p) + [Fraction(0)] * (len(check) - len(p)):
-        return q
-    return None
+        power = power * UniPoly(q)
+    return q if power == UniPoly(p) else None
 
 
 def _perfect_power_root(f: LaurentPolynomial) -> tuple[LaurentPolynomial, int]:
-    """Largest k with f = g^k up to unit; returns (g, k); k = 1 if none."""
+    """Largest k with f = g^k up to unit; returns (g, k); k = 1 if none.
+
+    Candidates come from the univariate image under v = u^(du + 1), which is
+    injective on u-degree <= du: its k-th root is mapped back to g, and g^k
+    is checked against f exactly.
+    """
     f = f.unit_normalized()
     du = max(p for p, _ in f.terms)
     dv = max(q for _, q in f.terms)
+    base = du + 1
+    image = [Fraction(0)] * (max(p + base * q for p, q in f.terms) + 1)
+    for (p, q), c in f.terms.items():
+        image[p + base * q] = c
     for k in range(max(du, dv, 1), 1, -1):
         if du % k or dv % k:
             continue
-        # find g by univariate roots along v = const lines, interpolated in v
-        gu = du // k
-        gv = dv // k
-        samples = []
-        ok = True
-        vs = list(range(1, gv + 2))
-        for v0 in vs:
-            line = [Fraction(0)] * (du + 1)
-            for (p, q), c in f.terms.items():
-                line[p] += c * Fraction(v0) ** q
-            root = _uni_kth_root(line, k)
-            if root is None or len(root) - 1 != gu:
-                ok = False
-                break
-            if root[-1] < 0:
-                root = [-c for c in root]
-            samples.append(root)
-        if not ok:
+        root = _uni_kth_root(image, k)
+        if root is None:
             continue
-        terms = {}
-        for p in range(gu + 1):
-            col = _lagrange_interpolate(
-                vs, [s[p] if p < len(s) else Fraction(0) for s in samples]
-            )
-            for q, c in enumerate(col):
-                if c:
-                    terms[(p, q)] = c
-        g = LaurentPolynomial(terms)
-        if g.is_zero():
-            continue
-        gk = LaurentPolynomial.one()
-        for _ in range(k):
-            gk = gk * g
-        if verify_factorization(f, [gk]):
+        g = LaurentPolynomial({(i % base, i // base): c for i, c in enumerate(root)})
+        if verify_factorization(f, [g] * k):
             inner, kk = _perfect_power_root(g)
             return inner, k * kk
     return f, 1

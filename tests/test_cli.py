@@ -100,6 +100,22 @@ def test_readme_classify_stdout_is_golden(capsys):
         "8e1a930a353e1bfbf3705fdf1c96c9f0b8bdc73420f4893cef6b444782990441"
 
 
+FAMILY_VERIFY_SHA256 = {
+    "I": "a16206c3c16923cc66fd0d071c534f17907634bbf862ed5c88fed98b87807ed6",
+    "II": "d79f26ecd4b05b0aee5584973eef2cc885879400cb5e84f39b05373e2c71bd86",
+    "III": "570784544b9c26de31b8a0f9b93d7e118b0ce5d035de56aa2ede275ca1e3a663",
+    "IV": "108338bddda0fe59b9a23292c07840f2162dc3085422652760805363bcf79fa5",
+}
+
+
+@pytest.mark.parametrize("family", sorted(FAMILY_VERIFY_SHA256))
+def test_family_verify_stdout_is_golden(capsys, family):
+    # family --verify at m = 10; its stdout must stay byte-identical
+    assert main(["family", "--id", family, "--m", "10", "--verify", "--budget", "10"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FAMILY_VERIFY_SHA256[family]
+
+
 def test_dataset_ingestion(tmp_path):
     f = tmp_path / "polys.txt"
     f.write_text("# comment\n0,0 1,0 0,1\n\n0,0 2,0 1,0  # collinear\n")

@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -13,7 +15,9 @@ from latticecurves.laurent import (
     IrreducibilityCertificate,
     LaurentPolynomial,
     UniPoly,
+    _bareiss_det,
     _const_lp,
+    _interpolate,
     _perfect_power_root,
     _rational_kth_root,
     _trim,
@@ -29,6 +33,9 @@ from latticecurves.laurent import (
 from latticecurves.polygon import polygon
 
 G = LaurentPolynomial({(2, 1): 1, (1, 2): 1, (1, 1): -3, (0, 0): 1})
+U = LaurentPolynomial.monomial(1, 0)
+V = LaurentPolynomial.monomial(0, 1)
+ONE = LaurentPolynomial.one()
 H = LaurentPolynomial({(5, 3): 1, (5, 2): -2, (4, 3): -6, (4, 2): 11,
                        (3, 4): -2, (3, 3): 17, (3, 2): -24, (3, 1): -1,
                        (2, 5): -1, (2, 4): 7, (2, 3): -22, (2, 2): 21,
@@ -104,6 +111,107 @@ def test_resultant_matches_direct_expansion():
     assert uni_resultant(a, b) == sylvester_det_direct(a, b)
 
 
+def _random_laurent(rng):
+    return LaurentPolynomial({(rng.randint(-1, 1), rng.randint(-1, 2)):
+                              Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                              for _ in range(rng.randint(1, 3))})
+
+
+def _random_tpoly(rng, deg):
+    """Random t-polynomial: rational Laurent coefficients, some zero inside,
+    a nonzero leading one that may vanish on the evaluation grid."""
+    side = [_random_laurent(rng) if rng.random() < 0.7 else LaurentPolynomial.zero()
+            for _ in range(deg)]
+    lead = rng.choice([U - _const_lp(Fraction(2)), V - ONE, U * V - _const_lp(Fraction(3)),
+                       _random_laurent(rng), _random_laurent(rng)])
+    return side + [lead if lead else ONE]
+
+
+def _random_pair(seed, count, max_deg):
+    rng = random.Random(seed)
+    for _ in range(count):
+        yield (_random_tpoly(rng, rng.randint(1, max_deg)),
+               _random_tpoly(rng, rng.randint(1, max_deg)))
+
+
+def test_resultant_matches_direct_expansion_on_random_laurent_inputs():
+    a, b = [ONE, U - _const_lp(Fraction(2))], [ONE, ONE, V]
+    assert uni_resultant(a, b) == sylvester_det_direct(a, b)
+    for a, b in _random_pair(20260418, 100, 3):
+        assert uni_resultant(a, b) == sylvester_det_direct(a, b)
+
+
+def test_resultant_matches_sympy_up_to_sign():
+    sympy = pytest.importorskip("sympy")
+    t, u, v = sympy.symbols("t u v")
+
+    def expr(f):
+        return sum(sympy.Rational(c.numerator, c.denominator) * u**p * v**q
+                   for (p, q), c in f.terms.items())
+
+    # sympy's sign convention differs from the classical one: Res(t - 2, t^3) = 8
+    cube = [LaurentPolynomial.zero()] * 3 + [ONE]
+    assert uni_resultant([_const_lp(Fraction(-2)), ONE], cube) == _const_lp(Fraction(8))
+    for a, b in _random_pair(7, 20, 2):
+        ours = expr(uni_resultant(a, b))
+        theirs = sympy.resultant(sum(expr(c) * t**i for i, c in enumerate(a)),
+                                 sum(expr(c) * t**i for i, c in enumerate(b)), t)
+        assert sympy.cancel(theirs - ours) == 0 or sympy.cancel(theirs + ours) == 0
+
+
+def _fraction_elimination_det(m):
+    """The Fraction Gaussian elimination that preceded integer Bareiss."""
+    n = len(m)
+    m = [[Fraction(x) for x in row] for row in m]
+    sign, det = 1, Fraction(1)
+    for k in range(n):
+        piv = next((i for i in range(k, n) if m[i][k]), None)
+        if piv is None:
+            return Fraction(0)
+        if piv != k:
+            m[k], m[piv] = m[piv], m[k]
+            sign = -sign
+        det *= m[k][k]
+        for i in range(k + 1, n):
+            f = m[i][k] / m[k][k]
+            for j in range(k + 1, n):
+                m[i][j] -= f * m[k][j]
+    return sign * det
+
+
+def test_bareiss_det_matches_fraction_elimination():
+    rng = random.Random(1968)
+    cases = [[[0, 1], [1, 0]], [[0, 2, 1], [0, 1, 5], [3, 4, 4]], [[1, 2], [2, 4]]]
+    for _ in range(300):
+        n = rng.randint(1, 7)
+        m = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n)]
+             for _ in range(n)]
+        if rng.random() < 0.3:
+            m[0][0] = 0  # zero leading pivot
+        if n > 1 and rng.random() < 0.3:
+            m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]  # singular
+        cases.append(m)
+    for m in cases:
+        before = [row[:] for row in m]
+        det = _bareiss_det(m)
+        assert type(det) is int and det == _fraction_elimination_det(m)
+        assert m == before
+
+
+def test_interpolate_recovers_rational_polynomials():
+    rng = random.Random(1795)
+    for _ in range(100):
+        n = rng.randint(1, 12)
+        coeffs = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(n)]
+        xs = rng.sample(range(-30, 30), n)
+        if rng.random() < 0.5:
+            xs = [Fraction(x, rng.randint(1, 5)) for x in xs]
+            if len(set(xs)) < n:
+                continue
+        ys = [UniPoly(coeffs).evaluate(x) for x in xs]
+        assert _interpolate(xs, ys) == coeffs
+
+
 def test_resultant_rejects_constant_input():
     one = [LaurentPolynomial.one()]
     with pytest.raises(DegenerateInput):
@@ -119,6 +227,47 @@ def test_implicitize_family_i_m2():
     assert verify_factorization(f, [expected])
 
 
+def test_implicitize_reduces_the_square_of_a_torus_curve():
+    # t -> (t^2, t^2 / (t^2 - 1)) is 2:1 onto u + v - uv = 0, whose leading
+    # u-coefficient 1 - v vanishes on the line v = 1
+    t2 = UniPoly([0, 0, 1])
+    details = {}
+    f = implicitize(t2, UniPoly([1]), t2, UniPoly([-1, 0, 1]), details)
+    assert f == U + V - U * V
+    assert details == {"power": 2, "normalized": True}
+
+
+def test_implicitize_vanishes_on_random_parametrizations():
+    rng = random.Random(1971)
+
+    def rand_poly():
+        return UniPoly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                        for _ in range(rng.randint(1, 5))])
+
+    def rand_pair():
+        while True:
+            p, q = rand_poly(), rand_poly()
+            if (not p.is_zero() and not q.is_zero() and max(p.degree, q.degree) >= 1
+                    and p.gcd(q).degree == 0):
+                return p, q
+
+    for _ in range(40):
+        (f1, f2), (f3, f4) = rand_pair(), rand_pair()
+        f = implicitize(f1, f2, f3, f4)
+        assert all(c.denominator == 1 for c in f.terms.values())
+        content = 0
+        for c in f.terms.values():
+            content = gcd(content, c.numerator)
+        assert content == 1
+        points = 0
+        for t in (Fraction(n, d) for n in range(-6, 7) for d in (1, 2, 3)):
+            if f2.evaluate(t) and f4.evaluate(t):
+                u, v = f1.evaluate(t) / f2.evaluate(t), f3.evaluate(t) / f4.evaluate(t)
+                assert f.evaluate(u, v) == 0
+                points += 1
+        assert points >= 5
+
+
 def test_implicitize_rejects_shared_roots():
     t = UniPoly([0, 1])
     with pytest.raises(SharedRoot):
@@ -132,6 +281,15 @@ def test_perfect_power_extraction():
     assert k == 2 and verify_factorization(g, [root])
     _, k1 = _perfect_power_root(g)
     assert k1 == 1
+
+
+def test_perfect_power_whose_lead_vanishes_on_v_equal_one():
+    for g, k in ((ONE - V, 3), (U + V - U * V, 2)):
+        power = ONE
+        for _ in range(k):
+            power = power * g
+        root, found = _perfect_power_root(power)
+        assert found == k and verify_factorization(g, [root])
 
 
 def test_rational_kth_root_is_exact_beyond_float_range():
