@@ -148,7 +148,7 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
         vol = poly.volume
         if vol > volume_max or vol > m_max * m_max:
             continue
-        key = canonical_form(poly)[0].vertices
+        key = canonical_form(poly).vertices
         if key in seen_input:
             continue
         seen_input.add(key)

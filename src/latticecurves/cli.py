@@ -47,6 +47,8 @@ def load_oracle(path):
     """Reducibility annotations keyed by (canonical vertices, m); verified."""
     with open(path) as fh:
         raw = json.load(fh)
+    if not isinstance(raw, list):
+        raise ParseError("oracle file must hold a JSON list of entries")
     oracle = {}
     for index, item in enumerate(raw):
         try:
@@ -56,14 +58,14 @@ def load_oracle(path):
                 continue
             factors = tuple(LaurentPolynomial.from_json(f) for f in item["factors"])
             member = compute_system(poly, m).members()
-        except (KeyError, TypeError, ValueError, ZeroDivisionError,
-                LatticeCurveError) as exc:
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError,
+                ZeroDivisionError, LatticeCurveError) as exc:
             raise ParseError(f"oracle entry {index}: {exc!r}") from exc
         if not member or not verify_factorization(member[0], factors):
             raise ParseError(
                 f"oracle entry {index}: factors do not reproduce the system "
                 f"member for {poly.vertices} at m={m}")
-        oracle[(canonical_form(poly)[0].vertices, m)] = factors
+        oracle[(canonical_form(poly).vertices, m)] = factors
     return oracle
 
 
@@ -89,7 +91,7 @@ def cmd_polygon_info(args) -> int:
         lw, direction = poly.lattice_width()
         out["lattice_width"] = lw
         out["width_direction"] = list(direction)
-        out["canonical"] = [list(v) for v in canonical_form(poly)[0].vertices]
+        out["canonical"] = [list(v) for v in canonical_form(poly).vertices]
     if args.m:
         pair = numeric_invariants(poly, args.m)
         out["m"] = args.m

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import count
 from math import comb, gcd, lcm
 
 from .errors import (
@@ -152,19 +153,12 @@ class LaurentPolynomial:
         """Least vanishing order of f(1+s, 1+t) at the origin."""
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no multiplicity")
-        dp, dq = self.min_exponents()
-        f = self.shift(-dp, -dq)  # monomial unit: multiplicity unchanged
-        pmax = max(p for p, _ in f.terms)
-        qmax = max(q for _, q in f.terms)
-        for k in range(pmax + qmax + 1):
+        # a monomial unit and a nonzero scalar leave the order unchanged
+        (terms,), _, _ = _integer_side([self])
+        for k in count():
             for a in range(k + 1):
-                b = k - a
-                s = Fraction(0)
-                for (p, q), c in f.terms.items():
-                    s += c * comb(p, a) * comb(q, b)
-                if s:
+                if sum(c * comb(p, a) * comb(q, k - a) for p, q, c in terms):
                     return k
-        raise AssertionError("nonzero polynomial without finite multiplicity")
 
     def to_json(self) -> dict:
         return {

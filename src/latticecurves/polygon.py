@@ -286,85 +286,51 @@ class UnimodularMap:
     def apply(self, poly: LatticePolygon) -> LatticePolygon:
         return LatticePolygon.hull(self.apply_point(p) for p in poly.vertices)
 
-    @staticmethod
-    def compose(outer: "UnimodularMap", inner: "UnimodularMap") -> "UnimodularMap":
-        (a, b), (c, d) = outer.linear
-        (e, f), (g, h) = inner.linear
-        lin = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
-        t = outer.apply_point(inner.translation)
-        return UnimodularMap(lin, t)
 
+def canonical_form(poly: LatticePolygon) -> LatticePolygon:
+    """Deterministic representative of the affine unimodular equivalence class.
 
-def _egcd(a: int, b: int) -> tuple[int, int, int]:
-    if b == 0:
-        return (abs(a), (1 if a > 0 else -1) if a else 0, 0)
-    g, x, y = _egcd(b, a % b)
-    return g, y, x - (a // b) * y
-
-
-def _align_matrix(d: Point) -> tuple[tuple[int, int], tuple[int, int]]:
-    """Determinant-one matrix sending the primitive vector d to (1, 0)."""
-    p, q = d
-    _, s, r = _egcd(p, q)  # p*s + q*r = 1
-    return ((s, r), (-q, p))
-
-
-def _anchored_images(poly: LatticePolygon):
-    """All (vertex, incident edge) normalizations of a nondegenerate polygon.
-
-    Each candidate maps the anchor vertex to the origin, the edge to the
+    Each anchor (vertex, incident edge) is sent to the origin, its edge to the
     positive x-axis and the polygon into the upper half-plane; the remaining
     shear freedom is pinned by reducing the other incident edge modulo it.
-    Yields (canonical vertex tuple, UnimodularMap).
+    The least image vertex cycle is the representative.
     """
     verts = poly.vertices
     n = len(verts)
-    for i in range(n):
+    if n == 1:
+        return LatticePolygon(((0, 0),))
+    if n == 2:
+        (x0, y0), (x1, y1) = verts
+        return LatticePolygon(((0, 0), (gcd(x1 - x0, y1 - y0), 0)))
+    best = None
+    for i, (vx, vy) in enumerate(verts):
         for j in (1, -1):  # outgoing and incoming boundary edge
-            v = verts[i]
-            w = verts[(i + j) % n]
-            dx, dy = w[0] - v[0], w[1] - v[1]
-            g = gcd(dx, dy)
-            lin = _align_matrix((dx // g, dy // g))
-            base = UnimodularMap(lin, (0, 0))
-            img = [base.apply_point((p[0] - v[0], p[1] - v[1])) for p in verts]
-            if any(y < 0 for _, y in img):
-                refl = UnimodularMap(((1, 0), (0, -1)), (0, 0))
-                base = UnimodularMap.compose(refl, base)
-                img = [(x, -y) for x, y in img]
-            # other incident edge at the origin: the neighbor opposite to w
-            ox, oy = img[(i - j) % n]
-            assert oy > 0
-            shear = -(ox // oy)
-            smap = UnimodularMap(((1, shear), (0, 1)), (0, 0))
-            full = UnimodularMap.compose(smap, base)
-            canon = _canonical_order(_hull_vertices(smap.apply_point(p) for p in img))
-            # fold the anchor translation into the map
-            (a, b), (c, d) = full.linear
-            t = (-(a * v[0] + b * v[1]), -(c * v[0] + d * v[1]))
-            yield canon, UnimodularMap(full.linear, t)
-
-
-def canonical_form(poly: LatticePolygon) -> tuple[LatticePolygon, UnimodularMap]:
-    """Deterministic representative of the affine unimodular equivalence class."""
-    if poly.is_point:
-        x0, y0 = poly.vertices[0]
-        return (LatticePolygon(((0, 0),)),
-                UnimodularMap(((1, 0), (0, 1)), (-x0, -y0)))
-    if poly.is_segment:
-        (x0, y0), (x1, y1) = poly.vertices
-        g = gcd(x1 - x0, y1 - y0)
-        lin = _align_matrix(((x1 - x0) // g, (y1 - y0) // g))
-        m = UnimodularMap(lin, (0, 0))
-        t = m.apply_point((x0, y0))
-        full = UnimodularMap(lin, (-t[0], -t[1]))
-        return LatticePolygon(((0, 0), (g, 0))), full
-    best = min(_anchored_images(poly), key=lambda c: c[0])
-    return LatticePolygon(best[0]), best[1]
+            wx, wy = verts[(i + j) % n]
+            g = gcd(wx - vx, wy - vy)
+            p, q = (wx - vx) // g, (wy - vy) // g
+            # ((s, r), (-q, p)) has determinant one and sends (p, q) to (1, 0)
+            s = pow(p, -1, abs(q)) if q else p
+            r = (1 - p * s) // q if q else 0
+            # image of the other neighbour; reflect (e = -1) if it lies below
+            ox, oy = verts[(i - j) % n]
+            ox, oy = s * (ox - vx) + r * (oy - vy), p * (oy - vy) - q * (ox - vx)
+            e = 1 if oy > 0 else -1
+            k = ox // (e * oy)  # then shear by -k
+            img = []
+            for x, y in verts:
+                x, y = x - vx, y - vy
+                h = e * (p * y - q * x)
+                img.append((s * x + r * y - k * h, h))
+            if e < 0:
+                img.reverse()  # the reflection reversed the orientation
+            cand = _canonical_order(tuple(img))
+            if best is None or cand < best:
+                best = cand
+    return LatticePolygon(best)
 
 
 def equivalent(a: LatticePolygon, b: LatticePolygon) -> bool:
-    return canonical_form(a)[0] == canonical_form(b)[0]
+    return canonical_form(a) == canonical_form(b)
 
 
 def _edge_multiset(poly: LatticePolygon) -> list[tuple[Point, int]]:
@@ -393,9 +359,10 @@ def _polygon_from_edges(edges: list[tuple[Point, int]]) -> LatticePolygon:
     return LatticePolygon.hull(pts).translated_to_origin()
 
 
-def minkowski_decompositions(
-    poly: LatticePolygon, limit: int = 1_000_000
-) -> list[tuple[LatticePolygon, LatticePolygon]]:
+_DECOMPOSITION_LIMIT = 1_000_000  # largest edge sub-multiset search
+
+
+def minkowski_decompositions(poly: LatticePolygon) -> list[tuple[LatticePolygon, LatticePolygon]]:
     """All nontrivial Minkowski decompositions, up to swap and translation.
 
     Each edge contributes a stack of identical primitive segments; a summand
@@ -409,8 +376,9 @@ def minkowski_decompositions(
     total_combos = 1
     for g in counts:
         total_combos *= g + 1
-    if total_combos > limit:
-        raise ValueError(f"decomposition search space {total_combos} exceeds limit {limit}")
+    if total_combos > _DECOMPOSITION_LIMIT:
+        raise ValueError(f"decomposition search space {total_combos} exceeds "
+                         f"limit {_DECOMPOSITION_LIMIT}")
     n = len(edges)
     rem_x = [0] * (n + 1)
     rem_y = [0] * (n + 1)
@@ -475,7 +443,7 @@ def enumerate_polygons(coord_max: int = 3, volume_max: int = 6) -> list[LatticeP
         frontier = grown
     seen = {}
     for p in {LatticePolygon(verts).translated_to_origin() for verts in hulls}:
-        key = canonical_form(p)[0].vertices
+        key = canonical_form(p).vertices
         if key not in seen:
             seen[key] = LatticePolygon(key)
     return [seen[k] for k in sorted(seen)]

@@ -20,7 +20,7 @@ from .errors import (
     RangeError,
 )
 from .linsys import compute_system
-from .polygon import LatticePolygon
+from .polygon import LatticePolygon, equivalent, polygon
 
 
 @dataclass(frozen=True)
@@ -65,12 +65,12 @@ def segment_equality(poly: LatticePolygon) -> Fraction | None:
     if poly.volume <= 0:
         raise DegeneratePolygon("needs a two-dimensional polygon")
     lw = poly.lattice_width()[0]
-    pts = sorted(poly.lattice_points())
+    pts = poly.lattice_points()
     # a segment of lattice length lw between lattice points of the polygon
     for i, p in enumerate(pts):
         for q in pts[i + 1:]:
             dx, dy = q[0] - p[0], q[1] - p[1]
-            if gcd(abs(dx), abs(dy)) == lw:
+            if gcd(dx, dy) == lw:
                 return Fraction(lw)
     return None
 
@@ -99,7 +99,6 @@ def component_minimum(components) -> Fraction:
 
 
 def _is_family_i(poly: LatticePolygon, m: int) -> bool:
-    from .polygon import equivalent, polygon
     if m < 2:
         return False
     return equivalent(poly, polygon((0, 0), (m, 1), (1, m)))

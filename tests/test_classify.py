@@ -127,7 +127,7 @@ def test_classify_with_oracle_drops_reducible():
     u1 = LaurentPolynomial({(1, 0): 1, (0, 0): -1})
     v1 = LaurentPolynomial({(0, 1): 1, (0, 0): -1})
     from latticecurves.polygon import canonical_form
-    oracle = {(canonical_form(square)[0].vertices, 2): (u1, v1)}
+    oracle = {(canonical_form(square).vertices, 2): (u1, v1)}
     assert classify_dataset([square], 2, 16, oracle) == []
 
 

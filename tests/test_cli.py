@@ -162,6 +162,41 @@ def test_bad_oracle_entry_names_its_index(tmp_path, capsys):
         assert f"oracle entry {index}:" in err and "line" not in err
 
 
+def _file(directory, name, text):
+    path = directory / name
+    path.write_text(text)
+    return str(path)
+
+
+def _oracle_case(entries):
+    def argv(d):
+        return ["classify", "--dataset", _file(d, "polys.txt", "0,0 1,0 0,1\n"),
+                "--oracle", _file(d, "oracle.json", entries)]
+    return argv
+
+
+SQUARE = '"polygon": {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, "verdict": "reducible"'
+MALFORMED_INPUTS = {
+    "oracle-not-a-list": _oracle_case("5"),
+    "oracle-short-exponent": _oracle_case(
+        '[{' + SQUARE + ', "m": 2, "factors": [{"terms": [{"e": [0], "c": "1"}]}]}]'),
+    "oracle-infinite-m": _oracle_case('[{' + SQUARE + ', "m": 1e400, "factors": []}]'),
+    "bad-vertices": lambda d: ["polygon-info", "--vertices", "0,0 1"],
+    "negative-m": lambda d: ["linsys", "--vertices", "0,0 2,1 1,2", "--m", "-3"],
+    "headerless-table": lambda d: ["wpp", "--a", "9", "--b", "10", "--c", "13", "--table",
+                                   _file(d, "table.csv", "36,1,0,0\n39,1,0,0\n")],
+    "family-out-of-range": lambda d: ["family", "--id", "III", "--m", "7"],
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_INPUTS))
+def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
+    assert main(MALFORMED_INPUTS[case](tmp_path)) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("input error: ") and "Traceback" not in captured.err
+
+
 def test_load_oracle_verifies():
     oracle = load_oracle(data_path("oracle_vol6.json"))
     assert len(oracle) == 6

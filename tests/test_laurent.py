@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 import pytest
 
@@ -65,6 +65,39 @@ def test_multiplicity_at_identity():
     # unaffected by monomial units
     assert G.shift(-3, 5).multiplicity_at_identity() == 2
     assert LaurentPolynomial.one().multiplicity_at_identity() == 0
+
+
+def _fraction_multiplicity(f):
+    """The Fraction sum that preceded the integer multiplicity_at_identity."""
+    dp, dq = f.min_exponents()
+    f = f.shift(-dp, -dq)
+    pmax = max(p for p, _ in f.terms)
+    qmax = max(q for _, q in f.terms)
+    for k in range(pmax + qmax + 1):
+        for a in range(k + 1):
+            s = Fraction(0)
+            for (p, q), c in f.terms.items():
+                s += c * comb(p, a) * comb(q, k - a)
+            if s:
+                return k
+    raise AssertionError("nonzero polynomial without finite multiplicity")
+
+
+def test_multiplicity_at_identity_matches_fraction_sum():
+    rng = random.Random(1151)
+    seen = set()
+    for _ in range(300):
+        f = _random_laurent(rng) or ONE
+        for _ in range(rng.randint(0, 3)):  # factors vanishing at (1, 1)
+            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+            f = f * (LaurentPolynomial({(a, b): 1}) - ONE if a or b else U - V)
+        f = f.shift(rng.randint(-4, 4), rng.randint(-4, 4))
+        k = f.multiplicity_at_identity()
+        assert k == _fraction_multiplicity(f)
+        seen.add(k)
+    assert seen >= {0, 1, 2, 3}
+    with pytest.raises(ZeroPolynomial):
+        LaurentPolynomial.zero().multiplicity_at_identity()
 
 
 def test_verify_factorization_up_to_unit():

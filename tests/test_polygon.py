@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -93,15 +94,87 @@ def test_canonical_form_identifies_equivalent_polygons():
     p = polygon((0, 0), (3, 1), (1, 3))
     mp = UnimodularMap(((1, 1), (0, 1)), (7, -2))
     q = mp.apply(p)
-    assert canonical_form(p)[0] == canonical_form(q)[0]
+    assert canonical_form(p) == canonical_form(q)
     assert equivalent(p, q)
     assert not equivalent(p, polygon((0, 0), (3, 1), (3, 2), (2, 3)))
 
 
-def test_canonical_form_map_reproduces_canonical_polygon():
-    p = polygon((0, 0), (4, 2), (3, 4), (1, 3))
-    canon, mp = canonical_form(p)
-    assert mp.apply(p) == canon
+def _compose(outer, inner):
+    (a, b), (c, d) = outer.linear
+    (e, f), (g, h) = inner.linear
+    lin = ((a * e + b * g, a * f + b * h), (c * e + d * g, c * f + d * h))
+    return UnimodularMap(lin, outer.apply_point(inner.translation))
+
+
+def _egcd(a, b):
+    if b == 0:
+        return (abs(a), (1 if a > 0 else -1) if a else 0, 0)
+    g, x, y = _egcd(b, a % b)
+    return g, y, x - (a // b) * y
+
+
+def _align_matrix(d):
+    p, q = d
+    _, s, r = _egcd(p, q)  # p*s + q*r = 1
+    return ((s, r), (-q, p))
+
+
+def _anchored_images(poly):
+    """Reference: (canonical vertices, map) per anchor, built by composing maps."""
+    verts = poly.vertices
+    n = len(verts)
+    for i in range(n):
+        for j in (1, -1):
+            v = verts[i]
+            w = verts[(i + j) % n]
+            dx, dy = w[0] - v[0], w[1] - v[1]
+            g = gcd(dx, dy)
+            base = UnimodularMap(_align_matrix((dx // g, dy // g)), (0, 0))
+            img = [base.apply_point((p[0] - v[0], p[1] - v[1])) for p in verts]
+            if any(y < 0 for _, y in img):
+                base = _compose(UnimodularMap(((1, 0), (0, -1)), (0, 0)), base)
+                img = [(x, -y) for x, y in img]
+            ox, oy = img[(i - j) % n]
+            assert oy > 0
+            smap = UnimodularMap(((1, -(ox // oy)), (0, 1)), (0, 0))
+            full = _compose(smap, base)
+            canon = LatticePolygon.hull(smap.apply_point(p) for p in img).vertices
+            (a, b), (c, d) = full.linear
+            t = (-(a * v[0] + b * v[1]), -(c * v[0] + d * v[1]))
+            yield canon, UnimodularMap(full.linear, t)
+
+
+def reference_canonical_form(poly):
+    """Reference: the least anchored image with the map that produces it."""
+    if poly.is_point:
+        x0, y0 = poly.vertices[0]
+        return (LatticePolygon(((0, 0),)),
+                UnimodularMap(((1, 0), (0, 1)), (-x0, -y0)))
+    if poly.is_segment:
+        (x0, y0), (x1, y1) = poly.vertices
+        g = gcd(x1 - x0, y1 - y0)
+        lin = _align_matrix(((x1 - x0) // g, (y1 - y0) // g))
+        t = UnimodularMap(lin, (0, 0)).apply_point((x0, y0))
+        return LatticePolygon(((0, 0), (g, 0))), UnimodularMap(lin, (-t[0], -t[1]))
+    canon, mp = min(_anchored_images(poly), key=lambda c: c[0])
+    return LatticePolygon(canon), mp
+
+
+def test_canonical_form_matches_map_reference():
+    r = random.Random(2213)
+    inputs = enumerate_polygons(3, 18)
+    assert len(inputs) == 152
+    for _ in range(2500):
+        pts = [(r.randint(-9, 9), r.randint(-9, 9)) for _ in range(r.randint(1, 8))]
+        inputs.append(convex_hull(pts))
+    assert sum(p.is_point for p in inputs) > 100
+    assert sum(p.is_segment for p in inputs) > 100
+    for p in inputs:
+        canon = canonical_form(p)
+        assert type(canon) is LatticePolygon
+        ref, mp = reference_canonical_form(p)
+        assert canon == ref
+        assert mp.apply(p) == canon
 
 
 def test_minkowski_decompositions_triangle_indecomposable():
@@ -123,7 +196,7 @@ def test_minkowski_decompositions_recover_product():
 def test_enumerate_polygons_small():
     polys = enumerate_polygons(coord_max=2, volume_max=4)
     # all distinct canonical forms, volumes within range
-    keys = {canonical_form(p)[0].vertices for p in polys}
+    keys = {canonical_form(p).vertices for p in polys}
     assert len(keys) == len(polys)
     assert all(p.volume <= 4 for p in polys)
     assert any(p.is_segment for p in polys)
@@ -136,7 +209,7 @@ def all_subsets_enumeration(coord_max, volume_max):
         LatticePolygon.hull([grid[i] for i in range(len(grid)) if mask >> i & 1])
         for mask in range(1, 1 << len(grid))
     }
-    keys = {canonical_form(p)[0].vertices for p in hulls if p.volume <= volume_max}
+    keys = {canonical_form(p).vertices for p in hulls if p.volume <= volume_max}
     return [LatticePolygon(k) for k in sorted(keys)]
 
 
