@@ -89,10 +89,7 @@ def intersection_product(pair1: IntrinsicPair, pair2: IntrinsicPair) -> int:
 @dataclass(frozen=True)
 class ClassificationHit:
     pair: IntrinsicPair
-    system_dimension: int
-    unique: bool
     polynomial: LaurentPolynomial
-    newton_polygon_equals_input: bool
     irreducibility: IrreducibilityCertificate
     warning: bool = False  # set when irreducibility is Inconclusive
 
@@ -102,7 +99,7 @@ class ClassificationHit:
             "m": self.pair.m,
             "self_intersection": self.pair.self_intersection,
             "arithmetic_genus": str(self.pair.arithmetic_genus),
-            "dimension": self.system_dimension,
+            "dimension": 1,
             "polynomial": self.polynomial.to_json(),
             "irreducibility": self.irreducibility.verdict,
             "warning": self.warning,
@@ -124,7 +121,7 @@ def _examine(task):
     if cert.verdict == IrreducibilityCertificate.REDUCIBLE:
         return None
     return ClassificationHit(
-        pair, 1, True, f, True, cert,
+        pair, f, cert,
         warning=cert.verdict == IrreducibilityCertificate.INCONCLUSIVE,
     )
 

@@ -13,6 +13,8 @@ from fractions import Fraction
 from itertools import count
 from math import comb, gcd, lcm
 
+import numpy as np
+
 from .errors import (
     ConstantMap,
     DegenerateInput,
@@ -20,6 +22,7 @@ from .errors import (
     SharedRoot,
     ZeroPolynomial,
 )
+from .modular import _word_primes, crt_step
 from .polygon import LatticePolygon, minkowski_decompositions
 
 Exponent = tuple[int, int]
@@ -361,72 +364,51 @@ def _trim(a: TPoly) -> TPoly:
     return a
 
 
-def sylvester_matrix(a: list, b: list) -> list[list]:
-    """Sylvester matrix of two coefficient lists of numbers or Laurent polynomials."""
-    n, m = len(a) - 1, len(b) - 1
-    zero = a[-1] * 0  # of the entries' type
-    rows = [[zero] * i + a[::-1] + [zero] * (m - 1 - i) for i in range(m)]
-    return rows + [[zero] * i + b[::-1] + [zero] * (n - 1 - i) for i in range(n)]
+def _res_mod(a: list[int], b: list[int], p: int) -> int:
+    """Res(a, b) mod p at formal degrees n = len(a) - 1 and m = len(b) - 1,
+    by Euclid; coefficients lowest first.
 
-
-def sylvester_det_direct(a: TPoly, b: TPoly) -> LaurentPolynomial:
-    """Cofactor expansion of the Sylvester determinant over the Laurent ring.
-
-    Exponential; dual-route oracle for :func:`uni_resultant` at small degree.
+    A lead that vanishes mod p lowers the formal degree of its side:
+    Res_{n,m}(a, b) = a_n Res_{n,m-1}(a, b) when b_m = 0, and 0 when a_n = 0
+    too; Res_{n,m}(a, b) = (-1)^(nm) Res_{m,n}(b, a) moves a vanishing a_n
+    to the other side.  With both leads nonzero and n >= m, the remainder r
+    of a by b, of formal degree m - 1, gives Res_{n,m}(a, b) =
+    (-1)^(nm) b_m^(n-m+1) Res_{m,m-1}(b, r).
     """
-    mat = sylvester_matrix(_trim(a), _trim(b))
-
-    def det(rows, cols):
-        if not cols:
-            return LaurentPolynomial.one()
-        out = LaurentPolynomial.zero()
-        r = rows[0]
-        for idx, c in enumerate(cols):
-            entry = mat[r][c]
-            if entry.is_zero():
-                continue
-            sub = det(rows[1:], cols[:idx] + cols[idx + 1 :])
-            term = entry * sub
-            out = out + (term if idx % 2 == 0 else -term)
-        return out
-
-    n = len(mat)
-    return det(list(range(n)), list(range(n)))
-
-
-def _bareiss_det(m: list[list[int]]) -> int:
-    """Determinant by fraction-free Bareiss elimination; each `//` is exact."""
-    n = len(m)
-    m = [row[:] for row in m]
-    sign, prev = 1, 1
-    for k in range(n - 1):
-        if not m[k][k]:
-            piv = next((i for i in range(k + 1, n) if m[i][k]), None)
-            if piv is None:
+    a, b, res = [c % p for c in a], [c % p for c in b], 1
+    while True:
+        n, m = len(a) - 1, len(b) - 1
+        if not n or not m:
+            return res * pow(a[0], m, p) * pow(b[0], n, p) % p
+        if not b[-1]:
+            if not a[-1]:
                 return 0
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        rk, pk = m[k], m[k][k]
-        for ri in m[k + 1 :]:
-            c = ri[k]
-            for j in range(k + 1, n):
-                ri[j] = (pk * ri[j] - c * rk[j]) // prev
-        prev = pk
-    return sign * m[-1][-1]
+            res = res * a[-1] % p
+            b.pop()
+        elif not a[-1] or n < m:
+            a, b, res = b, a, res * (-1) ** (n * m)
+        else:
+            inv = pow(b[-1], -1, p)
+            for i in range(n, m - 1, -1):
+                c = a[i] * inv % p
+                a[i - m:i + 1] = [(x - c * y) % p for x, y in zip(a[i - m:i + 1], b)]
+            res = res * (-1) ** (n * m) * pow(b[-1], n - m + 1, p) % p
+            a, b = b, a[:m]
 
 
-def _interpolate(xs, ys) -> list[Fraction]:
-    """Coefficients (lowest first) of the interpolant, by divided differences."""
-    n = len(xs)
-    c = [Fraction(y) for y in ys]
-    for k in range(1, n):
-        for i in range(n - 1, k - 1, -1):
-            c[i] = (c[i] - c[i - 1]) / (xs[i] - xs[i - k])
-    out = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):  # out <- out * (x - xs[k]) + c[k]
-        for i in range(n - 1, 0, -1):
-            out[i] = out[i - 1] - xs[k] * out[i]
-        out[0] = c[k] - xs[k] * out[0]
+def _interpolate_mod(values, p: int) -> np.ndarray:
+    """Coefficients mod p (lowest first) of the interpolant through the
+    residues `values` at the nodes 1, 2, ..., n < p, by Newton's divided
+    differences along the first axis.  Entries stay below p, so each product
+    stays below 2**62."""
+    c = np.array(values, dtype=np.int64)
+    n = len(c)
+    for k in range(1, n):  # at the nodes x_i = i + 1, x_i - x_(i-k) = k
+        c[k:] = (c[k:] - c[k - 1:-1]) * pow(k, -1, p) % p
+    out = np.zeros_like(c)
+    for k in range(n - 1, -1, -1):  # out <- out * (x - k - 1) + c[k]
+        out[1:] = (out[:-1] - (k + 1) * out[1:]) % p
+        out[0] = (c[k] - (k + 1) * out[0]) % p
     return out
 
 
@@ -442,15 +424,18 @@ def _integer_side(side: TPoly):
 
 
 def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
-    """Classical resultant in t, by evaluation and exact interpolation.
+    """Classical resultant in t, by Collins' modular method (JACM 1971).
 
     Coefficients live in the Laurent ring; leading t-coefficients must be
     nonzero (raise DegenerateInput otherwise; trimming is the caller's job).
-    Each side is scaled to integer coefficients and nonnegative exponents.
-    On a (u, v) grid each t-coefficient is evaluated once, and the Sylvester
-    determinant of the formal t-degree is taken by integer Bareiss
-    elimination; Newton interpolation in u, then in v, gives the resultant.
-    Res(lam A, mu B) = lam^deg B mu^deg A Res(A, B) undoes the scaling.
+    Each side is scaled to integers with nonnegative exponents, and each
+    t-coefficient is evaluated once on a (u, v) grid sized by the degree
+    bound.  Per word prime, a Euclidean resultant at each grid point and
+    Newton interpolation in u, then in v, give the resultant mod p.  Primes
+    are added until their product exceeds twice ||A||_1^deg B ||B||_1^deg A,
+    which bounds every integer coefficient (by the Sylvester row sums), so
+    the symmetric lift is exact.  Res(lam A, mu B) = lam^deg B mu^deg A
+    Res(A, B) undoes the scaling.
     """
     if len(a) < 2 or len(b) < 2:
         raise DegenerateInput("resultant needs deg_t >= 1 on both sides")
@@ -462,27 +447,28 @@ def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
     def maxdeg(side, axis):
         return max(e[axis] for t in side for e in t)
 
-    du = deg_b * maxdeg(ia, 0) + deg_a * maxdeg(ib, 0)
-    dv = deg_b * maxdeg(ia, 1) + deg_a * maxdeg(ib, 1)
-    xs = range(1, du + 2)
-    ys = range(1, dv + 2)
-    upolys = []  # the resultant on each line v = y, as a polynomial in u
-    for y in ys:
-        dets = []
-        for x in xs:
-            at = [[sum(c * x ** p * y ** q for p, q, c in t) for t in side]
-                  for side in (ia, ib)]
-            dets.append(_bareiss_det(sylvester_matrix(*at)))
-        upolys.append(_interpolate(xs, dets))
-    shift_u = deg_b * sa[0] + deg_a * sb[0]
-    shift_v = deg_b * sa[1] + deg_a * sb[1]
+    def norm(side):
+        return sum(abs(c) for t in side for _, _, c in t)
+
+    du, dv = (deg_b * maxdeg(ia, i) + deg_a * maxdeg(ib, i) for i in (0, 1))
+    bound = 2 * norm(ia) ** deg_b * norm(ib) ** deg_a
+    x = np.arange(1, du + 2, dtype=object)
+    y = np.arange(1, dv + 2, dtype=object)[:, None]
+    # each t-coefficient once on the grid, exactly; lines v = y by rows
+    ga, gb = (np.stack([sum((c * x ** e * y ** f for e, f, c in t), 0 * x * y)
+                        for t in side], axis=-1) for side in (ia, ib))
+    crt, mod, primes = 0, 1, _word_primes()
+    while mod <= bound:
+        p = next(primes)
+        vals = [[_res_mod(pa, pb, p) for pa, pb in zip(ra, rb)]
+                for ra, rb in zip((ga % p).tolist(), (gb % p).tolist())]
+        coeffs = _interpolate_mod(_interpolate_mod(np.array(vals).T, p).T, p)
+        crt, mod = crt_step(crt, mod, coeffs.astype(object), p), mod * p
+    crt = np.where(2 * crt > mod, crt - mod, crt)
+    shift_u, shift_v = (deg_b * sa[i] + deg_a * sb[i] for i in (0, 1))
     scale = la ** deg_b * lb ** deg_a
-    terms = {}
-    for p in range(du + 1):
-        col = _interpolate(ys, [up[p] for up in upolys])
-        for q, c in enumerate(col):
-            terms[(p - shift_u, q - shift_v)] = c / scale
-    return LaurentPolynomial(terms)
+    return LaurentPolynomial({(p - shift_u, q - shift_v): Fraction(c, scale)
+                              for (q, p), c in np.ndenumerate(crt)})
 
 
 def _rational_kth_root(c: Fraction, k: int) -> Fraction | None:

@@ -9,16 +9,18 @@ divided by a! b!, of the polynomial moved into the first quadrant by a
 monomial, which keeps its vanishing order there.
 
 Kernels take one exact route, modulo word-sized primes, and each answer
-carries an integer certificate.  Rank mod p is a lower bound for the rank
-over Q, so full column rank mod one prime proves the system empty.
-Otherwise the reduced pivot rows, restricted to the free columns, are
-combined by Chinese remaindering over the primes that agree on the highest
-rank and the earliest pivots, then lifted by rational reconstruction.  The
-lift is accepted once its vectors, denominators cleared, satisfy M x = 0
-over the integers: there is one per free column, independent, as many as
-the nullity bound the rank mod p gives, so they span the kernel.  Since
-the columns are eliminated right to left, these vectors are already the
-RREF rows of the kernel, scaled to coprime integers.
+carries an integer certificate.  The primes and the Chinese remainder step
+come from `modular`, which the resultants in `laurent` share.  Rank mod p
+is a lower bound for the rank over Q, so full column rank mod one prime
+proves the system empty.  Otherwise the reduced pivot rows, restricted to
+the free columns, are combined by Chinese remaindering over the primes that
+agree on the highest rank and the earliest pivots, then lifted by rational
+reconstruction.  The lift is accepted once its vectors, denominators
+cleared, satisfy M x = 0 over the integers: there is one per free column,
+independent, as many as the nullity bound the rank mod p gives, so they
+span the kernel.  Since the columns are eliminated right to left, these
+vectors are already the RREF rows of the kernel, scaled to coprime
+integers.
 """
 
 from __future__ import annotations
@@ -26,13 +28,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import count
 from math import comb, gcd, isqrt, lcm
 
 import numpy as np
 
 from .errors import RangeError
 from .laurent import LaurentPolynomial
+from .modular import _word_primes, crt_step
 from .polygon import LatticePolygon
 
 
@@ -80,37 +82,6 @@ class LinearSystem:
 def is_expected(poly: LatticePolygon, m: int) -> bool:
     """True when the point count alone forces a nonzero section."""
     return poly.lattice_counts()[0] > m * (m + 1) // 2
-
-
-def _is_prime(n: int) -> bool:
-    """Miller-Rabin for odd n > 7 with bases 2, 3, 5, 7: exact below 3.2e9."""
-    d, s = n - 1, 0
-    while d % 2 == 0:
-        d, s = d // 2, s + 1
-    for a in (2, 3, 5, 7):
-        x = pow(a, d, n)
-        if x in (1, n - 1):
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
-    return True
-
-
-@lru_cache(maxsize=None)
-def _word_prime(i: int) -> int:
-    """The i-th prime below 2**31, largest first; found once per process."""
-    n = (_word_prime(i - 1) if i else 2**31 + 1) - 2
-    while not _is_prime(n):
-        n -= 2
-    return n
-
-
-def _word_primes():
-    return map(_word_prime, count())
 
 
 def _reduce_mod(ints: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
@@ -201,7 +172,7 @@ def _kernel(mat: list[list[int]], primes=None) -> list[list[int]]:
         elif key != best:
             continue  # this prime is unlucky
         free = sorted(set(range(ncols)).difference(pivots))
-        crt = crt + mod * ((rows[:, free].astype(object) - crt) * pow(mod, -1, p) % p)
+        crt = crt_step(crt, mod, rows[:, free].astype(object), p)
         mod *= p
         basis = _lift(crt, mod, pivots, free)
         if basis is not None and not exact.dot(np.array(basis, dtype=object).T).any():

@@ -15,21 +15,22 @@ from latticecurves.laurent import (
     IrreducibilityCertificate,
     LaurentPolynomial,
     UniPoly,
-    _bareiss_det,
     _const_lp,
-    _interpolate,
+    _integer_side,
+    _interpolate_mod,
     _perfect_power_root,
     _rational_kth_root,
+    _res_mod,
     _trim,
     geometric_sum,
     implicitize,
     irreducibility_certificate,
     num_coeff,
     ord_profile,
-    sylvester_det_direct,
     uni_resultant,
     verify_factorization,
 )
+from latticecurves.modular import _word_primes
 from latticecurves.polygon import polygon
 
 G = LaurentPolynomial({(2, 1): 1, (1, 2): 1, (1, 1): -3, (0, 0): 1})
@@ -40,6 +41,39 @@ H = LaurentPolynomial({(5, 3): 1, (5, 2): -2, (4, 3): -6, (4, 2): 11,
                        (3, 4): -2, (3, 3): 17, (3, 2): -24, (3, 1): -1,
                        (2, 5): -1, (2, 4): 7, (2, 3): -22, (2, 2): 21,
                        (2, 1): 5, (1, 2): 4, (1, 1): -9, (0, 0): 1})
+
+
+def sylvester_matrix(a: list, b: list) -> list[list]:
+    """Sylvester matrix of two coefficient lists of numbers or Laurent polynomials."""
+    n, m = len(a) - 1, len(b) - 1
+    zero = a[-1] * 0  # of the entries' type
+    rows = [[zero] * i + a[::-1] + [zero] * (m - 1 - i) for i in range(m)]
+    return rows + [[zero] * i + b[::-1] + [zero] * (n - 1 - i) for i in range(n)]
+
+
+def sylvester_det_direct(a, b) -> LaurentPolynomial:
+    """Cofactor expansion of the Sylvester determinant over the Laurent ring.
+
+    Exponential; dual-route oracle for :func:`uni_resultant` at small degree.
+    """
+    mat = sylvester_matrix(_trim(a), _trim(b))
+
+    def det(rows, cols):
+        if not cols:
+            return LaurentPolynomial.one()
+        out = LaurentPolynomial.zero()
+        r = rows[0]
+        for idx, c in enumerate(cols):
+            entry = mat[r][c]
+            if entry.is_zero():
+                continue
+            sub = det(rows[1:], cols[:idx] + cols[idx + 1 :])
+            term = entry * sub
+            out = out + (term if idx % 2 == 0 else -term)
+        return out
+
+    n = len(mat)
+    return det(list(range(n)), list(range(n)))
 
 
 def test_ring_operations():
@@ -174,6 +208,27 @@ def test_resultant_matches_direct_expansion_on_random_laurent_inputs():
         assert uni_resultant(a, b) == sylvester_det_direct(a, b)
 
 
+def test_resultant_matches_direct_expansion_with_huge_coefficients():
+    # coefficients near 10**25 of both signs, over denominators up to 10**3:
+    # the bound needs several primes, and the lift gives negative coefficients
+    rng = random.Random(25)
+
+    def coefficient():
+        return LaurentPolynomial({(rng.randint(-1, 1), rng.randint(0, 1)):
+                                  Fraction(rng.randint(-10**25, 10**25), rng.randint(1, 10**3))
+                                  for _ in range(2)})
+
+    def norm(side):
+        return sum(abs(c) for t in _integer_side(side)[0] for *_, c in t)
+
+    for _ in range(6):
+        a, b = ([coefficient() for _ in range(rng.randint(2, 3))] for _ in range(2))
+        assert 2 * norm(a) ** (len(b) - 1) * norm(b) ** (len(a) - 1) > 2**93  # > 3 primes
+        res = uni_resultant(a, b)
+        assert res == sylvester_det_direct(a, b)
+        assert min(res.terms.values()) < 0
+
+
 def test_resultant_matches_sympy_up_to_sign():
     sympy = pytest.importorskip("sympy")
     t, u, v = sympy.symbols("t u v")
@@ -193,7 +248,7 @@ def test_resultant_matches_sympy_up_to_sign():
 
 
 def _fraction_elimination_det(m):
-    """The Fraction Gaussian elimination that preceded integer Bareiss."""
+    """Determinant by Gaussian elimination over Fraction."""
     n = len(m)
     m = [[Fraction(x) for x in row] for row in m]
     sign, det = 1, Fraction(1)
@@ -212,37 +267,29 @@ def _fraction_elimination_det(m):
     return sign * det
 
 
-def test_bareiss_det_matches_fraction_elimination():
-    rng = random.Random(1968)
-    cases = [[[0, 1], [1, 0]], [[0, 2, 1], [0, 1, 5], [3, 4, 4]], [[1, 2], [2, 4]]]
-    for _ in range(300):
-        n = rng.randint(1, 7)
-        m = [[rng.randint(-9, 9) if rng.random() < 0.7 else 0 for _ in range(n)]
-             for _ in range(n)]
-        if rng.random() < 0.3:
-            m[0][0] = 0  # zero leading pivot
-        if n > 1 and rng.random() < 0.3:
-            m[-1] = [2 * x - y for x, y in zip(m[0], m[1])]  # singular
-        cases.append(m)
-    for m in cases:
-        before = [row[:] for row in m]
-        det = _bareiss_det(m)
-        assert type(det) is int and det == _fraction_elimination_det(m)
-        assert m == before
+def test_res_mod_matches_sylvester_determinant():
+    # small primes make leads vanish: every formal-degree branch is reached
+    rng = random.Random(1971)
+    branches = set()
+    for p in (2, 3, 5, 7, 101, next(_word_primes())):
+        for _ in range(300):
+            a, b = ([rng.choice([0, rng.randrange(-p, 2 * p)])
+                     for _ in range(rng.randint(1, 6))] for _ in range(2))
+            branches.add((a[-1] % p == 0, b[-1] % p == 0, len(a) == 1 or len(b) == 1))
+            det = _fraction_elimination_det(sylvester_matrix(a, b))
+            assert _res_mod(a, b, p) == det % p, (p, a, b)
+    assert branches == {(x, y, z) for x in (False, True) for y in (False, True)
+                        for z in (False, True)}
 
 
-def test_interpolate_recovers_rational_polynomials():
+def test_interpolate_mod_recovers_integer_polynomials():
     rng = random.Random(1795)
-    for _ in range(100):
-        n = rng.randint(1, 12)
-        coeffs = [Fraction(rng.randint(-50, 50), rng.randint(1, 9)) for _ in range(n)]
-        xs = rng.sample(range(-30, 30), n)
-        if rng.random() < 0.5:
-            xs = [Fraction(x, rng.randint(1, 5)) for x in xs]
-            if len(set(xs)) < n:
-                continue
-        ys = [UniPoly(coeffs).evaluate(x) for x in xs]
-        assert _interpolate(xs, ys) == coeffs
+    for p in (next(_word_primes()), 101):
+        for _ in range(100):
+            n = rng.randint(1, 12)
+            coeffs = [rng.randint(-10**12, 10**12) for _ in range(n)]
+            values = [UniPoly(coeffs).evaluate(x).numerator % p for x in range(1, n + 1)]
+            assert _interpolate_mod(values, p).tolist() == [c % p for c in coeffs]
 
 
 def test_resultant_rejects_constant_input():

@@ -13,11 +13,11 @@ from latticecurves.linsys import (
     _normalize_basis,
     _rational_reconstruct,
     _reduce_mod,
-    _word_primes,
     compute_system,
     condition_matrix,
     is_expected,
 )
+from latticecurves.modular import _word_primes
 from latticecurves.polygon import polygon
 
 REMARK_M5 = polygon((0, 0), (2, 5), (4, 4), (5, 2))
