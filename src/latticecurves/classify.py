@@ -8,7 +8,6 @@ datasets for pairs whose vanishing system contains exactly one curve.
 
 from __future__ import annotations
 
-import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -132,8 +131,7 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
 
     oracle maps (canonical vertices, m) to a factor list certifying
     reducibility; such pairs are dropped.  jobs above 1 runs the tasks in a
-    process pool; None takes the job count from the environment variable
-    read below, and runs serially when it is unset.
+    process pool; None runs them serially.
     """
     if m_max < 1:
         raise RangeError("m_max must be at least 1")
@@ -153,8 +151,6 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
             if vol - m * m <= 0:
                 keys.append((key, m))
                 tasks.append((poly.vertices, m, oracle.get((key, m))))
-    if jobs is None:
-        jobs = int(os.environ.get("INTRINSIC_CURVES_JOBS", "0")) or None
     if jobs and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             hits = list(pool.map(_examine, tasks, chunksize=8))

@@ -120,8 +120,7 @@ def cmd_classify(args) -> int:
     if args.enumerate:
         polys += enumerate_polygons()
     oracle = load_oracle(args.oracle) if args.oracle else None
-    hits = classify_dataset(polys, args.m_max, args.volume_max, oracle,
-                            jobs=args.jobs or None)
+    hits = classify_dataset(polys, args.m_max, args.volume_max, oracle, jobs=args.jobs)
     _emit({"hits": [h.to_json() for h in hits], "count": len(hits)}, args.pretty)
     return 0
 

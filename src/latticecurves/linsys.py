@@ -39,23 +39,27 @@ from .polygon import LatticePolygon
 
 
 def condition_matrix(points, m: int) -> list[list[int]]:
-    """Rows indexed by (a, b), a + b <= m - 1; columns by lattice points."""
-    x0 = min((p for p, _ in points), default=0)
-    y0 = min((q for _, q in points), default=0)
-    cx = [[comb(p - x0, a) for p, _ in points] for a in range(m)]
-    cy = [[comb(q - y0, b) for _, q in points] for b in range(m)]
+    """Rows indexed by (a, b), a + b <= m - 1, a <= x-span and b <= y-span;
+    columns by lattice points.  The rows left out are zero, as C(k, a) = 0
+    for 0 <= k < a."""
+    xs, ys = [p for p, _ in points], [q for _, q in points]
+    x0, y0 = min(xs, default=0), min(ys, default=0)
+    cx = [[comb(p - x0, a) for p in xs] for a in range(min(m, max(xs, default=0) - x0 + 1))]
+    cy = [[comb(q - y0, b) for q in ys] for b in range(min(m, max(ys, default=0) - y0 + 1))]
     return [[u * v for u, v in zip(cx[a], cy[b])]
-            for a in range(m) for b in range(m - a)]
+            for a in range(len(cx)) for b in range(min(m - a, len(cy)))]
 
 
 @dataclass(frozen=True)
 class LinearSystem:
-    """Exact kernel of the vanishing conditions, with a normalized basis."""
+    """Exact kernel of the vanishing conditions.  The basis rows are the
+    integer RREF rows of the kernel: each is primitive, with a positive lead,
+    which is the lcm of the row's denominators."""
 
     polygon: LatticePolygon
     order: int
     points: tuple[tuple[int, int], ...]
-    basis: tuple[tuple[Fraction, ...], ...]
+    basis: tuple[tuple[int, ...], ...]
 
     @property
     def dimension(self) -> int:
@@ -156,14 +160,10 @@ def _kernel(mat: list[list[int]], primes=None) -> list[list[int]]:
     too: it is an RREF row of the kernel.
     """
     exact = np.array(mat, dtype=object)[:, ::-1]
-    try:
-        ints = np.array(mat, dtype=np.int64)[:, ::-1]
-    except OverflowError:
-        ints = exact
     ncols = exact.shape[1]
     best = None
     for p in _word_primes() if primes is None else primes:
-        pivots, rows = _reduce_mod(ints, p)
+        pivots, rows = _reduce_mod(exact, p)
         if len(pivots) == ncols:
             return []  # rank over Q >= rank mod p = ncols
         key = (-len(pivots), pivots)
@@ -180,12 +180,6 @@ def _kernel(mat: list[list[int]], primes=None) -> list[list[int]]:
     raise ArithmeticError("kernel: primes ran out before the integer check passed")
 
 
-def _normalize_basis(basis: list[list[int]]) -> tuple[tuple[Fraction, ...], ...]:
-    """The integer RREF rows of a kernel as stored.  Each row is primitive,
-    with a positive lead: its lead is the lcm of the row's denominators."""
-    return tuple(tuple(Fraction(c) for c in vec) for vec in basis)
-
-
 @lru_cache(maxsize=256)
 def compute_system(poly: LatticePolygon, m: int) -> LinearSystem:
     """Exact basis of L(poly, m); m >= 1."""
@@ -193,4 +187,4 @@ def compute_system(poly: LatticePolygon, m: int) -> LinearSystem:
         raise RangeError("vanishing order must be at least 1")
     points = tuple(poly.lattice_points())
     basis = _kernel(condition_matrix(points, m))
-    return LinearSystem(poly, m, points, _normalize_basis(basis))
+    return LinearSystem(poly, m, points, tuple(map(tuple, basis)))

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import count
+from itertools import count, product
 from math import ceil, floor, gcd
 
 from .errors import DegeneratePolygon
@@ -425,25 +425,25 @@ def enumerate_polygons(coord_max: int = 3, volume_max: int = 6) -> list[LatticeP
 
     Self-check enumerator for small-volume datasets; keeps polygons (including
     degenerate ones) with normalized volume <= volume_max.  The search grows
-    distinct hulls one grid point at a time: adding the vertices of a subset's
-    hull one by one reaches that hull, and every intermediate hull lies inside
-    it, so hulls above volume_max can be dropped as soon as they appear.
+    translation classes, least vertex at the origin, from the one-point class.
+    A hull has a translate in the grid exactly when its bounding box spans at
+    most coord_max on both axes, so only points that keep that span are added.
+    Adding a grid hull's vertices one by one reaches its class through hulls
+    inside it, so hulls above volume_max are dropped as soon as they appear.
     """
-    grid = [(x, y) for x in range(coord_max + 1) for y in range(coord_max + 1)]
-    hulls = set()
-    frontier = [()]
+    c = coord_max
+    classes = {((0, 0),)}
+    frontier = list(classes)
     while frontier:
         grown = []
         for verts in frontier:
-            for p in grid:
-                h = LatticePolygon.hull(verts + (p,))
-                if h.vertices not in hulls and h.volume <= volume_max:
-                    hulls.add(h.vertices)
+            xs, ys = zip(*verts)
+            for q in product(range(max(xs) - c, min(xs) + c + 1),
+                             range(max(ys) - c, min(ys) + c + 1)):
+                h = LatticePolygon.hull(verts + (q,)).translated_to_origin()
+                if h.vertices not in classes and h.volume <= volume_max:
+                    classes.add(h.vertices)
                     grown.append(h.vertices)
         frontier = grown
-    seen = {}
-    for p in {LatticePolygon(verts).translated_to_origin() for verts in hulls}:
-        key = canonical_form(p).vertices
-        if key not in seen:
-            seen[key] = LatticePolygon(key)
-    return [seen[k] for k in sorted(seen)]
+    keys = {canonical_form(LatticePolygon(verts)).vertices for verts in classes}
+    return [LatticePolygon(k) for k in sorted(keys)]

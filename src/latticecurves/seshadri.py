@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
 
 from .errors import (
     DegeneratePolygon,
@@ -66,12 +65,11 @@ def segment_equality(poly: LatticePolygon) -> Fraction | None:
         raise DegeneratePolygon("needs a two-dimensional polygon")
     lw = poly.lattice_width()[0]
     pts = poly.lattice_points()
-    # a segment of lattice length lw between lattice points of the polygon
-    for i, p in enumerate(pts):
-        for q in pts[i + 1:]:
-            dx, dy = q[0] - p[0], q[1] - p[1]
-            if gcd(dx, dy) == lw:
-                return Fraction(lw)
+    # Two lattice points congruent mod lw span a segment of lattice length
+    # k*lw, whose first lw steps are a width-length segment in the polygon;
+    # the endpoints of a width-length segment are congruent mod lw.
+    if len({(x % lw, y % lw) for x, y in pts}) < len(pts):
+        return Fraction(lw)
     return None
 
 

@@ -220,6 +220,31 @@ def test_enumerate_polygons_matches_all_subsets(coord_max, volume_max):
         all_subsets_enumeration(coord_max, volume_max)
 
 
+def grid_position_enumeration(coord_max, volume_max):
+    """Reference: grow hulls at every position in the grid, one grid point at
+    a time, then translate them to the origin and key by canonical form."""
+    grid = [(x, y) for x in range(coord_max + 1) for y in range(coord_max + 1)]
+    hulls = set()
+    frontier = [()]
+    while frontier:
+        grown = []
+        for verts in frontier:
+            for p in grid:
+                h = LatticePolygon.hull(verts + (p,))
+                if h.vertices not in hulls and h.volume <= volume_max:
+                    hulls.add(h.vertices)
+                    grown.append(h.vertices)
+        frontier = grown
+    keys = {canonical_form(LatticePolygon(v).translated_to_origin()).vertices for v in hulls}
+    return [LatticePolygon(k) for k in sorted(keys)]
+
+
+@pytest.mark.parametrize("coord_max,volume_max", [(3, 18), (4, 4)])
+def test_enumerate_polygons_matches_grid_positions(coord_max, volume_max):
+    assert enumerate_polygons(coord_max, volume_max) == \
+        grid_position_enumeration(coord_max, volume_max)
+
+
 def test_lattice_points_match_contains_scan():
     r = random.Random(2718)
     for _ in range(300):

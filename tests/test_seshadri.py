@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -10,7 +12,7 @@ from latticecurves.errors import (
     RangeError,
 )
 from latticecurves.families import FamilySpec, family_invariants, family_polygon
-from latticecurves.polygon import polygon
+from latticecurves.polygon import convex_hull, polygon
 from latticecurves.seshadri import (
     component_minimum,
     estimate,
@@ -46,6 +48,31 @@ def test_segment_equality():
     assert segment_equality(quad(6)) == 6
     assert segment_equality(polygon((0, 0), (1, 0), (1, 1), (0, 1))) == 1
     assert segment_equality(polygon((0, 0), (3, 1), (1, 3))) is None
+
+
+def pair_segment_equality(poly):
+    """Reference: lw when some pair of lattice points spans lattice length lw."""
+    lw = poly.lattice_width()[0]
+    pts = poly.lattice_points()
+    for i, p in enumerate(pts):
+        for q in pts[i + 1:]:
+            if gcd(q[0] - p[0], q[1] - p[1]) == lw:
+                return Fraction(lw)
+    return None
+
+
+def test_segment_equality_matches_pair_search():
+    rng = random.Random(1729)
+    outcomes = set()
+    for _ in range(400):
+        poly = convex_hull([(rng.randint(-6, 4), rng.randint(-5, 5))
+                            for _ in range(rng.randint(3, 6))])
+        if poly.volume == 0:
+            continue
+        got = segment_equality(poly)
+        assert got == pair_segment_equality(poly), poly.vertices
+        outcomes.add((got is None, poly.lattice_width()[0] >= 2))
+    assert {(True, True), (False, True)} <= outcomes
 
 
 def test_ito_lower_bound():
