@@ -106,23 +106,26 @@ class ClassificationHit:
 
 
 def _examine(task):
-    """The hit for one (polygon, m) task, or None; factors come from the oracle."""
-    vertices, m, factors = task
+    """[(m, hit)] over one polygon's increasing m, factors from the oracle.  The
+    rows for m are among those for m + 1, so the first empty system ends it."""
+    vertices, scan = task
     poly = LatticePolygon(vertices)
-    system = compute_system(poly, m)
-    if system.dimension != 1:
-        return None
-    f = system.members()[0]
-    if f.newton_polygon() != poly.translated_to_origin():
-        return None
-    pair = numeric_invariants(poly, m)
-    cert = irreducibility_certificate(f, witness_factors=factors)
-    if cert.verdict == IrreducibilityCertificate.REDUCIBLE:
-        return None
-    return ClassificationHit(
-        pair, f, cert,
-        warning=cert.verdict == IrreducibilityCertificate.INCONCLUSIVE,
-    )
+    hits = []
+    for m, factors in scan:
+        system = compute_system(poly, m)
+        if system.is_empty():
+            break
+        if system.dimension != 1:
+            continue
+        f = system.members()[0]
+        if f.newton_polygon() != poly.translated_to_origin():
+            continue
+        cert = irreducibility_certificate(f, witness_factors=factors)
+        if cert.verdict == IrreducibilityCertificate.REDUCIBLE:
+            continue
+        warning = cert.verdict == IrreducibilityCertificate.INCONCLUSIVE
+        hits.append((m, ClassificationHit(numeric_invariants(poly, m), f, cert, warning)))
+    return hits
 
 
 def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
@@ -147,14 +150,13 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
         if key in seen_input:
             continue
         seen_input.add(key)
-        for m in range(1, m_max + 1):
-            if vol - m * m <= 0:
-                keys.append((key, m))
-                tasks.append((poly.vertices, m, oracle.get((key, m))))
+        keys.append(key)
+        tasks.append((poly.vertices, [(m, oracle.get((key, m)))
+                                      for m in range(1, m_max + 1) if vol - m * m <= 0]))
     if jobs and jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            hits = list(pool.map(_examine, tasks, chunksize=8))
+            found = list(pool.map(_examine, tasks))
     else:
-        hits = map(_examine, tasks)
-    results = {k: hit for k, hit in zip(keys, hits) if hit}
+        found = map(_examine, tasks)
+    results = {(key, m): hit for key, hits in zip(keys, found) for m, hit in hits}
     return [results[k] for k in sorted(results, key=lambda k: (k[1], k[0]))]

@@ -6,7 +6,10 @@ torus.  Condition (a, b), a + b <= m - 1, is the row of binomials
 C(p - x0, a) C(q - y0, b) over the lattice points (p, q), with (x0, y0) the
 lower-left corner of the bounding box: the order-(a, b) derivative at (1, 1),
 divided by a! b!, of the polynomial moved into the first quadrant by a
-monomial, which keeps its vanishing order there.
+monomial, which keeps its vanishing order there.  Row (a, b) vanishes at
+the points with p < x0 + a, so the matrix is sparse: elimination mod a prime
+runs forward only, pivots on the row whose nonzeros end first to limit fill
+(Markowitz 1957), and back-substitutes on the free columns alone.
 
 Kernels take one exact route, modulo word-sized primes, and each answer
 carries an integer certificate.  The primes and the Chinese remainder step
@@ -89,31 +92,45 @@ def is_expected(poly: LatticePolygon, m: int) -> bool:
 
 
 def _reduce_mod(ints: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
-    """Gauss-Jordan elimination mod a prime p < 2**31: (pivot columns, pivot rows).
+    """Forward elimination mod a prime p < 2**31: (pivot columns, free block),
+    the reduced pivot rows in the free columns.
 
     Entries stay in [0, p), so each product is reduced below 2**62 before it
-    is subtracted.  A pivot updates only the trailing columns of the rows
-    with a nonzero entry in its column.
+    is subtracted.  tail[i] bounds the last nonzero column of row i.  Column
+    c pivots on a hit (a row with a nonzero there) of least tail, so every
+    other hit's tail still bounds it after the update, which spans rows
+    r + 1 to the last hit and columns c to tail[r].  The reduced rows are
+    unique, so this choice changes neither output.
     """
     a = (ints % p).astype(np.int64)
     nrows, ncols = a.shape
+    tail = ncols - 1 - (a[:, ::-1] != 0).argmax(1)
     pivots = []
     for c in range(ncols):
         r = len(pivots)
         if r == nrows:
             break
-        below = np.flatnonzero(a[r:, c])
-        if not below.size:
+        hit = np.flatnonzero(a[r:, c])
+        if not hit.size:
             continue
-        if below[0]:
-            a[[r, r + below[0]]] = a[[r + below[0], r]]
-        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
-        hit = np.flatnonzero(a[:, c])
-        hit = hit[hit != r]
-        if hit.size:
-            a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[r, c:] % p) % p
+        i = r + int(hit[tail[r + hit].argmin()])
+        if i != r:
+            a[r], a[i] = a[i], a[r].copy()
+            tail[r], tail[i] = tail[i], tail[r]
+        t = int(tail[r]) + 1
+        row = a[r, c:t]
+        row *= pow(int(row[0]), -1, p)
+        row %= p
         pivots.append(c)
-    return pivots, a[:len(pivots)]
+        if hit.size > 1:
+            below = a[r + 1:r + int(hit[-1]) + 1, c:t]
+            below -= below[:, :1] * row % p
+            below %= p
+    block = np.delete(a[:len(pivots)], pivots, axis=1)
+    if block.size:
+        for k in range(len(pivots) - 1, 0, -1):
+            block[:k] = (block[:k] - a[:k, pivots[k], None] * block[k] % p) % p
+    return pivots, block
 
 
 def _rational_reconstruct(a: int, mod: int) -> Fraction | None:
@@ -163,7 +180,7 @@ def _kernel(mat: list[list[int]], primes=None) -> list[list[int]]:
     ncols = exact.shape[1]
     best = None
     for p in _word_primes() if primes is None else primes:
-        pivots, rows = _reduce_mod(exact, p)
+        pivots, block = _reduce_mod(exact, p)
         if len(pivots) == ncols:
             return []  # rank over Q >= rank mod p = ncols
         key = (-len(pivots), pivots)
@@ -172,7 +189,7 @@ def _kernel(mat: list[list[int]], primes=None) -> list[list[int]]:
         elif key != best:
             continue  # this prime is unlucky
         free = sorted(set(range(ncols)).difference(pivots))
-        crt = crt_step(crt, mod, rows[:, free].astype(object), p)
+        crt = crt_step(crt, mod, block.astype(object), p)
         mod *= p
         basis = _lift(crt, mod, pivots, free)
         if basis is not None and not exact.dot(np.array(basis, dtype=object).T).any():

@@ -1,3 +1,4 @@
+import random
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
@@ -5,6 +6,7 @@ from importlib import resources
 import pytest
 
 from latticecurves.classify import (
+    ClassificationHit,
     classify_dataset,
     expected_case,
     intersection_product,
@@ -12,9 +14,21 @@ from latticecurves.classify import (
 )
 from latticecurves.cli import load_oracle
 from latticecurves.errors import RangeError
-from latticecurves.laurent import LaurentPolynomial, verify_factorization
-from latticecurves.linsys import compute_system
-from latticecurves.polygon import enumerate_polygons, equivalent, polygon
+from latticecurves.laurent import (
+    IrreducibilityCertificate,
+    LaurentPolynomial,
+    irreducibility_certificate,
+    verify_factorization,
+)
+from latticecurves.linsys import compute_system, condition_matrix
+from latticecurves.polygon import (
+    UnimodularMap,
+    canonical_form,
+    convex_hull,
+    enumerate_polygons,
+    equivalent,
+    polygon,
+)
 
 # the eleven displayed polygons with a unique multiple-point curve, m = 1..4
 ELEVEN = [
@@ -155,3 +169,64 @@ def test_classify_parallel_matches_serial_with_oracle():
     assert [h.to_json() for h in serial] == [h.to_json() for h in parallel]
     # the oracle drops reducible members, so the comparison covers its lookup
     assert len(serial) < len(classify_dataset(polys, 4, 16))
+
+
+def flat_classify(polygons, m_max, volume_max, oracle=None):
+    """Reference: every (polygon, m) pair examined on its own, no early stop."""
+    oracle = oracle or {}
+    results, seen = {}, set()
+    for poly in polygons:
+        vol = poly.volume
+        key = canonical_form(poly).vertices
+        if vol > volume_max or vol > m_max * m_max or key in seen:
+            continue
+        seen.add(key)
+        for m in range(1, m_max + 1):
+            if vol - m * m > 0:
+                continue
+            system = compute_system(poly, m)
+            if system.dimension != 1:
+                continue
+            f = system.members()[0]
+            if f.newton_polygon() != poly.translated_to_origin():
+                continue
+            cert = irreducibility_certificate(f, witness_factors=oracle.get((key, m)))
+            if cert.verdict == IrreducibilityCertificate.REDUCIBLE:
+                continue
+            results[key, m] = ClassificationHit(
+                numeric_invariants(poly, m), f, cert,
+                warning=cert.verdict == IrreducibilityCertificate.INCONCLUSIVE)
+    return [results[k] for k in sorted(results, key=lambda k: (k[1], k[0]))]
+
+
+def random_polygons(rng, count, span=3):
+    out = []
+    while len(out) < count:
+        p = convex_hull([(rng.randint(-span, span), rng.randint(-span, span))
+                         for _ in range(rng.randint(3, 6))])
+        if not p.is_degenerate:
+            out.append(p)
+    return out
+
+
+def test_classify_matches_flat_reference():
+    rng = random.Random(8)
+    oracle = load_oracle(
+        str(resources.files("latticecurves.data").joinpath("oracle_vol6.json")))
+    polys = ELEVEN + random_polygons(rng, 40) + enumerate_polygons()
+    polys += [UnimodularMap(((1, 0), (0, 1)), (-2, -1)).apply(p) for p in polys[:20]]
+    want = [h.to_json() for h in flat_classify(polys, 5, 25, oracle)]
+    assert [h.to_json() for h in classify_dataset(polys, 5, 25, oracle)] == want
+    assert [h.to_json() for h in classify_dataset(polys, 5, 25, oracle, jobs=2)] == want
+    assert want and len(want) < len(flat_classify(polys, 5, 25))
+
+
+def test_empty_system_stays_empty_at_higher_order():
+    rng = random.Random(11)
+    for poly in random_polygons(rng, 25):
+        pts = tuple(poly.lattice_points())
+        m = 1
+        while not compute_system(poly, m).is_empty():
+            m += 1
+        assert all(row in condition_matrix(pts, m + 1) for row in condition_matrix(pts, m))
+        assert compute_system(poly, m + 1).is_empty()

@@ -1,3 +1,4 @@
+import hashlib
 import random
 import time
 from fractions import Fraction
@@ -86,6 +87,55 @@ def normalized(vectors):
 def random_polygon(rng):
     pts = {(rng.randint(-3, 3), rng.randint(-3, 3)) for _ in range(rng.randint(3, 6))}
     return polygon(*sorted(pts))
+
+
+def gauss_jordan_mod(ints, p):
+    """Dense Gauss-Jordan mod p: (pivot columns, reduced pivot rows); the
+    reference for `_reduce_mod`, whose free block it must match."""
+    a = (ints % p).astype(np.int64)
+    nrows, ncols = a.shape
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == nrows:
+            break
+        below = np.flatnonzero(a[r:, c])
+        if not below.size:
+            continue
+        if below[0]:
+            a[[r, r + below[0]]] = a[[r + below[0], r]]
+        a[r, c:] = a[r, c:] * pow(int(a[r, c]), -1, p) % p
+        hit = np.flatnonzero(a[:, c])
+        hit = hit[hit != r]
+        if hit.size:
+            a[hit, c:] = (a[hit, c:] - a[hit, c, None] * a[r, c:] % p) % p
+        pivots.append(c)
+    return pivots, a[:len(pivots)]
+
+
+def elimination_cases(rng):
+    """Seeded integer matrices as lists of rows: dense; sparse binomial rows
+    with zero and duplicate rows, shuffled out of tail order; products of
+    integer matrices of nullity 2 to 6; entries negative or above 2**31."""
+    def ints(rows, cols, lo, hi, density=1.0):
+        return [[rng.randint(lo, hi) if rng.random() < density else 0
+                 for _ in range(cols)] for _ in range(rows)]
+
+    for _ in range(6):
+        n = rng.randint(1, 12)
+        yield ints(rng.randint(1, 12), n, -9, 9)
+        yield ints(rng.randint(1, 12), n, -2**40, 2**40, density=0.3)
+    for _ in range(6):
+        pts = tuple(random_polygon(rng).lattice_points())
+        rows = condition_matrix(pts, rng.randint(2, 5))
+        rows += [[0] * len(pts)] * rng.randint(1, 2) + rng.sample(rows, min(2, len(rows)))
+        rng.shuffle(rows)
+        yield rows
+        yield [row[::-1] for row in rows]  # the column order _kernel uses
+    for nullity in range(2, 7):
+        rank = rng.randint(1, 6)
+        left, right = ints(rank + 3, rank, -5, 5), ints(rank, rank + nullity, -2**33, 2**33)
+        yield (np.array(left, dtype=object).dot(np.array(right, dtype=object))).tolist()
 
 
 # ---- tests
@@ -236,3 +286,33 @@ def test_basis_normalization_integer_content_free():
             g = gcd(g, abs(n))
         assert g == 1
         assert next(c for c in vec if c) > 0
+
+
+def test_forward_elimination_matches_gauss_jordan():
+    rng = random.Random(20261018)
+    cases = list(elimination_cases(rng))
+    primes = [2, 3, 5, 7, 101, *islice(_word_primes(), 3)]
+    nullities = set()
+    for mat in cases:
+        exact = np.array(mat, dtype=object)
+        for p in primes:
+            want_pivots, want_rows = gauss_jordan_mod(exact, p)
+            pivots, block = _reduce_mod(exact, p)
+            free = sorted(set(range(exact.shape[1])).difference(want_pivots))
+            assert pivots == want_pivots, (mat, p)
+            assert np.array_equal(block, want_rows[:, free]), (mat, p)
+            nullities.add(len(free))
+    assert {2, 3, 4, 5, 6} <= nullities
+
+
+# sha256 of repr(basis) from the dense Gauss-Jordan kernel, which took about 7 s at m = 40
+TRIANGLE_BASIS_SHA256 = {
+    30: "7044d9445c95cf76da7c530fb030ef0237a4008a9718238f4d443cc52e1f29f9",
+    40: "2f897a5fb1f1960351f70809746026351dda8260a4c46caac39da811ead9a375",
+}
+
+
+@pytest.mark.parametrize("m", sorted(TRIANGLE_BASIS_SHA256))
+def test_triangle_basis_is_pinned(m):
+    system = compute_system(polygon((0, 0), (m, 1), (1, m)), m)
+    assert hashlib.sha256(repr(system.basis).encode()).hexdigest() == TRIANGLE_BASIS_SHA256[m]
