@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import count
-from math import comb, gcd, lcm
+from math import comb, gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -364,36 +364,57 @@ def _trim(a: TPoly) -> TPoly:
     return a
 
 
-def _res_mod(a: list[int], b: list[int], p: int) -> int:
-    """Res(a, b) mod p at formal degrees n = len(a) - 1 and m = len(b) - 1,
-    by Euclid; coefficients lowest first.
+def _pow_mod(x, e, p):
+    """x ** e mod p, elementwise, for entries of x below p < 2**31."""
+    out = np.ones_like(x)
+    for k in range(int(e.max(initial=0)).bit_length()):
+        out, x = np.where(e >> k & 1, out * x % p, out), x * x % p
+    return out
 
-    A lead that vanishes mod p lowers the formal degree of its side:
-    Res_{n,m}(a, b) = a_n Res_{n,m-1}(a, b) when b_m = 0, and 0 when a_n = 0
-    too; Res_{n,m}(a, b) = (-1)^(nm) Res_{m,n}(b, a) moves a vanishing a_n
-    to the other side.  With both leads nonzero and n >= m, the remainder r
-    of a by b, of formal degree m - 1, gives Res_{n,m}(a, b) =
-    (-1)^(nm) b_m^(n-m+1) Res_{m,m-1}(b, r).
+
+def _res_mod_batch(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """Res(a[i], b[i]) mod p[i] for every row i: residues, lowest first, at
+    formal degrees one less than the widths of a and b; primes below 2**31.
+
+    One Euclid runs on all rows in lockstep, coefficients highest first and a
+    formal degree per side and row, with one step per row and pass: finish,
+    Res_{0,m}(c, b) = c^m; pop a vanishing b_m, Res_{n,m}(a, b) = a_n
+    Res_{n,m-1}(a, b); swap a vanishing a_n or n < m, Res_{n,m}(a, b) =
+    (-1)^(nm) Res_{m,n}(b, a); else reduce, Res_{n,m}(a, b) = (-1)^(nm)
+    b_m^(1-m) Res_{m,n-1}(b, r) with r = b_m a - a_n t^(n-m) b, whose lead
+    vanishes.  Entries stay below p, so products stay below 2**62; the
+    powers b_m^m gather in a denominator, inverted once per row at the end.
     """
-    a, b, res = [c % p for c in a], [c % p for c in b], 1
+    (rows, n1), m1 = a.shape, b.shape[1]
+    A, B, T = np.zeros((3, rows, max(n1, m1) + 1), np.int64)  # last column stays 0
+    A[:, :n1], B[:, :m1] = a[:, ::-1], b[:, ::-1]
+    da, db = np.full(rows, n1 - 1), np.full(rows, m1 - 1)
+    num, den, res_num, res_den = np.ones((4, rows), np.int64)
+    live = np.ones(rows, bool)  # a finished row runs on, but is never read again
     while True:
-        n, m = len(a) - 1, len(b) - 1
-        if not n or not m:
-            return res * pow(a[0], m, p) * pow(b[0], n, p) % p
-        if not b[-1]:
-            if not a[-1]:
-                return 0
-            res = res * a[-1] % p
-            b.pop()
-        elif not a[-1] or n < m:
-            a, b, res = b, a, res * (-1) ** (n * m)
-        else:
-            inv = pow(b[-1], -1, p)
-            for i in range(n, m - 1, -1):
-                c = a[i] * inv % p
-                a[i - m:i + 1] = [(x - c * y) % p for x, y in zip(a[i - m:i + 1], b)]
-            res = res * (-1) ** (n * m) * pow(b[-1], n - m + 1, p) % p
-            a, b = b, a[:m]
+        done = live & ((da == 0) | (db == 0))
+        if done.any():
+            c, k, q = np.where(da == 0, A[:, 0], B[:, 0])[done], (da + db)[done], p[done]
+            res_num[done], res_den[done] = num[done] * _pow_mod(c, k, q) % q, den[done]
+            live &= ~done
+            if not live.any():
+                break
+        an, bm = A[:, 0], B[:, 0]
+        pop = bm == 0
+        swap = ~pop & ((an == 0) | (da < db))
+        red = ~(pop | swap)
+        sign = np.where(pop | (da * db % 2 == 0), 1, p - 1)
+        num = num * np.where(pop, an, np.where(red, bm, 1)) % p * sign % p
+        den = den * _pow_mod(np.where(red, bm, 1), db, p) % p
+        np.multiply(A, bm[:, None], out=T)  # r, whose tail is the next b
+        T -= B * an[:, None]
+        T %= p[:, None]
+        np.copyto(T, B, where=pop[:, None])
+        np.copyto(T[:, 1:], A[:, :-1], where=swap[:, None])
+        np.copyto(A, B, where=~pop[:, None])
+        B[:, :-1] = T[:, 1:]
+        da, db = np.where(pop, da, db), np.where(swap, da, np.where(pop, db, da) - 1)
+    return res_num * _pow_mod(res_den, p - 2, p) % p
 
 
 def _interpolate_mod(values, p: int) -> np.ndarray:
@@ -430,12 +451,13 @@ def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
     nonzero (raise DegenerateInput otherwise; trimming is the caller's job).
     Each side is scaled to integers with nonnegative exponents, and each
     t-coefficient is evaluated once on a (u, v) grid sized by the degree
-    bound.  Per word prime, a Euclidean resultant at each grid point and
-    Newton interpolation in u, then in v, give the resultant mod p.  Primes
-    are added until their product exceeds twice ||A||_1^deg B ||B||_1^deg A,
-    which bounds every integer coefficient (by the Sylvester row sums), so
-    the symmetric lift is exact.  Res(lam A, mu B) = lam^deg B mu^deg A
-    Res(A, B) undoes the scaling.
+    bound.  One lockstep Euclid takes the resultant at every grid point mod
+    every word prime, then Newton interpolation per prime in u, then in v.
+    The primes, fixed up front, multiply past twice the Goldstein-Graham
+    bound (SIAM Review 1974) (sum_i ||a_i||_1^2)^(deg B/2) (sum_j
+    ||b_j||_1^2)^(deg A/2): Hadamard's inequality on the Sylvester matrix
+    over |u| = |v| = 1 bounds each integer coefficient by it, so the lift is
+    exact.  Res(lam A, mu B) = lam^deg B mu^deg A Res(A, B) undoes the scaling.
     """
     if len(a) < 2 or len(b) < 2:
         raise DegenerateInput("resultant needs deg_t >= 1 on both sides")
@@ -447,22 +469,25 @@ def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
     def maxdeg(side, axis):
         return max(e[axis] for t in side for e in t)
 
-    def norm(side):
-        return sum(abs(c) for t in side for _, _, c in t)
+    def squares(side):
+        return sum(sum(abs(c) for *_, c in t) ** 2 for t in side)
 
     du, dv = (deg_b * maxdeg(ia, i) + deg_a * maxdeg(ib, i) for i in (0, 1))
-    bound = 2 * norm(ia) ** deg_b * norm(ib) ** deg_a
+    bound = 2 * (isqrt(squares(ia) ** deg_b * squares(ib) ** deg_a) + 1)
+    primes, stream = [], _word_primes()
+    while prod(primes) <= bound:
+        primes.append(next(stream))
     x = np.arange(1, du + 2, dtype=object)
     y = np.arange(1, dv + 2, dtype=object)[:, None]
     # each t-coefficient once on the grid, exactly; lines v = y by rows
     ga, gb = (np.stack([sum((c * x ** e * y ** f for e, f, c in t), 0 * x * y)
                         for t in side], axis=-1) for side in (ia, ib))
-    crt, mod, primes = 0, 1, _word_primes()
-    while mod <= bound:
-        p = next(primes)
-        vals = [[_res_mod(pa, pb, p) for pa, pb in zip(ra, rb)]
-                for ra, rb in zip((ga % p).tolist(), (gb % p).tolist())]
-        coeffs = _interpolate_mod(_interpolate_mod(np.array(vals).T, p).T, p)
+    row_primes = np.repeat(primes, x.size * y.size)  # prime-major, then the grid
+    vals = _res_mod_batch(*(np.stack([(g % p).astype(np.int64) for p in primes])
+                            .reshape(row_primes.size, -1) for g in (ga, gb)), row_primes)
+    crt, mod = 0, 1
+    for p, v in zip(primes, vals.reshape(len(primes), dv + 1, du + 1)):
+        coeffs = _interpolate_mod(_interpolate_mod(v.T, p).T, p)
         crt, mod = crt_step(crt, mod, coeffs.astype(object), p), mod * p
     crt = np.where(2 * crt > mod, crt - mod, crt)
     shift_u, shift_v = (deg_b * sa[i] + deg_a * sb[i] for i in (0, 1))

@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import comb, gcd, isqrt, lcm
+from math import comb, gcd, isqrt, lcm, prod
 
 import numpy as np
 
@@ -174,12 +174,22 @@ def _kernel(mat: list[list[int]], primes=None) -> list[list[int]]:
 
     Columns are eliminated right to left.  Then the vector of each free
     column, zero on the other free columns, is zero left of its own column
-    too: it is an RREF row of the kernel.
+    too: it is an RREF row of the kernel.  Every minor is at most the
+    Hadamard bound h = prod max(1, |row|), so the unlucky primes multiply to
+    at most h and the lift needs 2 h^2: once the primes tried pass 2 h^3,
+    the check must have passed, and a failure is an error.  h is found only
+    when two primes have left no answer, so most kernels never pay for it.
     """
     exact = np.array(mat, dtype=object)[:, ::-1]
     ncols = exact.shape[1]
-    best = None
-    for p in _word_primes() if primes is None else primes:
+    best, tried, limit = None, 1, None
+    for k, p in enumerate(_word_primes() if primes is None else primes):
+        if k == 2:
+            h = isqrt(prod(max(1, sum(x * x for x in row)) for row in mat)) + 1
+            limit = 2 * h ** 3
+        if limit is not None and tried > limit:
+            raise ArithmeticError("kernel: the integer check failed past the bound")
+        tried *= p
         pivots, block = _reduce_mod(exact, p)
         if len(pivots) == ncols:
             return []  # rank over Q >= rank mod p = ncols

@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
-from math import comb, gcd
+from itertools import islice
+from math import comb, gcd, isqrt
 
+import numpy as np
 import pytest
 
 from latticecurves.errors import (
@@ -20,7 +22,7 @@ from latticecurves.laurent import (
     _interpolate_mod,
     _perfect_power_root,
     _rational_kth_root,
-    _res_mod,
+    _res_mod_batch,
     _trim,
     geometric_sum,
     implicitize,
@@ -74,6 +76,39 @@ def sylvester_det_direct(a, b) -> LaurentPolynomial:
 
     n = len(mat)
     return det(list(range(n)), list(range(n)))
+
+
+def _res_mod(a: list[int], b: list[int], p: int) -> int:
+    """Res(a, b) mod p at formal degrees n = len(a) - 1 and m = len(b) - 1,
+    by Euclid, one pair at a time; coefficients lowest first.  The reference
+    for the lockstep `_res_mod_batch`.
+
+    A lead that vanishes mod p lowers the formal degree of its side:
+    Res_{n,m}(a, b) = a_n Res_{n,m-1}(a, b) when b_m = 0, and 0 when a_n = 0
+    too; Res_{n,m}(a, b) = (-1)^(nm) Res_{m,n}(b, a) moves a vanishing a_n
+    to the other side.  With both leads nonzero and n >= m, the remainder r
+    of a by b, of formal degree m - 1, gives Res_{n,m}(a, b) =
+    (-1)^(nm) b_m^(n-m+1) Res_{m,m-1}(b, r).
+    """
+    a, b, res = [c % p for c in a], [c % p for c in b], 1
+    while True:
+        n, m = len(a) - 1, len(b) - 1
+        if not n or not m:
+            return res * pow(a[0], m, p) * pow(b[0], n, p) % p
+        if not b[-1]:
+            if not a[-1]:
+                return 0
+            res = res * a[-1] % p
+            b.pop()
+        elif not a[-1] or n < m:
+            a, b, res = b, a, res * (-1) ** (n * m)
+        else:
+            inv = pow(b[-1], -1, p)
+            for i in range(n, m - 1, -1):
+                c = a[i] * inv % p
+                a[i - m:i + 1] = [(x - c * y) % p for x, y in zip(a[i - m:i + 1], b)]
+            res = res * (-1) ** (n * m) * pow(b[-1], n - m + 1, p) % p
+            a, b = b, a[:m]
 
 
 def test_ring_operations():
@@ -221,9 +256,14 @@ def test_resultant_matches_direct_expansion_with_huge_coefficients():
     def norm(side):
         return sum(abs(c) for t in _integer_side(side)[0] for *_, c in t)
 
+    def squares(side):  # bounds the squared norm of a Sylvester row on |u| = |v| = 1
+        return sum(sum(abs(c) for *_, c in t) ** 2 for t in _integer_side(side)[0])
+
     for _ in range(6):
         a, b = ([coefficient() for _ in range(rng.randint(2, 3))] for _ in range(2))
         assert 2 * norm(a) ** (len(b) - 1) * norm(b) ** (len(a) - 1) > 2**93  # > 3 primes
+        # and so does the Goldstein-Graham bound that uni_resultant uses
+        assert 2 * (isqrt(squares(a) ** (len(b) - 1) * squares(b) ** (len(a) - 1)) + 1) > 2**93
         res = uni_resultant(a, b)
         assert res == sylvester_det_direct(a, b)
         assert min(res.terms.values()) < 0
@@ -270,16 +310,43 @@ def _fraction_elimination_det(m):
 def test_res_mod_matches_sylvester_determinant():
     # small primes make leads vanish: every formal-degree branch is reached
     rng = random.Random(1971)
-    branches = set()
+    branches, by_shape = set(), {}
     for p in (2, 3, 5, 7, 101, next(_word_primes())):
         for _ in range(300):
             a, b = ([rng.choice([0, rng.randrange(-p, 2 * p)])
                      for _ in range(rng.randint(1, 6))] for _ in range(2))
             branches.add((a[-1] % p == 0, b[-1] % p == 0, len(a) == 1 or len(b) == 1))
-            det = _fraction_elimination_det(sylvester_matrix(a, b))
-            assert _res_mod(a, b, p) == det % p, (p, a, b)
+            det = _fraction_elimination_det(sylvester_matrix(a, b)) % p
+            assert _res_mod(a, b, p) == det, (p, a, b)
+            by_shape.setdefault((len(a), len(b)), []).append((a, b, p, det))
     assert branches == {(x, y, z) for x in (False, True) for y in (False, True)
                         for z in (False, True)}
+    for cases in by_shape.values():  # one call per shape, rows of every prime
+        a, b, p, det = (np.array(x, dtype=np.int64) for x in zip(*cases))
+        assert len(set(p.tolist())) > 1
+        assert _res_mod_batch(a % p[:, None], b % p[:, None], p).tolist() == det.tolist()
+
+
+def test_res_mod_batch_matches_scalar_euclid():
+    # leads that vanish mod p, some everywhere in a column, and degree-0 sides
+    rng = random.Random(20261018)
+    primes = [2, 3, 5, 7, 101, *islice(_word_primes(), 3)]
+    seen = set()
+    for _ in range(100):
+        n1, m1, rows = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 80)
+        p = np.array([rng.choice(primes) for _ in range(rows)], dtype=np.int64)
+        a, b = ([[rng.choice([0, rng.randrange(q)]) for _ in range(width)]
+                 for q in p.tolist()] for width in (n1, m1))
+        for side, name in ((a, "a"), (b, "b")):
+            if rng.random() < 0.3:
+                seen.add(f"zero lead column in {name}")
+                for row in side:
+                    row[-1] = 0
+        seen.update(f"degree 0 in {name}" for name, w in (("a", n1), ("b", m1)) if w == 1)
+        want = [_res_mod(x, y, q) for x, y, q in zip(a, b, p.tolist())]
+        assert _res_mod_batch(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
+                              p).tolist() == want
+    assert len(seen) == 4
 
 
 def test_interpolate_mod_recovers_integer_polynomials():

@@ -8,6 +8,7 @@ from math import gcd, lcm
 import numpy as np
 import pytest
 
+from latticecurves import linsys
 from latticecurves.errors import RangeError
 from latticecurves.laurent import LaurentPolynomial, verify_factorization
 from latticecurves.linsys import (
@@ -254,6 +255,24 @@ def test_unlucky_primes_are_outvoted():
 def test_kernel_reports_exhausted_primes():
     with pytest.raises(ArithmeticError):
         _kernel([[3, 1, 3]], [3, 5])
+
+
+def test_kernel_stops_past_the_hadamard_bound(monkeypatch):
+    # a free block that is always wrong never passes M x = 0; the primes
+    # stop past twice the cube of the Hadamard bound instead of running on
+    mat = condition_matrix(tuple(REMARK_M5.lattice_points()), 5)
+    assert _kernel(mat)
+    reduce_mod = linsys._reduce_mod
+
+    def zero_free_block(ints, p):
+        pivots, block = reduce_mod(ints, p)
+        return pivots, 0 * block
+
+    monkeypatch.setattr(linsys, "_reduce_mod", zero_free_block)
+    start = time.perf_counter()
+    with pytest.raises(ArithmeticError):
+        _kernel(mat)
+    assert time.perf_counter() - start < 5
 
 
 def test_rational_reconstruct_above_float_range():
