@@ -16,7 +16,7 @@ from functools import cached_property
 from itertools import count, product
 from math import ceil, floor, gcd
 
-from .errors import DegeneratePolygon
+from .errors import DegeneratePolygon, RangeError
 
 Point = tuple[int, int]
 
@@ -420,30 +420,45 @@ def minkowski_decompositions(poly: LatticePolygon) -> list[tuple[LatticePolygon,
     return [pairs[k] for k in sorted(pairs)]
 
 
+def _at_origin(points) -> tuple[Point, ...]:
+    """Hull vertices, translated so the least one (which comes first) is (0, 0)."""
+    verts = _hull_vertices(points)
+    x0, y0 = verts[0]
+    return tuple((x - x0, y - y0) for x, y in verts)
+
+
+def _square_images(verts):
+    """The eight images of a point list under x <-> y, x -> -x and y -> -y."""
+    for sx, sy in product((1, -1), repeat=2):
+        yield [(sx * x, sy * y) for x, y in verts]
+        yield [(sy * y, sx * x) for x, y in verts]
+
+
 def enumerate_polygons(coord_max: int = 3, volume_max: int = 6) -> list[LatticePolygon]:
     """Hulls of all subsets of the [0, coord_max]^2 grid, up to equivalence.
 
     Self-check enumerator for small-volume datasets; keeps polygons (including
     degenerate ones) with normalized volume <= volume_max.  The search grows
-    translation classes, least vertex at the origin, from the one-point class.
-    A hull has a translate in the grid exactly when its bounding box spans at
-    most coord_max on both axes, so only points that keep that span are added.
-    Adding a grid hull's vertices one by one reaches its class through hulls
-    inside it, so hulls above volume_max are dropped as soon as they appear.
+    translation classes, least vertex at the origin, from the one-point class,
+    by the points that keep the bounding box within coord_max on both axes
+    (a hull has a translate in the grid exactly then).  Adding a grid hull's
+    vertices one by one reaches its class through hulls inside it, so hulls
+    above volume_max are dropped at once.  Each symmetry g of the square keeps
+    the grid and commutes with hulls, g(hull(A + q)) = hull(g(A) + g(q)), so a
+    new class is recorded with its eight images and only it is grown; each g
+    is unimodular, so only grown classes need a canonical form.
     """
-    c = coord_max
-    classes = {((0, 0),)}
-    frontier = list(classes)
-    while frontier:
-        grown = []
-        for verts in frontier:
-            xs, ys = zip(*verts)
-            for q in product(range(max(xs) - c, min(xs) + c + 1),
-                             range(max(ys) - c, min(ys) + c + 1)):
-                h = LatticePolygon.hull(verts + (q,)).translated_to_origin()
-                if h.vertices not in classes and h.volume <= volume_max:
-                    classes.add(h.vertices)
-                    grown.append(h.vertices)
-        frontier = grown
-    keys = {canonical_form(LatticePolygon(verts)).vertices for verts in classes}
+    if coord_max < 0 or volume_max < 0:
+        raise RangeError("coord_max and volume_max must be nonnegative")
+    grown = [((0, 0),)]  # one class per orbit; the loop also walks it as a queue
+    classes = set(grown)
+    for verts in grown:
+        xs, ys = zip(*verts)
+        for q in product(range(max(xs) - coord_max, min(xs) + coord_max + 1),
+                         range(max(ys) - coord_max, min(ys) + coord_max + 1)):
+            h = _at_origin(verts + (q,))
+            if h not in classes and LatticePolygon(h).volume <= volume_max:
+                classes.update(_at_origin(img) for img in _square_images(h))
+                grown.append(h)
+    keys = {canonical_form(LatticePolygon(verts)).vertices for verts in grown}
     return [LatticePolygon(k) for k in sorted(keys)]

@@ -1,13 +1,17 @@
+import hashlib
 import random
 from fractions import Fraction
+from itertools import product
 from math import gcd
 
 import pytest
 
-from latticecurves.errors import DegeneratePolygon
+from latticecurves.errors import DegeneratePolygon, RangeError
 from latticecurves.polygon import (
     LatticePolygon,
     UnimodularMap,
+    _at_origin,
+    _square_images,
     canonical_form,
     convex_hull,
     enumerate_polygons,
@@ -243,6 +247,71 @@ def grid_position_enumeration(coord_max, volume_max):
 def test_enumerate_polygons_matches_grid_positions(coord_max, volume_max):
     assert enumerate_polygons(coord_max, volume_max) == \
         grid_position_enumeration(coord_max, volume_max)
+
+
+def translation_class_enumeration(coord_max, volume_max):
+    """Reference: grow every translation class (least vertex at the origin) by
+    the points that keep its bounding box within coord_max, then key each
+    class by canonical form."""
+    c = coord_max
+    classes = {((0, 0),)}
+    frontier = list(classes)
+    while frontier:
+        grown = []
+        for verts in frontier:
+            xs, ys = zip(*verts)
+            for q in product(range(max(xs) - c, min(xs) + c + 1),
+                             range(max(ys) - c, min(ys) + c + 1)):
+                h = LatticePolygon.hull(verts + (q,)).translated_to_origin()
+                if h.vertices not in classes and h.volume <= volume_max:
+                    classes.add(h.vertices)
+                    grown.append(h.vertices)
+        frontier = grown
+    keys = {canonical_form(LatticePolygon(verts)).vertices for verts in classes}
+    return [LatticePolygon(k) for k in sorted(keys)]
+
+
+@pytest.mark.parametrize("coord_max,volume_max", [(3, 18), (4, 4), (4, 8)])
+def test_enumerate_polygons_matches_translation_classes(coord_max, volume_max):
+    assert enumerate_polygons(coord_max, volume_max) == \
+        translation_class_enumeration(coord_max, volume_max)
+
+
+# sha256 of repr([p.vertices for p in enumerate_polygons(c, v)]), recorded
+# with the translation-class search above
+ENUMERATION_SHA256 = {
+    (4, 12): "c6dc0fce30c1ab2810d588957ce3fd8428b992ceebd17dfa8ea09d60aa703e1e",
+    (5, 10): "a77dda72bb8d3c01332d2cc9ec679079edc8690f79e962a452d21eee0258aad8",
+}
+
+
+@pytest.mark.parametrize("coord_max,volume_max", sorted(ENUMERATION_SHA256))
+def test_enumeration_is_pinned(coord_max, volume_max):
+    polys = enumerate_polygons(coord_max, volume_max)
+    digest = hashlib.sha256(repr([p.vertices for p in polys]).encode()).hexdigest()
+    assert digest == ENUMERATION_SHA256[coord_max, volume_max]
+
+
+def test_enumerate_polygons_rejects_negative_bounds():
+    for coord_max, volume_max in [(3, -1), (-1, 6), (-1, -1)]:
+        with pytest.raises(RangeError):
+            enumerate_polygons(coord_max, volume_max)
+    assert enumerate_polygons(0, 0) == [LatticePolygon(((0, 0),))]
+
+
+def test_square_images_keep_canonical_form_and_box():
+    # the enumeration records a class with its eight images; each must be
+    # equivalent to it and fit in the same box up to swapping the axes
+    assert len({tuple(img) for img in _square_images([(1, 2)])}) == 8
+    r = random.Random(3141)
+    for _ in range(200):
+        h = _at_origin([(r.randint(0, 4), r.randint(0, 4)) for _ in range(r.randint(1, 6))])
+        key = canonical_form(LatticePolygon(h))
+        spans = sorted(max(axis) - min(axis) for axis in zip(*h))
+        for img in _square_images(h):
+            g = _at_origin(img)
+            assert canonical_form(LatticePolygon(g)) == key
+            assert sorted(max(axis) - min(axis) for axis in zip(*g)) == spans
 
 
 def test_lattice_points_match_contains_scan():
