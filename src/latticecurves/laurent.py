@@ -118,9 +118,6 @@ class LaurentPolynomial:
         return sum((c * u ** p * v ** q for (p, q), c in self.terms.items()),
                    Fraction(0))
 
-    def support(self) -> list[Exponent]:
-        return sorted(self.terms)
-
     def min_exponents(self) -> Exponent:
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no support")
@@ -134,18 +131,6 @@ class LaurentPolynomial:
         shifted = self.shift(-dp, -dq)
         lead = shifted.terms[min(shifted.terms)]
         return shifted.scale(1 / lead)
-
-    def integer_normalized(self) -> "LaurentPolynomial":
-        """Unit-normalize, then clear denominators to content-free integers."""
-        f = self.unit_normalized()
-        den = 1
-        for c in f.terms.values():
-            den = den * c.denominator // gcd(den, c.denominator)
-        f = f.scale(den)
-        num = 0
-        for c in f.terms.values():
-            num = gcd(num, c.numerator)
-        return f.scale(Fraction(1, num))
 
     def newton_polygon(self) -> LatticePolygon:
         if not self.terms:
@@ -250,10 +235,6 @@ class UniPoly:
         while cs and not cs[-1]:
             cs.pop()
         self.coeffs = tuple(cs)
-
-    @staticmethod
-    def const(c) -> "UniPoly":
-        return UniPoly([c])
 
     @staticmethod
     def t_power(k: int, c=1) -> "UniPoly":
@@ -417,15 +398,18 @@ def _res_mod_batch(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     return res_num * _pow_mod(res_den, p - 2, p) % p
 
 
-def _interpolate_mod(values, p: int) -> np.ndarray:
+def _interpolate_mod(values, p) -> np.ndarray:
     """Coefficients mod p (lowest first) of the interpolant through the
     residues `values` at the nodes 1, 2, ..., n < p, by Newton's divided
-    differences along the first axis.  Entries stay below p, so each product
-    stays below 2**62."""
+    differences along the first axis.  p is a prime or an array of primes
+    that broadcasts against values[0], one per interpolant.  Entries stay
+    below p, so each product stays below 2**62."""
     c = np.array(values, dtype=np.int64)
-    n = len(c)
+    n, p = len(c), np.asarray(p, dtype=np.int64)
+    inv = np.array([[pow(k, -1, q) for q in p.ravel().tolist()] for k in range(1, n)],
+                   dtype=np.int64).reshape(-1, *p.shape)
     for k in range(1, n):  # at the nodes x_i = i + 1, x_i - x_(i-k) = k
-        c[k:] = (c[k:] - c[k - 1:-1]) * pow(k, -1, p) % p
+        c[k:] = (c[k:] - c[k - 1:-1]) * inv[k - 1] % p
     out = np.zeros_like(c)
     for k in range(n - 1, -1, -1):  # out <- out * (x - k - 1) + c[k]
         out[1:] = (out[:-1] - (k + 1) * out[1:]) % p
@@ -452,7 +436,8 @@ def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
     Each side is scaled to integers with nonnegative exponents, and each
     t-coefficient is evaluated once on a (u, v) grid sized by the degree
     bound.  One lockstep Euclid takes the resultant at every grid point mod
-    every word prime, then Newton interpolation per prime in u, then in v.
+    every word prime, then one Newton interpolation over every prime in u,
+    then in v.
     The primes, fixed up front, multiply past twice the Goldstein-Graham
     bound (SIAM Review 1974) (sum_i ||a_i||_1^2)^(deg B/2) (sum_j
     ||b_j||_1^2)^(deg A/2): Hadamard's inequality on the Sylvester matrix
@@ -485,10 +470,13 @@ def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
     row_primes = np.repeat(primes, x.size * y.size)  # prime-major, then the grid
     vals = _res_mod_batch(*(np.stack([(g % p).astype(np.int64) for p in primes])
                             .reshape(row_primes.size, -1) for g in (ga, gb)), row_primes)
+    vals = vals.reshape(len(primes), dv + 1, du + 1)
+    ps = np.array(primes)[:, None]
+    in_u = _interpolate_mod(vals.transpose(2, 0, 1), ps)  # (u, prime, v)
+    coeffs = _interpolate_mod(in_u.transpose(2, 1, 0), ps)  # (v, prime, u)
     crt, mod = 0, 1
-    for p, v in zip(primes, vals.reshape(len(primes), dv + 1, du + 1)):
-        coeffs = _interpolate_mod(_interpolate_mod(v.T, p).T, p)
-        crt, mod = crt_step(crt, mod, coeffs.astype(object), p), mod * p
+    for p, c in zip(primes, coeffs.transpose(1, 0, 2)):
+        crt, mod = crt_step(crt, mod, c.astype(object), p), mod * p
     crt = np.where(2 * crt > mod, crt - mod, crt)
     shift_u, shift_v = (deg_b * sa[i] + deg_a * sb[i] for i in (0, 1))
     scale = la ** deg_b * lb ** deg_a
@@ -496,75 +484,76 @@ def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
                               for (q, p), c in np.ndenumerate(crt)})
 
 
-def _rational_kth_root(c: Fraction, k: int) -> Fraction | None:
-    """Exact k-th root of c, or None; integer Newton iteration, no floats."""
-    def iroot(n: int) -> int | None:
-        if n < 0:
-            if k % 2 == 0:
-                return None
-            r = iroot(-n)
-            return None if r is None else -r
-        r = n
-        if n > 1:  # Newton from 2**ceil(bits/k) >= n**(1/k) falls to the floor
-            r = 1 << -(-n.bit_length() // k)
-            while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
-                r = y
-        return r if r ** k == n else None
-
-    num = iroot(c.numerator)
-    den = iroot(c.denominator)
-    if num is None or den is None:
-        return None
-    return Fraction(num, den)
+def _primitive(f: LaurentPolynomial) -> LaurentPolynomial:
+    """f over its monomial unit and rational content: least exponents (0, 0),
+    coprime integer coefficients, and a positive lex-least coefficient."""
+    dp, dq = f.min_exponents()
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    ints = {(p - dp, q - dq): c.numerator * (den // c.denominator)
+            for (p, q), c in f.terms.items()}
+    g = gcd(*ints.values())
+    g = g if ints[min(ints)] > 0 else -g
+    return LaurentPolynomial({e: c // g for e, c in ints.items()})
 
 
-def _uni_kth_root(p: list[Fraction], k: int) -> list[Fraction] | None:
-    """k-th root of a coefficient list (lowest first, last entry nonzero), if any.
+def _int_kth_root(n: int, k: int) -> int | None:
+    """Exact k-th root of the integer n, or None; integer Newton iteration."""
+    if n < 0:
+        r = None if k % 2 == 0 else _int_kth_root(-n, k)
+        return None if r is None else -r
+    r = n
+    if n > 1:  # Newton from 2**ceil(bits/k) >= n**(1/k) falls to the floor
+        r = 1 << -(-n.bit_length() // k)
+        while (y := ((k - 1) * r + n // r ** (k - 1)) // k) < r:
+            r = y
+    return r if r ** k == n else None
+
+
+def _uni_kth_root(p: list[int], k: int) -> list[int] | None:
+    """Integer candidate for the k-th root of a coefficient list (lowest first,
+    last entry nonzero), or None when a coefficient is not an integer.
 
     The reversed list r has r_0 != 0 and root q = r^(1/k) as a power series:
     n r_0 q_n = sum_{i=1..n} ((1/k + 1) i - n) r_i q_(n-i), from q' r = r' q / k.
+    A primitive integer k-th power has a primitive integer root (Gauss's
+    lemma), so a fraction rules the power out; the caller checks the rest.
     """
-    if (len(p) - 1) % k:
-        return None
     r = p[::-1]
-    q0 = _rational_kth_root(r[0], k)
-    if q0 is None:
+    q = [_int_kth_root(r[0], k)]
+    if q[0] is None:
         return None
-    q = [q0]
     for n in range(1, (len(p) - 1) // k + 1):
         s = sum(((k + 1) * i - k * n) * r[i] * q[n - i] for i in range(1, n + 1))
-        q.append(s / (k * n * r[0]))
-    q.reverse()
-    power = UniPoly([1])
-    for _ in range(k):
-        power = power * UniPoly(q)
-    return q if power == UniPoly(p) else None
+        qn, rem = divmod(s, k * n * r[0])
+        if rem:
+            return None
+        q.append(qn)
+    return q[::-1]
 
 
 def _perfect_power_root(f: LaurentPolynomial) -> tuple[LaurentPolynomial, int]:
-    """Largest k with f = g^k up to unit; returns (g, k); k = 1 if none.
+    """Largest k with f = g^k, for f in `_primitive` form; returns (g, k) with g
+    primitive, or (f, 1).
 
-    Candidates come from the univariate image under v = u^(du + 1), which is
-    injective on u-degree <= du: its k-th root is mapped back to g, and g^k
-    is checked against f exactly.
+    NP(g^k) = k NP(g) (Ostrowski), so k divides every coordinate of every
+    edge of NP(f); only the divisors of their gcd are tried, largest first.
+    Each candidate is the integer k-th root of the univariate image under
+    v = u^(du + 1), which is injective on u-degree <= du, mapped back and
+    checked exactly as g^k == f.
     """
-    f = f.unit_normalized()
-    du = max(p for p, _ in f.terms)
-    dv = max(q for _, q in f.terms)
-    base = du + 1
-    image = [Fraction(0)] * (max(p + base * q for p, q in f.terms) + 1)
+    verts = f.newton_polygon().vertices
+    (x0, y0), base = verts[0], max(p for p, _ in f.terms) + 1
+    edge_gcd = gcd(*(c for x, y in verts for c in (x - x0, y - y0)))
+    image = [0] * (max(p + base * q for p, q in f.terms) + 1)
     for (p, q), c in f.terms.items():
-        image[p + base * q] = c
-    for k in range(max(du, dv, 1), 1, -1):
-        if du % k or dv % k:
+        image[p + base * q] = int(c)
+    for k in range(edge_gcd, 1, -1):
+        if edge_gcd % k or (root := _uni_kth_root(image, k)) is None:
             continue
-        root = _uni_kth_root(image, k)
-        if root is None:
-            continue
-        g = LaurentPolynomial({(i % base, i // base): c for i, c in enumerate(root)})
-        if verify_factorization(f, [g] * k):
-            inner, kk = _perfect_power_root(g)
-            return inner, k * kk
+        g = _primitive(LaurentPolynomial({(i % base, i // base): c
+                                          for i, c in enumerate(root)}))
+        if prod([g] * k) == f:
+            return g, k
     return f, 1
 
 
@@ -586,11 +575,11 @@ def implicitize(f1: UniPoly, f2: UniPoly, f3: UniPoly, f4: UniPoly,
                 _details: dict | None = None) -> LaurentPolynomial:
     """Implicit equation of the closure of the image of t -> (f1/f2, f3/f4).
 
-    Resultant of f1 - u f2 and f3 - v f4 with respect to t, stripped of
-    rational content and monomial units; perfect powers g^k are replaced by g
-    (with exact verification).  When the content-free resultant is neither a
-    certified power nor certifiably irreducible it is returned unchanged and
-    tagged NotNormalized in the details dict.
+    Resultant of f1 - u f2 and f3 - v f4 with respect to t, cleared once to
+    its primitive integer form (`_primitive`); a perfect power g^k is replaced
+    by g, checked exactly.  When that is neither a certified power nor
+    certified irreducible by `irreducibility_certificate`, it is returned as
+    is and details["normalized"] is False.
     """
     g12, g34 = f1.gcd(f2), f3.gcd(f4)
     if not g12.is_zero() and g12.degree > 0:
@@ -612,17 +601,12 @@ def implicitize(f1: UniPoly, f2: UniPoly, f3: UniPoly, f4: UniPoly,
     res = uni_resultant(a, b)
     if res.is_zero():
         raise ConstantMap("degenerate parametrization: resultant vanished")
-    res = res.unit_normalized()
-    g, k = _perfect_power_root(res)
+    g, k = _perfect_power_root(_primitive(res))
     if _details is not None:
         _details["power"] = k
-        if g.is_monomial():
-            _details["normalized"] = True
-        else:
-            _details["normalized"] = (
-                k > 1 or not minkowski_decompositions(g.newton_polygon())
-            )
-    return g.integer_normalized()
+        _details["normalized"] = g.is_monomial() or k > 1 or (
+            irreducibility_certificate(g).verdict == IrreducibilityCertificate.IRREDUCIBLE)
+    return g
 
 
 def num_coeff(p: UniPoly, i: int) -> Fraction:

@@ -26,7 +26,8 @@ def _cross(o: Point, a: Point, b: Point) -> int:
 
 
 def _hull_vertices(points) -> tuple[Point, ...]:
-    """Monotone-chain hull; strict turns only, so output is the exact vertex set."""
+    """Monotone-chain hull; strict turns only, so output is the exact vertex set,
+    counterclockwise from the least vertex (the lower chain starts there)."""
     pts = sorted(set((int(x), int(y)) for x, y in points))
     if not pts:
         raise ValueError("empty point list")
@@ -86,7 +87,7 @@ class LatticePolygon:
 
     @staticmethod
     def hull(points) -> "LatticePolygon":
-        return LatticePolygon(_canonical_order(_hull_vertices(points)))
+        return LatticePolygon(_hull_vertices(points))
 
     @property
     def is_point(self) -> bool:
@@ -367,7 +368,8 @@ def minkowski_decompositions(poly: LatticePolygon) -> list[tuple[LatticePolygon,
 
     Each edge contributes a stack of identical primitive segments; a summand
     corresponds to a sub-multiset whose vectors sum to zero.  Empty result
-    means the polygon is integrally indecomposable.
+    means the polygon is integrally indecomposable.  Raises RangeError when
+    the search would pass _DECOMPOSITION_LIMIT sub-multisets.
     """
     if poly.is_point:
         return []
@@ -377,7 +379,7 @@ def minkowski_decompositions(poly: LatticePolygon) -> list[tuple[LatticePolygon,
     for g in counts:
         total_combos *= g + 1
     if total_combos > _DECOMPOSITION_LIMIT:
-        raise ValueError(f"decomposition search space {total_combos} exceeds "
+        raise RangeError(f"decomposition search space {total_combos} exceeds "
                          f"limit {_DECOMPOSITION_LIMIT}")
     n = len(edges)
     rem_x = [0] * (n + 1)

@@ -1,7 +1,7 @@
 import random
 from fractions import Fraction
 from itertools import islice
-from math import comb, gcd, isqrt
+from math import comb, gcd, isqrt, lcm
 
 import numpy as np
 import pytest
@@ -10,6 +10,7 @@ from latticecurves.errors import (
     DegenerateInput,
     HypothesisFailure,
     MonomialInput,
+    RangeError,
     SharedRoot,
     ZeroPolynomial,
 )
@@ -20,8 +21,9 @@ from latticecurves.laurent import (
     _const_lp,
     _integer_side,
     _interpolate_mod,
+    _int_kth_root,
     _perfect_power_root,
-    _rational_kth_root,
+    _primitive,
     _res_mod_batch,
     _trim,
     geometric_sum,
@@ -186,6 +188,19 @@ def test_irreducibility_certificates():
         == IrreducibilityCertificate.INCONCLUSIVE
     with pytest.raises(MonomialInput):
         irreducibility_certificate(LaurentPolynomial.monomial(2, -3))
+
+
+def test_certificate_past_the_decomposition_limit_raises_range_error():
+    # an octagon with eight edges of lattice length 6: 7**8 sub-multisets
+    walk = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+    verts, x, y = [], 0, 0
+    for dx, dy in walk:
+        verts.append((x, y))
+        x, y = x + 6 * dx, y + 6 * dy
+    f = LaurentPolynomial({e: 1 for e in verts})
+    assert len(f.newton_polygon().vertices) == 8
+    with pytest.raises(RangeError):
+        irreducibility_certificate(f)
 
 
 def test_unipoly_arithmetic_and_gcd():
@@ -357,6 +372,14 @@ def test_interpolate_mod_recovers_integer_polynomials():
             coeffs = [rng.randint(-10**12, 10**12) for _ in range(n)]
             values = [UniPoly(coeffs).evaluate(x).numerator % p for x in range(1, n + 1)]
             assert _interpolate_mod(values, p).tolist() == [c % p for c in coeffs]
+    # one interpolant per column, each modulo its own prime (nodes below 13)
+    primes = [*islice(_word_primes(), 3), 101, 13]
+    for n in range(1, 13):
+        coeffs = [[rng.randint(-10**12, 10**12) for _ in primes] for _ in range(n)]
+        values = [[UniPoly([row[j] for row in coeffs]).evaluate(x).numerator % p
+                   for j, p in enumerate(primes)] for x in range(1, n + 1)]
+        want = [[c % p for c, p in zip(row, primes)] for row in coeffs]
+        assert _interpolate_mod(values, np.array(primes)).tolist() == want
 
 
 def test_resultant_rejects_constant_input():
@@ -439,18 +462,17 @@ def test_perfect_power_whose_lead_vanishes_on_v_equal_one():
         assert found == k and verify_factorization(g, [root])
 
 
-def test_rational_kth_root_is_exact_beyond_float_range():
+def test_int_kth_root_is_exact_beyond_float_range():
     big = 10**20 + 7
-    assert _rational_kth_root(Fraction(big**3), 3) == big
-    assert _rational_kth_root(Fraction(big**3 + 1), 3) is None
+    assert _int_kth_root(big**3, 3) == big
+    assert _int_kth_root(big**3 + 1, 3) is None
     for k in (2, 4, 5, 10):
-        assert _rational_kth_root(Fraction(2**1100), k) == 2**(1100 // k)
-    assert _rational_kth_root(Fraction(2**1100 + 1), 2) is None
-    assert _rational_kth_root(Fraction(-3**1401, 2**2001), 3) == Fraction(-3**467, 2**667)
-    assert _rational_kth_root(Fraction(-2**1100), 2) is None
+        assert _int_kth_root(2**1100, k) == 2**(1100 // k)
+    assert _int_kth_root(2**1100 + 1, 2) is None
+    assert _int_kth_root(-2**1100, 2) is None
     for n in range(200):
         for k in (1, 2, 3):
-            root = _rational_kth_root(Fraction(n), k)
+            root = _int_kth_root(n, k)
             assert (root is not None) == any(r**k == n for r in range(n + 1))
 
 
@@ -461,6 +483,94 @@ def test_perfect_power_round_trip_with_huge_coefficients():
         power = power * g
         root, found = _perfect_power_root(power)
         assert found == k and verify_factorization(g, [root])
+
+
+
+def _fraction_kth_root(c: Fraction, k: int) -> Fraction | None:
+    """Exact k-th root of a rational, or None, by bisection on the numerator
+    and the denominator."""
+    def iroot(n):
+        if n < 0:
+            r = None if k % 2 == 0 else iroot(-n)
+            return None if r is None else -r
+        lo, hi = 0, 1 << -(-n.bit_length() // k)
+        while lo < hi:
+            mid = (lo + hi + 1) // 2
+            lo, hi = (mid, hi) if mid ** k <= n else (lo, mid - 1)
+        return lo if lo ** k == n else None
+
+    num, den = iroot(c.numerator), iroot(c.denominator)
+    return None if num is None or den is None else Fraction(num, den)
+
+
+def fraction_route(f: LaurentPolynomial) -> tuple[LaurentPolynomial, int]:
+    """The Fraction route that `_primitive` and `_perfect_power_root` replace:
+    unit-normalize, try a Fraction k-th root of the Kronecker image for every
+    k dividing both degrees, check g^k, recurse on g, then clear the
+    denominators and the content of the root."""
+    f = f.unit_normalized()
+    du, dv = max(p for p, _ in f.terms), max(q for _, q in f.terms)
+    base = du + 1
+    image = [Fraction(0)] * (max(p + base * q for p, q in f.terms) + 1)
+    for (p, q), c in f.terms.items():
+        image[p + base * q] = c
+    for k in range(max(du, dv, 1), 1, -1):
+        if du % k or dv % k or (len(image) - 1) % k:
+            continue
+        r = image[::-1]
+        q = [_fraction_kth_root(r[0], k)]
+        if q[0] is None:
+            continue
+        for n in range(1, (len(image) - 1) // k + 1):
+            s = sum(((k + 1) * i - k * n) * r[i] * q[n - i] for i in range(1, n + 1))
+            q.append(s / (k * n * r[0]))
+        g = LaurentPolynomial({(i % base, i // base): c for i, c in enumerate(q[::-1])})
+        if verify_factorization(f, [g] * k):
+            inner, kk = fraction_route(g)
+            return inner, k * kk
+    f = f.scale(lcm(*(c.denominator for c in f.terms.values())))
+    return f.scale(Fraction(1, gcd(*(c.numerator for c in f.terms.values())))), 1
+
+
+def test_integer_power_route_matches_fraction_route(monkeypatch):
+    from latticecurves import laurent
+
+    tried = []
+    root = laurent._uni_kth_root
+    monkeypatch.setattr(laurent, "_uni_kth_root",
+                        lambda p, k: tried.append(k) or root(p, k))
+    rng = random.Random(2001)
+    seen = set()
+    for _ in range(150):
+        g = LaurentPolynomial({(rng.randint(0, 3), rng.randint(0, 2)):
+                               rng.choice([-1, 1]) * rng.randint(1, 5)
+                               for _ in range(rng.randint(2, 4))})
+        if g.is_monomial():
+            continue
+        k = rng.choice([1, 2, 3, 4])
+        f = ONE
+        for _ in range(k):
+            f = f * g
+        verts = f.newton_polygon().vertices
+        if rng.random() < 0.4 and len(verts) > 1:
+            # a term on an edge of k NP(g), off its vertices: the edges keep
+            # their common factor k, but f is no longer a power
+            (x0, y0), (x1, y1) = verts[0], verts[1]
+            e = (x0 + (x1 - x0) // k, y0 + (y1 - y0) // k)
+            f = f + LaurentPolynomial.monomial(*e, rng.choice([-1, 1]))
+            kind = "perturbed"
+        else:
+            kind = f"power {k}"
+        scalar = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        f = f.scale(scalar).shift(rng.randint(-3, 3), rng.randint(-3, 3))
+        before = len(tried)
+        got = _perfect_power_root(_primitive(f))
+        assert got == fraction_route(f)
+        if kind == "perturbed" and k > 1 and len(tried) > before and got[1] == 1:
+            seen.add("rejected")
+        seen.add(kind)
+        assert all(c.denominator == 1 for c in got[0].terms.values())
+    assert seen >= {"power 2", "power 3", "power 4", "perturbed", "rejected"}
 
 
 def test_ord_profile():

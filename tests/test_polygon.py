@@ -28,6 +28,19 @@ def test_hull_strips_interior_and_collinear_points():
     assert p.vertices == ((0, 0), (2, 0), (0, 2))
 
 
+def test_hull_starts_at_the_least_vertex_and_turns_left():
+    rng = random.Random(89)
+    for _ in range(2000):
+        pts = [(rng.randint(-6, 6), rng.randint(-6, 6)) for _ in range(rng.randint(1, 9))]
+        v = convex_hull(pts).vertices
+        assert v[0] == min(v) == min(pts)
+        if len(v) > 2:
+            n = len(v)
+            assert all((v[(i + 1) % n][0] - v[i][0]) * (v[(i + 2) % n][1] - v[i][1])
+                       > (v[(i + 1) % n][1] - v[i][1]) * (v[(i + 2) % n][0] - v[i][0])
+                       for i in range(n))
+
+
 def test_volume_boundary_interior():
     p = polygon((0, 0), (2, 1), (1, 2))
     assert (p.volume, p.boundary_count, p.interior_count) == (3, 3, 1)
