@@ -18,7 +18,7 @@ from .laurent import (
     LaurentPolynomial,
     irreducibility_certificate,
 )
-from .linsys import compute_system, is_expected
+from .linsys import compute_system, expected_dimension, is_expected
 from .polygon import LatticePolygon, canonical_form, mixed_volume
 
 
@@ -107,11 +107,15 @@ class ClassificationHit:
 
 def _examine(task):
     """[(m, hit)] over one polygon's increasing m, factors from the oracle.  The
-    rows for m are among those for m + 1, so the first empty system ends it."""
+    rows for m are among those for m + 1, so the first empty system ends it.
+    An `expected_dimension` of 2 or more proves the system nonempty and not a
+    unique curve, so that m is passed over without a kernel."""
     vertices, scan = task
     poly = LatticePolygon(vertices)
     hits = []
     for m, factors in scan:
+        if expected_dimension(poly, m) >= 2:
+            continue
         system = compute_system(poly, m)
         if system.is_empty():
             break

@@ -135,7 +135,7 @@ def verify_family_end_to_end(spec: FamilySpec, budget: int = 8) -> dict:
     mult_claim = verify_multiplicity_lemma(par)
     details: dict = {}
     f = implicitize(par.f1, par.f2, par.f3, par.f4, details)
-    np_ = f.newton_polygon()
+    np_ = details["newton_polygon"]
     target = family_polygon(spec)
     polygon_ok = np_ == target.translated_to_origin()
     mult = f.multiplicity_at_identity()

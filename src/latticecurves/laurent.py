@@ -531,9 +531,10 @@ def _uni_kth_root(p: list[int], k: int) -> list[int] | None:
     return q[::-1]
 
 
-def _perfect_power_root(f: LaurentPolynomial) -> tuple[LaurentPolynomial, int]:
-    """Largest k with f = g^k, for f in `_primitive` form; returns (g, k) with g
-    primitive, or (f, 1).
+def _perfect_power_root(f: LaurentPolynomial,
+                        newton: LatticePolygon) -> tuple[LaurentPolynomial, int]:
+    """Largest k with f = g^k, for f in `_primitive` form with Newton polygon
+    `newton`; returns (g, k) with g primitive, or (f, 1).
 
     NP(g^k) = k NP(g) (Ostrowski), so k divides every coordinate of every
     edge of NP(f); only the divisors of their gcd are tried, largest first.
@@ -541,7 +542,7 @@ def _perfect_power_root(f: LaurentPolynomial) -> tuple[LaurentPolynomial, int]:
     v = u^(du + 1), which is injective on u-degree <= du, mapped back and
     checked exactly as g^k == f.
     """
-    verts = f.newton_polygon().vertices
+    verts = newton.vertices
     (x0, y0), base = verts[0], max(p for p, _ in f.terms) + 1
     edge_gcd = gcd(*(c for x, y in verts for c in (x - x0, y - y0)))
     image = [0] * (max(p + base * q for p, q in f.terms) + 1)
@@ -579,7 +580,8 @@ def implicitize(f1: UniPoly, f2: UniPoly, f3: UniPoly, f4: UniPoly,
     its primitive integer form (`_primitive`); a perfect power g^k is replaced
     by g, checked exactly.  When that is neither a certified power nor
     certified irreducible by `irreducibility_certificate`, it is returned as
-    is and details["normalized"] is False.
+    is and details["normalized"] is False.  details["newton_polygon"] is the
+    Newton polygon of the result.
     """
     g12, g34 = f1.gcd(f2), f3.gcd(f4)
     if not g12.is_zero() and g12.degree > 0:
@@ -601,9 +603,12 @@ def implicitize(f1: UniPoly, f2: UniPoly, f3: UniPoly, f4: UniPoly,
     res = uni_resultant(a, b)
     if res.is_zero():
         raise ConstantMap("degenerate parametrization: resultant vanished")
-    g, k = _perfect_power_root(_primitive(res))
+    f = _primitive(res)
+    newton = f.newton_polygon()
+    g, k = _perfect_power_root(f, newton)
     if _details is not None:
         _details["power"] = k
+        _details["newton_polygon"] = newton if k == 1 else g.newton_polygon()
         _details["normalized"] = g.is_monomial() or k > 1 or (
             irreducibility_certificate(g).verdict == IrreducibilityCertificate.IRREDUCIBLE)
     return g

@@ -86,6 +86,15 @@ class LinearSystem:
         return not self.basis
 
 
+def expected_dimension(poly: LatticePolygon, m: int) -> int:
+    """|poly ∩ Z²| − m(m+1)/2, a lower bound on dim L(poly, m): the kernel of
+    m(m+1)/2 conditions on that many coefficients.  A positive count proves
+    the system nonempty without solving it."""
+    if m < 1:
+        raise RangeError("vanishing order must be at least 1")
+    return poly.lattice_counts()[0] - m * (m + 1) // 2
+
+
 def is_expected(poly: LatticePolygon, m: int) -> bool:
     """True when the point count alone forces a nonzero section."""
     return poly.lattice_counts()[0] > m * (m + 1) // 2

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, product
-from math import ceil, floor, gcd
+from math import gcd
 
 from .errors import DegeneratePolygon, RangeError
 
@@ -52,25 +52,30 @@ def _hull_vertices(points) -> tuple[Point, ...]:
     return tuple(hull)
 
 
-def _slice(halfplanes, t: int) -> tuple[Fraction, Fraction] | None:
-    """Real bounds of {s : n0*t + n1*s >= c for every (n0, n1, c)}, or None if empty.
+def _slice(halfplanes, t: int) -> tuple[int, int] | None:
+    """Integer bounds (ceil lo, floor hi) of the real slice
+    {s : n0*t + n1*s >= c for every (n0, n1, c)}, or None if that is empty.
 
-    The half-planes must cut out a bounded region, so every nonempty slice
-    has both a lower and an upper bound.
+    A nonempty slice may hold no integer, and then ceil lo > floor hi.  The
+    real bounds are kept as fractions (num, den) with den > 0 and compared
+    by cross-multiplication.  The half-planes must cut out a bounded region,
+    so every nonempty slice has both a lower and an upper bound.
     """
     lo = hi = None
     for n0, n1, c in halfplanes:
         if n1 > 0:
-            bound = Fraction(c - n0 * t, n1)
-            if lo is None or bound > lo:
-                lo = bound
+            num, den = c - n0 * t, n1
+            if lo is None or num * lo[1] > lo[0] * den:
+                lo = num, den
         elif n1 < 0:
-            bound = Fraction(c - n0 * t, n1)
-            if hi is None or bound < hi:
-                hi = bound
+            num, den = n0 * t - c, -n1
+            if hi is None or num * hi[1] < hi[0] * den:
+                hi = num, den
         elif n0 * t < c:
             return None
-    return None if lo > hi else (lo, hi)
+    if lo[0] * hi[1] > hi[0] * lo[1]:
+        return None
+    return -(-lo[0] // lo[1]), hi[0] // hi[1]
 
 
 def _canonical_order(verts: tuple[Point, ...]) -> tuple[Point, ...]:
@@ -156,7 +161,7 @@ class LatticePolygon:
         for x in range(min(xs), max(xs) + 1):
             bounds = _slice(halfplanes, x)
             if bounds is not None:
-                pts.extend((x, y) for y in range(ceil(bounds[0]), floor(bounds[1]) + 1))
+                pts.extend((x, y) for y in range(bounds[0], bounds[1] + 1))
         return pts
 
     def contains(self, p: Point) -> bool:
@@ -203,6 +208,10 @@ class LatticePolygon:
         Ties are broken by the lexicographically smallest key (|a|+|b|, a, b)
         over directions normalized to a > 0, or a = 0 and b > 0.
         """
+        return self._lattice_width
+
+    @cached_property
+    def _lattice_width(self) -> tuple[int, Point]:
         if self.is_point:
             return 0, (0, 1)
         if self.is_segment:
@@ -226,7 +235,7 @@ class LatticePolygon:
             bounds = _slice(halfplanes, a)
             if bounds is None:
                 break
-            for b in range(ceil(bounds[0]), floor(bounds[1]) + 1):
+            for b in range(bounds[0], bounds[1] + 1):
                 if a == 0 and b <= 0:
                     continue
                 if gcd(a, b) != 1:

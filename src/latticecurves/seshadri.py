@@ -18,7 +18,7 @@ from .errors import (
     PreconditionFailure,
     RangeError,
 )
-from .linsys import compute_system
+from .linsys import compute_system, expected_dimension
 from .polygon import LatticePolygon, equivalent, polygon
 
 
@@ -45,14 +45,17 @@ def width_upper_bound(poly: LatticePolygon) -> int:
 
 
 def rationality_certificates(poly: LatticePolygon, m: int | None = None) -> list[str]:
-    """Sufficient conditions for the Seshadri constant to be rational."""
+    """Sufficient conditions for the Seshadri constant to be rational.
+
+    With m, L(poly, m) must be nonempty: a positive `expected_dimension`
+    proves it, and only a count <= 0 leaves it to the exact kernel.
+    """
     certs = []
     lw = width_upper_bound(poly)
     if poly.volume > lw * lw:
         certs.append("InteriorClassRational")
     if m is not None:
-        system = compute_system(poly, m)
-        if system.is_empty():
+        if expected_dimension(poly, m) <= 0 and compute_system(poly, m).is_empty():
             raise EmptySystem(f"no curve with multiplicity {m} on this polygon")
         if poly.volume <= m * m:
             certs.append("VolOverM")
@@ -107,7 +110,9 @@ def estimate(poly: LatticePolygon, m: int, irreducible: bool = False) -> Seshadr
 
     Requires vol ≤ m², m ≤ lw and a nonempty system; the upper bound is
     vol/m, exact when the system member is irreducible or when one of the
-    instantiated lower bounds meets it.
+    instantiated lower bounds meets it.  The system is nonempty when
+    |poly ∩ Z²| > m(m+1)/2 (`expected_dimension` > 0: more coefficients than
+    conditions); only otherwise is the exact kernel solved.
     """
     vol = poly.volume
     lw = width_upper_bound(poly)
@@ -115,8 +120,7 @@ def estimate(poly: LatticePolygon, m: int, irreducible: bool = False) -> Seshadr
         raise PreconditionFailure("needs vol <= m^2")
     if m > lw:
         raise PreconditionFailure("needs m <= lattice width")
-    system = compute_system(poly, m)
-    if system.is_empty():
+    if expected_dimension(poly, m) <= 0 and compute_system(poly, m).is_empty():
         raise PreconditionFailure("needs a nonempty system at order m")
     upper = Fraction(vol, m)
     certs = ["VolOverM"]

@@ -221,6 +221,20 @@ def test_classify_matches_flat_reference():
     assert want and len(want) < len(flat_classify(polys, 5, 25))
 
 
+def test_classify_count_route_matches_kernel_route():
+    """The m-scan's count skip against the flat reference, which solves every
+    kernel, on degenerate polygons too and with m up to 8."""
+    rng = random.Random(1214)
+    polys = [convex_hull([(rng.randint(-4, 4), rng.randint(-4, 4))
+                          for _ in range(rng.randint(1, 6))]) for _ in range(60)]
+    # half at the origin, where the unique members are found
+    polys = [p.translated_to_origin() if k % 2 else p for k, p in enumerate(polys)]
+    assert any(p.is_degenerate for p in polys)
+    want = [h.to_json() for h in flat_classify(ELEVEN + polys, 8, 64)]
+    assert [h.to_json() for h in classify_dataset(ELEVEN + polys, 8, 64)] == want
+    assert len(want) > len(ELEVEN)
+
+
 def test_empty_system_stays_empty_at_higher_order():
     rng = random.Random(11)
     for poly in random_polygons(rng, 25):

@@ -183,6 +183,8 @@ MALFORMED_INPUTS = {
     "oracle-infinite-m": _oracle_case('[{' + SQUARE + ', "m": 1e400, "factors": []}]'),
     "bad-vertices": lambda d: ["polygon-info", "--vertices", "0,0 1"],
     "negative-m": lambda d: ["linsys", "--vertices", "0,0 2,1 1,2", "--m", "-3"],
+    "seshadri-negative-m": lambda d: ["seshadri", "--vertices", "0,0 20,1 1,20",
+                                      "--m", "-20"],
     "headerless-table": lambda d: ["wpp", "--a", "9", "--b", "10", "--c", "13", "--table",
                                    _file(d, "table.csv", "36,1,0,0\n39,1,0,0\n")],
     "family-out-of-range": lambda d: ["family", "--id", "III", "--m", "7"],

@@ -404,7 +404,8 @@ def test_implicitize_reduces_the_square_of_a_torus_curve():
     details = {}
     f = implicitize(t2, UniPoly([1]), t2, UniPoly([-1, 0, 1]), details)
     assert f == U + V - U * V
-    assert details == {"power": 2, "normalized": True}
+    assert details == {"power": 2, "normalized": True,
+                       "newton_polygon": polygon((1, 0), (1, 1), (0, 1))}
 
 
 def test_implicitize_vanishes_on_random_parametrizations():
@@ -444,12 +445,16 @@ def test_implicitize_rejects_shared_roots():
         implicitize(t, t, UniPoly([1]), UniPoly([1]))
 
 
+def _power_root(f):
+    return _perfect_power_root(f, f.newton_polygon())
+
+
 def test_perfect_power_extraction():
     g = G
     sq = g * g
-    root, k = _perfect_power_root(sq)
+    root, k = _power_root(sq)
     assert k == 2 and verify_factorization(g, [root])
-    _, k1 = _perfect_power_root(g)
+    _, k1 = _power_root(g)
     assert k1 == 1
 
 
@@ -458,7 +463,7 @@ def test_perfect_power_whose_lead_vanishes_on_v_equal_one():
         power = ONE
         for _ in range(k):
             power = power * g
-        root, found = _perfect_power_root(power)
+        root, found = _power_root(power)
         assert found == k and verify_factorization(g, [root])
 
 
@@ -481,7 +486,7 @@ def test_perfect_power_round_trip_with_huge_coefficients():
     power = LaurentPolynomial.one()
     for k in (1, 2, 3):
         power = power * g
-        root, found = _perfect_power_root(power)
+        root, found = _power_root(power)
         assert found == k and verify_factorization(g, [root])
 
 
@@ -564,7 +569,7 @@ def test_integer_power_route_matches_fraction_route(monkeypatch):
         scalar = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
         f = f.scale(scalar).shift(rng.randint(-3, 3), rng.randint(-3, 3))
         before = len(tried)
-        got = _perfect_power_root(_primitive(f))
+        got = _power_root(_primitive(f))
         assert got == fraction_route(f)
         if kind == "perturbed" and k > 1 and len(tried) > before and got[1] == 1:
             seen.add("rejected")

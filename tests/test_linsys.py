@@ -17,6 +17,7 @@ from latticecurves.linsys import (
     _reduce_mod,
     compute_system,
     condition_matrix,
+    expected_dimension,
     is_expected,
 )
 from latticecurves.modular import _word_primes
@@ -200,6 +201,27 @@ def test_members_vanish_to_order_m():
 def test_is_expected():
     assert is_expected(polygon((0, 0), (4, 1), (1, 4)), 3)
     assert not is_expected(polygon((0, 0), (1, 4), (2, 4), (4, 3)), 4)
+
+
+def test_expected_dimension():
+    tri = polygon((0, 0), (20, 1), (1, 20))
+    assert expected_dimension(tri, 20) == 211 - 210
+    assert expected_dimension(polygon((0, 0), (1, 4), (2, 4), (4, 3)), 4) == 0
+    assert expected_dimension(polygon((3, -2)), 1) == 0
+    for m in (0, -20):
+        with pytest.raises(RangeError, match="vanishing order must be at least 1"):
+            expected_dimension(tri, m)
+
+
+def test_expected_dimension_bounds_the_kernel():
+    rng = random.Random(1212)
+    for _ in range(80):
+        poly = polygon(*{(rng.randint(-4, 4), rng.randint(-4, 4))
+                         for _ in range(rng.randint(1, 6))})
+        m = rng.randint(1, 8)
+        assert expected_dimension(poly, m) == len(poly.lattice_points()) - m * (m + 1) // 2
+        assert expected_dimension(poly, m) <= compute_system(poly, m).dimension, (
+            poly.vertices, m)
 
 
 def test_modular_path_agrees_with_rational_path():

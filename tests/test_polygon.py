@@ -2,7 +2,7 @@ import hashlib
 import random
 from fractions import Fraction
 from itertools import product
-from math import gcd
+from math import ceil, floor, gcd
 
 import pytest
 
@@ -11,6 +11,7 @@ from latticecurves.polygon import (
     LatticePolygon,
     UnimodularMap,
     _at_origin,
+    _slice,
     _square_images,
     canonical_form,
     convex_hull,
@@ -337,6 +338,45 @@ def test_lattice_points_match_contains_scan():
         scan = [(x, y) for x in range(min(xs), max(xs) + 1)
                 for y in range(min(ys), max(ys) + 1) if p.contains((x, y))]
         assert p.lattice_points() == scan
+
+
+def fraction_slice(halfplanes, t):
+    """The real bounds of the slice over Fraction, or None if it is empty:
+    the reference for `_slice`, which returns their integer rounding."""
+    lo = hi = None
+    for n0, n1, c in halfplanes:
+        if n1 > 0:
+            bound = Fraction(c - n0 * t, n1)
+            if lo is None or bound > lo:
+                lo = bound
+        elif n1 < 0:
+            bound = Fraction(c - n0 * t, n1)
+            if hi is None or bound < hi:
+                hi = bound
+        elif n0 * t < c:
+            return None
+    return None if lo > hi else (lo, hi)
+
+
+def test_slice_matches_fraction_reference():
+    r = random.Random(3141)
+    seen = set()
+    for _ in range(4000):
+        # one bound from each side, so every slice is bounded
+        planes = [(r.randint(-7, 7), r.randint(1, 7), r.randint(-20, 20)),
+                  (r.randint(-7, 7), -r.randint(1, 7), r.randint(-20, 20))]
+        planes += [(r.randint(-7, 7), r.randint(-7, 7), r.randint(-20, 20))
+                   for _ in range(r.randint(0, 3))]
+        t = r.randint(-5, 5)
+        want = fraction_slice(planes, t)
+        got = _slice(planes, t)
+        if want is None:
+            assert got is None, (planes, t)
+            seen.add("empty")
+            continue
+        assert got == (ceil(want[0]), floor(want[1])), (planes, t)
+        seen.add("integer-free" if got[0] > got[1] else "integers")
+    assert seen == {"empty", "integer-free", "integers"}
 
 
 def test_minkowski_decompositions_sum_back():

@@ -8,12 +8,15 @@ from latticecurves.errors import (
     DegeneratePolygon,
     EmptyList,
     EmptySystem,
+    LatticeCurveError,
     PreconditionFailure,
     RangeError,
 )
 from latticecurves.families import FamilySpec, family_invariants, family_polygon
-from latticecurves.polygon import convex_hull, polygon
+from latticecurves.linsys import compute_system, expected_dimension
+from latticecurves.polygon import convex_hull, equivalent, polygon
 from latticecurves.seshadri import (
+    SeshadriEstimate,
     component_minimum,
     estimate,
     ito_family_i_lower,
@@ -127,3 +130,86 @@ def test_component_minimum_single_matches_estimate_upper():
 def test_quadrilateral_segment_family():
     for m in (4, 9, 15):
         assert segment_equality(quad(m)) == m == width_upper_bound(quad(m))
+
+
+def test_order_below_one_raises_range_error():
+    tri = polygon((0, 0), (20, 1), (1, 20))
+    with pytest.raises(RangeError, match="vanishing order must be at least 1"):
+        estimate(tri, -20)
+    with pytest.raises(RangeError, match="vanishing order must be at least 1"):
+        rationality_certificates(tri, 0)
+
+
+def test_estimate_at_m20_solves_no_kernel():
+    # 211 lattice points against 210 conditions: the count proves L(Δ, 20) ≠ 0
+    tri = polygon((0, 0), (20, 1), (1, 20))
+    before = compute_system.cache_info()
+    est = estimate(tri, 20, irreducible=True)
+    assert compute_system.cache_info() == before
+    assert est.exact == Fraction(399, 20)
+
+
+def kernel_certificates(poly, m):
+    """Reference for `rationality_certificates`: L(Δ, m) ≠ 0 from the kernel."""
+    certs = []
+    lw = width_upper_bound(poly)
+    if poly.volume > lw * lw:
+        certs.append("InteriorClassRational")
+    if compute_system(poly, m).is_empty():
+        raise EmptySystem(f"no curve with multiplicity {m} on this polygon")
+    if poly.volume <= m * m:
+        certs.append("VolOverM")
+    return certs
+
+
+def kernel_estimate(poly, m, irreducible):
+    """Reference for `estimate`: L(Δ, m) ≠ 0 from the kernel."""
+    vol = poly.volume
+    lw = width_upper_bound(poly)
+    if vol > m * m or m > lw:
+        raise PreconditionFailure("vol > m^2 or m > lattice width")
+    if compute_system(poly, m).is_empty():
+        raise PreconditionFailure("empty system")
+    upper = Fraction(vol, m)
+    certs, lower = ["VolOverM"], Fraction(0)
+    seg = segment_equality(poly)
+    if seg is not None and seg <= upper:
+        lower = seg
+        certs.append("SegmentEquality")
+    if m >= 2 and equivalent(poly, polygon((0, 0), (m, 1), (1, m))):
+        certs.append("ItoFamilyI")
+        lower = max(lower, ito_family_i_lower(m))
+    if irreducible:
+        certs.append("IrreducibleEquality")
+        lower = upper
+    certs.append("WidthBound")
+    return SeshadriEstimate(lower, upper, upper if lower == upper else None, tuple(certs))
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except LatticeCurveError as exc:
+        return type(exc)
+
+
+def test_count_route_matches_kernel_route():
+    rng = random.Random(1213)
+    cases = []
+    for _ in range(150):
+        poly = convex_hull([(rng.randint(-5, 5), rng.randint(-5, 5))
+                            for _ in range(rng.randint(1, 6))])
+        cases.append((poly, rng.randint(1, 8)))
+    cases += [(polygon((0, 0), (m, 1), (1, m)), m) for m in range(1, 9)]
+    cases += [(polygon((0, 0), (1, 4), (2, 4), (4, 3)), 4),  # count 0, empty
+              (family_polygon(FamilySpec("III", 8)), 8)]  # count 0, one curve
+    seen = set()
+    for poly, m in cases:
+        for irr in (False, True):
+            est = _outcome(estimate, poly, m, irr)
+            assert est == _outcome(kernel_estimate, poly, m, irr), (poly.vertices, m, irr)
+            if not poly.is_degenerate:
+                seen.add((expected_dimension(poly, m) > 0, isinstance(est, type)))
+        assert (_outcome(rationality_certificates, poly, m)
+                == _outcome(kernel_certificates, poly, m)), (poly.vertices, m)
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
