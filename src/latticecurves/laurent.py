@@ -194,12 +194,13 @@ class IrreducibilityCertificate:
 
 
 def irreducibility_certificate(
-    f: LaurentPolynomial, witness_factors=None
+    f: LaurentPolynomial, witness_factors=None, newton: LatticePolygon | None = None
 ) -> IrreducibilityCertificate:
     """Certificate for absolute irreducibility.
 
     An integrally indecomposable Newton polygon is sufficient for
-    irreducibility (after stripping the monomial unit).  Reducibility is
+    irreducibility (after stripping the monomial unit); `newton` is f's
+    Newton polygon when the caller has already built it.  Reducibility is
     accepted only with externally supplied factors that verify exactly;
     everything else is Inconclusive.
     """
@@ -216,7 +217,9 @@ def irreducibility_certificate(
                 IrreducibilityCertificate.REDUCIBLE, factors
             )
         return IrreducibilityCertificate(IrreducibilityCertificate.INCONCLUSIVE)
-    if not minkowski_decompositions(f.newton_polygon()):
+    if newton is None:
+        newton = f.newton_polygon()
+    if not minkowski_decompositions(newton):
         return IrreducibilityCertificate(IrreducibilityCertificate.IRREDUCIBLE)
     return IrreducibilityCertificate(IrreducibilityCertificate.INCONCLUSIVE)
 
@@ -607,10 +610,13 @@ def implicitize(f1: UniPoly, f2: UniPoly, f3: UniPoly, f4: UniPoly,
     newton = f.newton_polygon()
     g, k = _perfect_power_root(f, newton)
     if _details is not None:
+        if k > 1:
+            newton = g.newton_polygon()
         _details["power"] = k
-        _details["newton_polygon"] = newton if k == 1 else g.newton_polygon()
+        _details["newton_polygon"] = newton
         _details["normalized"] = g.is_monomial() or k > 1 or (
-            irreducibility_certificate(g).verdict == IrreducibilityCertificate.IRREDUCIBLE)
+            irreducibility_certificate(g, newton=newton).verdict
+            == IrreducibilityCertificate.IRREDUCIBLE)
     return g
 
 

@@ -397,6 +397,30 @@ def test_implicitize_family_i_m2():
     assert verify_factorization(f, [expected])
 
 
+def test_implicitize_builds_the_newton_polygon_once(monkeypatch):
+    built = []
+    newton_polygon = LaurentPolynomial.newton_polygon
+    monkeypatch.setattr(LaurentPolynomial, "newton_polygon",
+                        lambda self: built.append(self) or newton_polygon(self))
+    # k = 1: the power search and the certificate share one polygon
+    details = {}
+    f1, f2, f3 = UniPoly([-1]), geometric_sum(1, 2), UniPoly.t_power(2)
+    f = implicitize(f1, f2, f3, f1 - f2 + f3, details)
+    assert len(built) == 1 and details["power"] == 1 and details["normalized"]
+    assert details["newton_polygon"] == newton_polygon(f)
+    # k = 2: the root's polygon is built once more
+    built.clear()
+    t2 = UniPoly([0, 0, 1])
+    f = implicitize(t2, UniPoly([1]), t2, UniPoly([-1, 0, 1]), details)
+    assert len(built) == 2 and details["newton_polygon"] == newton_polygon(f)
+    # a polygon passed in is the one the certificate reads
+    for g in (G, G * H):
+        assert irreducibility_certificate(g, newton=newton_polygon(g)) \
+            == irreducibility_certificate(g)
+    assert irreducibility_certificate(G * H, newton=newton_polygon(G)).verdict \
+        == IrreducibilityCertificate.IRREDUCIBLE
+
+
 def test_implicitize_reduces_the_square_of_a_torus_curve():
     # t -> (t^2, t^2 / (t^2 - 1)) is 2:1 onto u + v - uv = 0, whose leading
     # u-coefficient 1 - v vanishes on the line v = 1
