@@ -8,7 +8,6 @@ datasets for pairs whose vanishing system contains exactly one curve.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -18,7 +17,7 @@ from .laurent import (
     LaurentPolynomial,
     irreducibility_certificate,
 )
-from .linsys import compute_system, expected_dimension, is_expected
+from .linsys import compute_system, expected_dimension, is_expected, raise_order
 from .polygon import LatticePolygon, canonical_form, mixed_volume
 
 
@@ -109,14 +108,19 @@ def _examine(task):
     """[(m, hit)] over one polygon's increasing m, factors from the oracle.  The
     rows for m are among those for m + 1, so the first empty system ends it.
     An `expected_dimension` of 2 or more proves the system nonempty and not a
-    unique curve, so that m is passed over without a kernel."""
+    unique curve, so that m is passed over without a kernel.  Only the first
+    system is solved; each later order is raised from the one before it
+    (`raise_order`), whose certificate is the check G w = 0 on the new rows."""
     vertices, scan = task
     poly = LatticePolygon(vertices)
-    hits = []
+    hits, system = [], None
     for m, factors in scan:
         if expected_dimension(poly, m) >= 2:
             continue
-        system = compute_system(poly, m)
+        if system is not None and system.order == m - 1:
+            system = raise_order(system)
+        else:
+            system = compute_system(poly, m)
         if system.is_empty():
             break
         if system.dimension != 1:
@@ -158,6 +162,8 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
         tasks.append((poly.vertices, [(m, oracle.get((key, m)))
                                       for m in range(1, m_max + 1) if vol - m * m <= 0]))
     if jobs and jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             found = list(pool.map(_examine, tasks))
     else:

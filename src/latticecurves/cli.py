@@ -92,7 +92,7 @@ def cmd_polygon_info(args) -> int:
         out["lattice_width"] = lw
         out["width_direction"] = list(direction)
         out["canonical"] = [list(v) for v in canonical_form(poly).vertices]
-    if args.m:
+    if args.m is not None:
         pair = numeric_invariants(poly, args.m)
         out["m"] = args.m
         out["self_intersection"] = pair.self_intersection
@@ -158,7 +158,7 @@ def cmd_surface(args) -> int:
 def cmd_seshadri(args) -> int:
     poly = parse_vertices(args.vertices)
     out = {"width_upper_bound": width_upper_bound(poly)}
-    if args.m:
+    if args.m is not None:
         out["certificates"] = rationality_certificates(poly, args.m)
         est = estimate(poly, args.m, irreducible=args.irreducible)
         out["estimate"] = est.to_json()
@@ -198,7 +198,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("polygon-info", cmd_polygon_info)
     p.add_argument("--vertices", required=True)
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--m", type=int)
 
     p = add("linsys", cmd_linsys)
     p.add_argument("--vertices", required=True)
@@ -225,7 +225,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = add("seshadri", cmd_seshadri)
     p.add_argument("--vertices", required=True)
-    p.add_argument("--m", type=int, default=0)
+    p.add_argument("--m", type=int)
     p.add_argument("--irreducible", action="store_true")
 
     p = add("wpp", cmd_wpp)

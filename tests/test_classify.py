@@ -7,6 +7,7 @@ import pytest
 
 from latticecurves.classify import (
     ClassificationHit,
+    _examine,
     classify_dataset,
     expected_case,
     intersection_product,
@@ -233,6 +234,17 @@ def test_classify_count_route_matches_kernel_route():
     want = [h.to_json() for h in flat_classify(ELEVEN + polys, 8, 64)]
     assert [h.to_json() for h in classify_dataset(ELEVEN + polys, 8, 64)] == want
     assert len(want) > len(ELEVEN)
+
+
+def test_scan_solves_only_its_first_system():
+    """At m = 2 the triangle's system holds one curve; m = 3 is raised from
+    it, empty, without a second kernel."""
+    tri = polygon((0, 0), (2, 1), (1, 2))
+    compute_system.cache_clear()
+    hits = _examine((tri.vertices, [(2, None), (3, None), (4, None)]))
+    assert [m for m, _ in hits] == [2]
+    info = compute_system.cache_info()
+    assert (info.misses, info.hits) == (1, 0)
 
 
 def test_empty_system_stays_empty_at_higher_order():

@@ -133,19 +133,27 @@ def test_dataset_ingestion_reports_line(tmp_path):
     assert err.value.line == 2
 
 
-def test_parse_error_exit_code_names_line_once(tmp_path):
-    f = tmp_path / "bad.txt"
-    f.write_text("0,0 1,0 0,1\n0,0 oops\n")
-    # the child process imports the same package as this one
+def run_child(*args):
+    """Run python with `args` on the package that this process imports."""
     src = str(Path(latticecurves.__file__).parents[1])
     env = {**os.environ,
            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "latticecurves.cli", "classify", "--dataset", str(f)],
-        capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+
+
+def test_parse_error_exit_code_names_line_once(tmp_path):
+    f = tmp_path / "bad.txt"
+    f.write_text("0,0 1,0 0,1\n0,0 oops\n")
+    proc = run_child("-m", "latticecurves.cli", "classify", "--dataset", str(f))
     assert proc.returncode == 2
     assert proc.stderr.count("line 2") == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_cli_import_leaves_the_process_pool_out():
+    proc = run_child("-c", "import sys, latticecurves.cli; "
+                           "print('concurrent.futures' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
 
 
 def test_bad_oracle_entry_names_its_index(tmp_path, capsys):
@@ -185,6 +193,8 @@ MALFORMED_INPUTS = {
     "negative-m": lambda d: ["linsys", "--vertices", "0,0 2,1 1,2", "--m", "-3"],
     "seshadri-negative-m": lambda d: ["seshadri", "--vertices", "0,0 20,1 1,20",
                                       "--m", "-20"],
+    "seshadri-zero-m": lambda d: ["seshadri", "--vertices", "0,0 20,1 1,20", "--m", "0"],
+    "polygon-info-zero-m": lambda d: ["polygon-info", "--vertices", "0,0 2,1 1,2", "--m", "0"],
     "headerless-table": lambda d: ["wpp", "--a", "9", "--b", "10", "--c", "13", "--table",
                                    _file(d, "table.csv", "36,1,0,0\n39,1,0,0\n")],
     "family-out-of-range": lambda d: ["family", "--id", "III", "--m", "7"],

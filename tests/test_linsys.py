@@ -19,6 +19,7 @@ from latticecurves.linsys import (
     condition_matrix,
     expected_dimension,
     is_expected,
+    raise_order,
 )
 from latticecurves.modular import _word_primes
 from latticecurves.polygon import polygon
@@ -201,6 +202,9 @@ def test_members_vanish_to_order_m():
 def test_is_expected():
     assert is_expected(polygon((0, 0), (4, 1), (1, 4)), 3)
     assert not is_expected(polygon((0, 0), (1, 4), (2, 4), (4, 3)), 4)
+    for m in (0, -5):
+        with pytest.raises(RangeError, match="vanishing order must be at least 1"):
+            is_expected(polygon((0, 0), (20, 1), (1, 20)), m)
 
 
 def test_expected_dimension():
@@ -222,6 +226,24 @@ def test_expected_dimension_bounds_the_kernel():
         assert expected_dimension(poly, m) == len(poly.lattice_points()) - m * (m + 1) // 2
         assert expected_dimension(poly, m) <= compute_system(poly, m).dimension, (
             poly.vertices, m)
+
+
+def test_raise_order_matches_compute_system():
+    """Two routes to L(poly, m + 1): raised from L(poly, m), and solved."""
+    rng = random.Random(1313)
+    seen = set()
+    for _ in range(400):
+        poly = polygon(*{(rng.randint(-4, 3), rng.randint(-3, 4))
+                         for _ in range(rng.randint(1, 5))})
+        for m in range(1, 8):
+            system = compute_system(poly, m)
+            raised = raise_order(system)
+            assert raised == compute_system(poly, m + 1), (poly.vertices, m)
+            seen.add((poly.is_degenerate, min(system.dimension, 2), min(raised.dimension, 1)))
+            if raised.is_empty():
+                break
+    # degenerate polygons, an empty system, d = 1, and ker G both empty and not
+    assert {(True, 0, 0), (True, 1, 0), (False, 1, 0), (False, 2, 0), (False, 2, 1)} <= seen
 
 
 def test_modular_path_agrees_with_rational_path():
