@@ -43,6 +43,7 @@ from .polygon import (
     convex_hull,
     enumerate_polygons,
     equivalent,
+    is_decomposable,
     minkowski_decompositions,
     minkowski_sum,
     mixed_volume,

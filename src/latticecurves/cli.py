@@ -217,7 +217,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--id", required=True, choices=FAMILIES)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--verify", action="store_true")
-    p.add_argument("--budget", type=int, default=8)
+    p.add_argument("--budget", type=int, default=20)
 
     p = add("surface", cmd_surface)
     p.add_argument("--k-range", type=int, default=50)

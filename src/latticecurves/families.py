@@ -125,7 +125,7 @@ def verify_multiplicity_lemma(p: Parametrization) -> int:
     return diff.degree
 
 
-def verify_family_end_to_end(spec: FamilySpec, budget: int = 8) -> dict:
+def verify_family_end_to_end(spec: FamilySpec, budget: int = 20) -> dict:
     """Implicitize and compare against the table; returns a JSON-able report."""
     if spec.family == "V":
         raise NoParametrization("family V has no explicit parametrization")

@@ -23,7 +23,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .modular import _word_primes, crt_step
-from .polygon import LatticePolygon, minkowski_decompositions
+from .polygon import LatticePolygon, is_decomposable
 
 Exponent = tuple[int, int]
 
@@ -37,12 +37,16 @@ class LaurentPolynomial:
         clean = {}
         if terms:
             for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                c = Fraction(c)
+                if type(c) is not Fraction:
+                    c = Fraction(c)
                 if c:
                     key = (int(e[0]), int(e[1]))
-                    clean[key] = clean.get(key, Fraction(0)) + c
-                    if not clean[key]:
-                        del clean[key]
+                    if key in clean:
+                        c += clean[key]
+                        if not c:
+                            del clean[key]
+                            continue
+                    clean[key] = c
         self.terms = clean
 
     @staticmethod
@@ -219,7 +223,7 @@ def irreducibility_certificate(
         return IrreducibilityCertificate(IrreducibilityCertificate.INCONCLUSIVE)
     if newton is None:
         newton = f.newton_polygon()
-    if not minkowski_decompositions(newton):
+    if not is_decomposable(newton):
         return IrreducibilityCertificate(IrreducibilityCertificate.IRREDUCIBLE)
     return IrreducibilityCertificate(IrreducibilityCertificate.INCONCLUSIVE)
 
@@ -366,39 +370,56 @@ def _res_mod_batch(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     Res_{n,m-1}(a, b); swap a vanishing a_n or n < m, Res_{n,m}(a, b) =
     (-1)^(nm) Res_{m,n}(b, a); else reduce, Res_{n,m}(a, b) = (-1)^(nm)
     b_m^(1-m) Res_{m,n-1}(b, r) with r = b_m a - a_n t^(n-m) b, whose lead
-    vanishes.  Entries stay below p, so products stay below 2**62; the
-    powers b_m^m gather in a denominator, inverted once per row at the end.
+    vanishes.  Entries stay below p, so products stay below 2**62.  No power
+    is taken on the way: the parities nm gather in one sign per row, and a
+    reducing row multiplies b_m into acc[row, m - 1], indexed by the
+    exponent, so the denominator prod_e acc[:, e]^e is at the end
+    prod_{k>=1} prod_{e>=k} acc[:, e], a product of suffix products, inverted
+    once for all rows by one Fermat power.
     """
     (rows, n1), m1 = a.shape, b.shape[1]
-    A, B, T = np.zeros((3, rows, max(n1, m1) + 1), np.int64)  # last column stays 0
+    width = max(n1, m1)
+    A, B, T = np.zeros((3, rows, width + 1), np.int64)  # last column stays 0
     A[:, :n1], B[:, :m1] = a[:, ::-1], b[:, ::-1]
     da, db = np.full(rows, n1 - 1), np.full(rows, m1 - 1)
-    num, den, res_num, res_den = np.ones((4, rows), np.int64)
-    live = np.ones(rows, bool)  # a finished row runs on, but is never read again
+    num, res = np.ones((2, rows), np.int64)
+    odd = np.zeros(rows, np.int64)
+    acc = np.ones((rows, width), np.int64)  # column 0 takes what no row reads
+    flat, base, pc = acc.reshape(-1), np.arange(0, rows * width, width), p[:, None]
+    left = rows
     while True:
-        done = live & ((da == 0) | (db == 0))
+        done = da * db == 0
         if done.any():
             c, k, q = np.where(da == 0, A[:, 0], B[:, 0])[done], (da + db)[done], p[done]
-            res_num[done], res_den[done] = num[done] * _pow_mod(c, k, q) % q, den[done]
-            live &= ~done
-            if not live.any():
+            res[done] = num[done] * _pow_mod(c, k, q) % q
+            # a finished row runs on, popping a zero b for ever
+            B[done], da[done], db[done] = 0, -1, -1
+            left -= np.count_nonzero(done)
+            if not left:
                 break
         an, bm = A[:, 0], B[:, 0]
         pop = bm == 0
-        swap = ~pop & ((an == 0) | (da < db))
-        red = ~(pop | swap)
-        sign = np.where(pop | (da * db % 2 == 0), 1, p - 1)
-        num = num * np.where(pop, an, np.where(red, bm, 1)) % p * sign % p
-        den = den * _pow_mod(np.where(red, bm, 1), db, p) % p
+        keep = ~pop
+        swap = keep & ((an == 0) | (da < db))
+        red = keep ^ swap
+        odd ^= da & db & keep
+        num = num * np.where(pop, an, 1) % p
+        i = base + np.where(red, db - 1, 0)
+        flat[i] = flat[i] * bm % p
         np.multiply(A, bm[:, None], out=T)  # r, whose tail is the next b
         T -= B * an[:, None]
-        T %= p[:, None]
+        T %= pc
         np.copyto(T, B, where=pop[:, None])
         np.copyto(T[:, 1:], A[:, :-1], where=swap[:, None])
-        np.copyto(A, B, where=~pop[:, None])
+        np.copyto(A, B, where=keep[:, None])
         B[:, :-1] = T[:, 1:]
-        da, db = np.where(pop, da, db), np.where(swap, da, np.where(pop, db, da) - 1)
-    return res_num * _pow_mod(res_den, p - 2, p) % p
+        da, db = np.where(pop, da, db), np.where(pop, db, da) - ~swap
+    suffix, den = np.ones((2, rows), np.int64)
+    for e in range(width - 1, 0, -1):
+        suffix = suffix * acc[:, e] % p
+        den = den * suffix % p
+    res = res * _pow_mod(den, p - 2, p) % p
+    return np.where(odd & 1, (p - res) % p, res)
 
 
 def _interpolate_mod(values, p) -> np.ndarray:
@@ -431,6 +452,30 @@ def _integer_side(side: TPoly):
     return terms, (dp, dq), lam
 
 
+def _grid_residues(side, nx: int, ny: int, primes: list[int]) -> np.ndarray:
+    """Residues of an integer side's t-coefficients at the grid points (x, y),
+    x = 1..nx and y = 1..ny, mod every prime: int64, indexed (prime, y, x,
+    t-degree).  `side` lists the terms (e, f, c) of each t-coefficient, with
+    e, f >= 0, as `_integer_side` gives them.  Each coefficient is reduced
+    once per prime in Python ints, so any size is exact; the powers of the
+    nodes come from one table per prime, and each product of two residues
+    below p < 2**31 stays below 2**62."""
+    deg, e, f, c = zip(*((i, *term) for i, t in enumerate(side) for term in t))
+    deg, e, f = np.array(deg), np.array(e), np.array(f)
+    p = np.array(primes, dtype=np.int64)[:, None, None]
+    table = np.ones((len(primes), max(e.max(), f.max()) + 1, max(nx, ny)), np.int64)
+    for k in range(1, table.shape[1]):  # table[prime, k, node - 1] = node^k mod p
+        table[:, k] = table[:, k - 1] * np.arange(1, table.shape[2] + 1) % p[:, 0]
+    coef = np.array([[x % q for x in c] for q in primes], np.int64)
+    ux = coef[..., None] * table[:, e, :nx] % p  # (prime, term, x)
+    terms = ux[:, :, None, :] * table[:, f, :ny, None] % p[..., None]  # (prime, term, y, x)
+    first = np.flatnonzero(np.diff(deg, prepend=-1))  # terms come in t-degree order
+    out = np.zeros((len(primes), ny, nx, len(side)), np.int64)
+    out[..., deg[first]] = np.moveaxis(np.add.reduceat(terms, first, axis=1) % p[..., None],
+                                       1, -1)
+    return out
+
+
 def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
     """Classical resultant in t, by Collins' modular method (JACM 1971).
 
@@ -438,14 +483,17 @@ def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
     nonzero (raise DegenerateInput otherwise; trimming is the caller's job).
     Each side is scaled to integers with nonnegative exponents, and each
     t-coefficient is evaluated once on a (u, v) grid sized by the degree
-    bound.  One lockstep Euclid takes the resultant at every grid point mod
-    every word prime, then one Newton interpolation over every prime in u,
-    then in v.
+    bound, straight to int64 residues mod every word prime
+    (`_grid_residues`).  One lockstep Euclid takes the resultant at every
+    grid point mod every prime, then one Newton interpolation over every
+    prime in u, then in v.
     The primes, fixed up front, multiply past twice the Goldstein-Graham
     bound (SIAM Review 1974) (sum_i ||a_i||_1^2)^(deg B/2) (sum_j
     ||b_j||_1^2)^(deg A/2): Hadamard's inequality on the Sylvester matrix
-    over |u| = |v| = 1 bounds each integer coefficient by it, so the lift is
-    exact.  Res(lam A, mu B) = lam^deg B mu^deg A Res(A, B) undoes the scaling.
+    over |u| = |v| = 1 bounds each integer coefficient by it, so the
+    symmetric Chinese-remainder lift is exact.  The lift visits only the
+    coefficients with a nonzero residue.  Res(lam A, mu B) = lam^deg B
+    mu^deg A Res(A, B) undoes the scaling.
     """
     if len(a) < 2 or len(b) < 2:
         raise DegenerateInput("resultant needs deg_t >= 1 on both sides")
@@ -465,26 +513,22 @@ def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
     primes, stream = [], _word_primes()
     while prod(primes) <= bound:
         primes.append(next(stream))
-    x = np.arange(1, du + 2, dtype=object)
-    y = np.arange(1, dv + 2, dtype=object)[:, None]
-    # each t-coefficient once on the grid, exactly; lines v = y by rows
-    ga, gb = (np.stack([sum((c * x ** e * y ** f for e, f, c in t), 0 * x * y)
-                        for t in side], axis=-1) for side in (ia, ib))
-    row_primes = np.repeat(primes, x.size * y.size)  # prime-major, then the grid
-    vals = _res_mod_batch(*(np.stack([(g % p).astype(np.int64) for p in primes])
-                            .reshape(row_primes.size, -1) for g in (ga, gb)), row_primes)
+    rows = len(primes) * (du + 1) * (dv + 1)  # prime-major, then lines v = y
+    vals = _res_mod_batch(*(_grid_residues(side, du + 1, dv + 1, primes).reshape(rows, -1)
+                            for side in (ia, ib)), np.repeat(primes, rows // len(primes)))
     vals = vals.reshape(len(primes), dv + 1, du + 1)
     ps = np.array(primes)[:, None]
     in_u = _interpolate_mod(vals.transpose(2, 0, 1), ps)  # (u, prime, v)
     coeffs = _interpolate_mod(in_u.transpose(2, 1, 0), ps)  # (v, prime, u)
+    qs, us = np.nonzero(coeffs.any(axis=1))
     crt, mod = 0, 1
-    for p, c in zip(primes, coeffs.transpose(1, 0, 2)):
-        crt, mod = crt_step(crt, mod, c.astype(object), p), mod * p
+    for p, r in zip(primes, coeffs[qs, :, us].T):
+        crt, mod = crt_step(crt, mod, r.astype(object), p), mod * p
     crt = np.where(2 * crt > mod, crt - mod, crt)
     shift_u, shift_v = (deg_b * sa[i] + deg_a * sb[i] for i in (0, 1))
     scale = la ** deg_b * lb ** deg_a
     return LaurentPolynomial({(p - shift_u, q - shift_v): Fraction(c, scale)
-                              for (q, p), c in np.ndenumerate(crt)})
+                              for q, p, c in zip(qs.tolist(), us.tolist(), crt.tolist())})
 
 
 def _primitive(f: LaurentPolynomial) -> LaurentPolynomial:
@@ -593,16 +637,11 @@ def implicitize(f1: UniPoly, f2: UniPoly, f3: UniPoly, f4: UniPoly,
         raise SharedRoot("f3 and f4 share a factor")
     if f1.degree <= 0 and f2.degree <= 0 and f3.degree <= 0 and f4.degree <= 0:
         raise ConstantMap("parametrization is constant")
-    u = LaurentPolynomial.monomial(1, 0)
-    v = LaurentPolynomial.monomial(0, 1)
     deg = max(f1.degree, f2.degree, f3.degree, f4.degree)
-
-    a = [_const_lp(num_coeff(f1, i)) - u * _const_lp(num_coeff(f2, i))
-         for i in range(deg + 1)]
-    b = [_const_lp(num_coeff(f3, i)) - v * _const_lp(num_coeff(f4, i))
-         for i in range(deg + 1)]
-    a = _trim(a)
-    b = _trim(b)
+    a = _trim([LaurentPolynomial({(0, 0): num_coeff(f1, i), (1, 0): -num_coeff(f2, i)})
+               for i in range(deg + 1)])  # f1 - u f2
+    b = _trim([LaurentPolynomial({(0, 0): num_coeff(f3, i), (0, 1): -num_coeff(f4, i)})
+               for i in range(deg + 1)])  # f3 - v f4
     res = uni_resultant(a, b)
     if res.is_zero():
         raise ConstantMap("degenerate parametrization: resultant vanished")
@@ -622,7 +661,3 @@ def implicitize(f1: UniPoly, f2: UniPoly, f3: UniPoly, f4: UniPoly,
 
 def num_coeff(p: UniPoly, i: int) -> Fraction:
     return p.coeffs[i] if i < len(p.coeffs) else Fraction(0)
-
-
-def _const_lp(c: Fraction) -> LaurentPolynomial:
-    return LaurentPolynomial({(0, 0): c}) if c else LaurentPolynomial.zero()

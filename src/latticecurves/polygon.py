@@ -369,6 +369,30 @@ def _polygon_from_edges(edges: list[tuple[Point, int]]) -> LatticePolygon:
     return LatticePolygon.hull(pts).translated_to_origin()
 
 
+def is_decomposable(poly: LatticePolygon) -> bool:
+    """True iff poly is a Minkowski sum of two lattice polygons that are not
+    points, by Gao and Lauder's pseudo-polynomial search (DCG 26, 2001).
+
+    A summand takes 0..g of the g primitive segments of each CCW edge and
+    closes up.  One walk over the edges keeps the set of reachable states
+    (partial sum, some segment taken, some segment left), pruned when the
+    |dx| or |dy| still to come cannot bring the sum back to (0, 0); poly is
+    decomposable iff (0, 0, True, True) is reached.
+    """
+    if poly.is_point:
+        return False
+    edges = _edge_multiset(poly)
+    left_x = sum(abs(dx) * g for (dx, _), g in edges)
+    left_y = sum(abs(dy) * g for (_, dy), g in edges)
+    states = {(0, 0, False, False)}
+    for (dx, dy), g in edges:
+        left_x, left_y = left_x - abs(dx) * g, left_y - abs(dy) * g
+        states = {(x + c * dx, y + c * dy, took or c > 0, kept or c < g)
+                  for x, y, took, kept in states for c in range(g + 1)
+                  if abs(x + c * dx) <= left_x and abs(y + c * dy) <= left_y}
+    return (0, 0, True, True) in states
+
+
 _DECOMPOSITION_LIMIT = 1_000_000  # largest edge sub-multiset search
 
 

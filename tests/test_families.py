@@ -106,7 +106,9 @@ def test_end_to_end_family_ii_m5():
 
 def test_end_to_end_budget():
     with pytest.raises(RangeError):
-        verify_family_end_to_end(FamilySpec("I", 9))
+        verify_family_end_to_end(FamilySpec("I", 9), budget=8)
+    with pytest.raises(RangeError):  # the default budget is m = 20
+        verify_family_end_to_end(FamilySpec("I", 21))
     with pytest.raises(NoParametrization):
         verify_family_end_to_end(FamilySpec("V", 6))
 

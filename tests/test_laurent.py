@@ -10,7 +10,6 @@ from latticecurves.errors import (
     DegenerateInput,
     HypothesisFailure,
     MonomialInput,
-    RangeError,
     SharedRoot,
     ZeroPolynomial,
 )
@@ -18,7 +17,7 @@ from latticecurves.laurent import (
     IrreducibilityCertificate,
     LaurentPolynomial,
     UniPoly,
-    _const_lp,
+    _grid_residues,
     _integer_side,
     _interpolate_mod,
     _int_kth_root,
@@ -45,6 +44,10 @@ H = LaurentPolynomial({(5, 3): 1, (5, 2): -2, (4, 3): -6, (4, 2): 11,
                        (3, 4): -2, (3, 3): 17, (3, 2): -24, (3, 1): -1,
                        (2, 5): -1, (2, 4): 7, (2, 3): -22, (2, 2): 21,
                        (2, 1): 5, (1, 2): 4, (1, 1): -9, (0, 0): 1})
+
+
+def _const_lp(c) -> LaurentPolynomial:
+    return LaurentPolynomial({(0, 0): c})
 
 
 def sylvester_matrix(a: list, b: list) -> list[list]:
@@ -80,10 +83,10 @@ def sylvester_det_direct(a, b) -> LaurentPolynomial:
     return det(list(range(n)), list(range(n)))
 
 
-def _res_mod(a: list[int], b: list[int], p: int) -> int:
+def _res_mod(a: list[int], b: list[int], p: int, seen: set | None = None) -> int:
     """Res(a, b) mod p at formal degrees n = len(a) - 1 and m = len(b) - 1,
     by Euclid, one pair at a time; coefficients lowest first.  The reference
-    for the lockstep `_res_mod_batch`.
+    for the lockstep `_res_mod_batch`; `seen` collects the branches taken.
 
     A lead that vanishes mod p lowers the formal degree of its side:
     Res_{n,m}(a, b) = a_n Res_{n,m-1}(a, b) when b_m = 0, and 0 when a_n = 0
@@ -93,18 +96,29 @@ def _res_mod(a: list[int], b: list[int], p: int) -> int:
     (-1)^(nm) b_m^(n-m+1) Res_{m,m-1}(b, r).
     """
     a, b, res = [c % p for c in a], [c % p for c in b], 1
+    seen = set() if seen is None else seen
+    last = None
     while True:
         n, m = len(a) - 1, len(b) - 1
         if not n or not m:
+            seen.add("finish")
             return res * pow(a[0], m, p) * pow(b[0], n, p) % p
         if not b[-1]:
             if not a[-1]:
+                seen.add("both leads vanish")
                 return 0
+            seen.add("pop run" if last == "pop" else "pop")
+            last = "pop"
             res = res * a[-1] % p
             b.pop()
-        elif not a[-1] or n < m:
+            continue
+        last = None
+        if not a[-1] or n < m:
+            seen.add("swap")
             a, b, res = b, a, res * (-1) ** (n * m)
         else:
+            # the lockstep batch reduces n - m + 1 times at the exponent m
+            seen.add("reduce" if n == m else "reduce, exponent repeated")
             inv = pow(b[-1], -1, p)
             for i in range(n, m - 1, -1):
                 c = a[i] * inv % p
@@ -190,8 +204,10 @@ def test_irreducibility_certificates():
         irreducibility_certificate(LaurentPolynomial.monomial(2, -3))
 
 
-def test_certificate_past_the_decomposition_limit_raises_range_error():
-    # an octagon with eight edges of lattice length 6: 7**8 sub-multisets
+def test_certificate_past_the_decomposition_limit_is_inconclusive():
+    # an octagon with eight edges of lattice length 6, past the 10**6 bound of
+    # the listing search (7**8 sub-multisets); it is a zonotope, a sum of four
+    # segments, so decomposable and no proof of irreducibility
     walk = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
     verts, x, y = [], 0, 0
     for dx, dy in walk:
@@ -199,8 +215,7 @@ def test_certificate_past_the_decomposition_limit_raises_range_error():
         x, y = x + 6 * dx, y + 6 * dy
     f = LaurentPolynomial({e: 1 for e in verts})
     assert len(f.newton_polygon().vertices) == 8
-    with pytest.raises(RangeError):
-        irreducibility_certificate(f)
+    assert irreducibility_certificate(f).verdict == IrreducibilityCertificate.INCONCLUSIVE
 
 
 def test_unipoly_arithmetic_and_gcd():
@@ -284,6 +299,16 @@ def test_resultant_matches_direct_expansion_with_huge_coefficients():
         assert min(res.terms.values()) < 0
 
 
+def test_resultant_keeps_a_coefficient_that_vanishes_mod_a_prime():
+    # Res(t + p u, t - 1) = -1 - p u needs two primes, and its u-coefficient
+    # is zero mod the first: the lift must still visit it
+    p = next(_word_primes())
+    a = [LaurentPolynomial.monomial(1, 0, p), ONE]
+    b = [_const_lp(-1), ONE]
+    assert uni_resultant(a, b) == sylvester_det_direct(a, b) == \
+        LaurentPolynomial({(0, 0): -1, (1, 0): -p})
+
+
 def test_resultant_matches_sympy_up_to_sign():
     sympy = pytest.importorskip("sympy")
     t, u, v = sympy.symbols("t u v")
@@ -362,6 +387,60 @@ def test_res_mod_batch_matches_scalar_euclid():
         assert _res_mod_batch(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
                               p).tolist() == want
     assert len(seen) == 4
+
+
+def test_res_mod_batch_takes_every_branch_like_scalar_euclid():
+    # one batch mixes primes; long sides against short ones make the batch
+    # reduce at one exponent again and again; zeroed tops give runs of
+    # vanishing leads; width 1 gives degree-0 sides
+    rng = random.Random(1407)
+    primes = [2, 3, 5, 7, 101, *islice(_word_primes(), 4)]
+    seen = set()
+    for _ in range(60):
+        n1, m1, rows = rng.randint(1, 9), rng.randint(1, 9), rng.randint(2, 60)
+        p = [rng.choice(primes) for _ in range(rows)]
+        a, b = ([[rng.randrange(q) for _ in range(width)] for q in p] for width in (n1, m1))
+        for row in a + b:
+            if rng.random() < 0.3:
+                k = rng.randint(1, len(row))
+                row[-k:] = [0] * k
+        if len(set(p)) > 1:
+            seen.add("mixed primes")
+        if min(n1, m1) == 1:
+            seen.add("degree 0")
+        want = [_res_mod(x, y, q, seen) for x, y, q in zip(a, b, p)]
+        got = _res_mod_batch(np.array(a, np.int64), np.array(b, np.int64),
+                             np.array(p, np.int64))
+        assert got.tolist() == want
+    assert seen == {"mixed primes", "degree 0", "finish", "both leads vanish", "pop",
+                    "pop run", "swap", "reduce", "reduce, exponent repeated"}
+
+
+def test_grid_residues_match_exact_evaluation():
+    # coefficients past 2**64 of both signs, zero t-coefficients, 1 to 14
+    # primes; exponents up to 40 make node powers full-size residues
+    rng = random.Random(4711)
+    seen = set()
+    for _ in range(60):
+        deg, top = rng.randint(0, 5), rng.choice([4, 40])
+        side = [[(rng.randint(0, top), rng.randint(0, top),
+                  rng.choice([-1, 1]) * rng.randint(1, 2 ** rng.choice([8, 40, 70, 130])))
+                 for _ in range(rng.randint(0 if i < deg else 1, 3))] for i in range(deg + 1)]
+        nx, ny = rng.randint(1, 8), rng.randint(1, 8)
+        primes = list(islice(_word_primes(), rng.randint(1, 14)))
+        x = np.arange(1, nx + 1, dtype=object)
+        y = np.arange(1, ny + 1, dtype=object)[:, None]
+        exact = np.stack([sum((c * x ** e * y ** f for e, f, c in t), 0 * x * y)
+                          for t in side], axis=-1)
+        want = np.stack([(exact % q).astype(np.int64) for q in primes])
+        assert np.array_equal(_grid_residues(side, nx, ny, primes), want)
+        cs = [c for t in side for *_, c in t]
+        seen.update(k for k, hit in (("zero coefficient", not all(side)),
+                                     ("past 2**64", max(map(abs, cs)) > 2**64),
+                                     ("negative", min(cs) < 0),
+                                     (f"{len(primes)} primes", len(primes) in (1, 14)))
+                    if hit)
+    assert seen >= {"zero coefficient", "past 2**64", "negative", "1 primes", "14 primes"}
 
 
 def test_interpolate_mod_recovers_integer_polynomials():
@@ -461,6 +540,42 @@ def test_implicitize_vanishes_on_random_parametrizations():
                 assert f.evaluate(u, v) == 0
                 points += 1
         assert points >= 5
+
+
+def test_implicitize_matches_the_primitive_resultant_and_the_fraction_route():
+    # t -> t^k makes the map k:1, so the resultant is a true k-th power
+    rng = random.Random(1974)
+
+    def rand_pair():
+        while True:
+            p, q = (UniPoly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                             for _ in range(rng.randint(1, 4))]) for _ in range(2))
+            if (not p.is_zero() and not q.is_zero() and max(p.degree, q.degree) >= 1
+                    and p.gcd(q).degree == 0):
+                return p, q
+
+    def at_power(f, k):  # f(t^k)
+        return UniPoly([0 if i % k else f.coeffs[i // k] for i in range(k * f.degree + 1)])
+
+    seen = set()
+    for _ in range(30):
+        k = rng.choice([1, 1, 2, 3])
+        f1, f2, f3, f4 = (at_power(f, k) for f in (*rand_pair(), *rand_pair()))
+        details = {}
+        g = implicitize(f1, f2, f3, f4, details)
+        deg = max(f1.degree, f2.degree, f3.degree, f4.degree)
+        a = _trim([_const_lp(num_coeff(f1, i)) - U * _const_lp(num_coeff(f2, i))
+                   for i in range(deg + 1)])
+        b = _trim([_const_lp(num_coeff(f3, i)) - V * _const_lp(num_coeff(f4, i))
+                   for i in range(deg + 1)])
+        res = uni_resultant(a, b)
+        power = ONE
+        for _ in range(details["power"]):
+            power = power * g
+        assert power == _primitive(res)
+        assert (g, details["power"]) == fraction_route(res)
+        seen.add(details["power"])
+    assert seen >= {1, 2, 3}
 
 
 def test_implicitize_rejects_shared_roots():

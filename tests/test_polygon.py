@@ -17,6 +17,7 @@ from latticecurves.polygon import (
     convex_hull,
     enumerate_polygons,
     equivalent,
+    is_decomposable,
     minkowski_decompositions,
     minkowski_sum,
     mixed_volume,
@@ -394,6 +395,37 @@ def test_minkowski_decompositions_sum_back():
     seg = polygon((1, -2), (7, 7))
     assert [(p.vertices, q.vertices) for p, q in minkowski_decompositions(seg)] == \
         [(((0, 0), (2, 3)), ((0, 0), (4, 6)))]
+
+
+def test_is_decomposable_matches_the_decomposition_search():
+    rng = random.Random(2001)
+    seen = set()
+    for _ in range(3000):
+        span = rng.randint(3, 10)
+        p = convex_hull([(rng.randint(0, span), rng.randint(0, span))
+                         for _ in range(rng.randint(1, 7))])
+        got = is_decomposable(p)
+        assert got == bool(minkowski_decompositions(p)), p.vertices
+        seen.add((got, len(p.vertices) if len(p.vertices) < 3 else "polygon"))
+    assert seen == {(False, 1), (False, 2), (True, 2), (False, "polygon"),
+                    (True, "polygon")}
+
+
+def test_is_decomposable_past_the_search_limit():
+    # octagons with edges of lattice length g: zonotopes, so decomposable,
+    # while the search would list (g + 1)**8 sub-multisets
+    walk = [(1, 0), (1, 1), (0, 1), (-1, 1), (-1, 0), (-1, -1), (0, -1), (1, -1)]
+    for g in (6, 10):
+        verts, x, y = [], 0, 0
+        for dx, dy in walk:
+            verts.append((x, y))
+            x, y = x + g * dx, y + g * dy
+        octagon = polygon(*verts)
+        assert len(octagon.vertices) == 8 and is_decomposable(octagon)
+        with pytest.raises(RangeError):
+            minkowski_decompositions(octagon)
+    # two primitive edges leave no closed sub-walk, however long the third
+    assert not is_decomposable(polygon((0, 0), (40, 1), (1, 40)))
 
 
 def test_json_roundtrip():
