@@ -47,6 +47,7 @@ from .polygon import (
     minkowski_decompositions,
     minkowski_sum,
     mixed_volume,
+    multiplicity_cap,
     polygon,
 )
 from .seshadri import (

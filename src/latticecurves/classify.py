@@ -8,8 +8,9 @@ datasets for pairs whose vanishing system contains exactly one curve.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 
 from .errors import RangeError
 from .laurent import (
@@ -18,7 +19,7 @@ from .laurent import (
     irreducibility_certificate,
 )
 from .linsys import compute_system, expected_dimension, is_expected, raise_order
-from .polygon import LatticePolygon, canonical_form, mixed_volume
+from .polygon import LatticePolygon, canonical_form, mixed_volume, multiplicity_cap
 
 
 @dataclass(frozen=True)
@@ -105,16 +106,21 @@ class ClassificationHit:
 
 
 def _examine(task):
-    """[(m, hit)] over one polygon's increasing m, factors from the oracle.  The
-    rows for m are among those for m + 1, so the first empty system ends it.
+    """[(m, hit)] over one polygon's m = first..m_max, factors looked up by m.
+    The rows for m are among those for m + 1, so the first empty system ends
+    the scan.  It also ends above `multiplicity_cap`: past lw(Δ) every member
+    is divisible by a binomial whose segment Δ lacks as a summand, so no
+    member has Newton polygon Δ at that m or any larger one.
     An `expected_dimension` of 2 or more proves the system nonempty and not a
     unique curve, so that m is passed over without a kernel.  Only the first
     system is solved; each later order is raised from the one before it
     (`raise_order`), whose certificate is the check G w = 0 on the new rows."""
-    vertices, scan = task
+    vertices, first, m_max, factors = task
     poly = LatticePolygon(vertices)
+    cap = multiplicity_cap(poly)
+    last = m_max if cap is None else min(m_max, cap)
     hits, system = [], None
-    for m, factors in scan:
+    for m in range(first, last + 1):
         if expected_dimension(poly, m) >= 2:
             continue
         if system is not None and system.order == m - 1:
@@ -128,7 +134,7 @@ def _examine(task):
         f = system.members()[0]
         if f.newton_polygon() != poly.translated_to_origin():
             continue
-        cert = irreducibility_certificate(f, witness_factors=factors)
+        cert = irreducibility_certificate(f, witness_factors=factors.get(m))
         if cert.verdict == IrreducibilityCertificate.REDUCIBLE:
             continue
         warning = cert.verdict == IrreducibilityCertificate.INCONCLUSIVE
@@ -142,11 +148,17 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
 
     oracle maps (canonical vertices, m) to a factor list certifying
     reducibility; such pairs are dropped.  jobs above 1 runs the tasks in a
-    process pool; None runs them serially.
+    process pool, None, 0 or 1 serially; a negative jobs raises RangeError.
+    Each task scans its polygon from the least m with vol(Δ) - m² <= 0,
+    lazily, so m_max costs nothing past where the scan ends.
     """
     if m_max < 1:
         raise RangeError("m_max must be at least 1")
-    oracle = oracle or {}
+    if jobs is not None and jobs < 0:
+        raise RangeError("jobs must be nonnegative")
+    factors_by_key = {}
+    for (key, m), factors in (oracle or {}).items():
+        factors_by_key.setdefault(key, {})[m] = factors
     keys, tasks = [], []
     seen_input = set()
     for poly in polygons:
@@ -159,8 +171,9 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
             continue
         seen_input.add(key)
         keys.append(key)
-        tasks.append((poly.vertices, [(m, oracle.get((key, m)))
-                                      for m in range(1, m_max + 1) if vol - m * m <= 0]))
+        # the least m >= 1 with m² >= vol
+        tasks.append((poly.vertices, isqrt(max(vol - 1, 0)) + 1, m_max,
+                      factors_by_key.get(key, {})))
     if jobs and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -393,6 +393,23 @@ def is_decomposable(poly: LatticePolygon) -> bool:
     return (0, 0, True, True) in states
 
 
+def multiplicity_cap(poly: LatticePolygon) -> int | None:
+    """lw(Δ), a bound on m for every f in L(Δ, m) with NP(f) = Δ, or None
+    when no such bound is proved.
+
+    With lw along (a, b), f restricted to t -> (t^a, t^b) has exponent
+    spread lw and order >= m at t = 1, so for m > lw it is zero and the
+    binomial x^(-b) y^a - 1 divides f.  NP(f) then has the summand
+    [0, (-b, a)], hence edges along both (-b, a) and (b, -a).  None when Δ
+    is degenerate or has both of those edges.
+    """
+    if poly.is_degenerate:
+        return None
+    lw, (a, b) = poly.lattice_width()
+    edges = {e for e, _ in _edge_multiset(poly)}
+    return None if {(-b, a), (b, -a)} <= edges else lw
+
+
 _DECOMPOSITION_LIMIT = 1_000_000  # largest edge sub-multiset search
 
 

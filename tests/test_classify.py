@@ -1,7 +1,9 @@
 import random
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from importlib import resources
+from math import gcd
 
 import pytest
 
@@ -28,6 +30,7 @@ from latticecurves.polygon import (
     convex_hull,
     enumerate_polygons,
     equivalent,
+    multiplicity_cap,
     polygon,
 )
 
@@ -237,14 +240,104 @@ def test_classify_count_route_matches_kernel_route():
 
 
 def test_scan_solves_only_its_first_system():
-    """At m = 2 the triangle's system holds one curve; m = 3 is raised from
-    it, empty, without a second kernel."""
-    tri = polygon((0, 0), (2, 1), (1, 2))
+    """At m = 2 the unit square's system holds one curve; m = 3 is raised
+    from it, empty, without a second kernel.  The square has edges along
+    both (1, 0) and (-1, 0), so the width cap leaves its scan alone."""
+    square = polygon((0, 0), (1, 0), (1, 1), (0, 1))
+    assert multiplicity_cap(square) is None
     compute_system.cache_clear()
-    hits = _examine((tri.vertices, [(2, None), (3, None), (4, None)]))
+    hits = _examine((square.vertices, 2, 4, {}))
     assert [m for m, _ in hits] == [2]
     info = compute_system.cache_info()
     assert (info.misses, info.hits) == (1, 0)
+
+
+def test_scan_above_the_width_cap_solves_no_kernel():
+    """The triangle has lw = 2 and no pair of opposite edges, so m = 3 and 4
+    end its scan before any system is built."""
+    tri = polygon((0, 0), (2, 1), (1, 2))
+    assert multiplicity_cap(tri) == 2
+    compute_system.cache_clear()
+    assert _examine((tri.vertices, 3, 4, {})) == []
+    assert compute_system.cache_info().misses == 0
+
+
+def test_scan_ends_without_reaching_m_max():
+    """The scan stops at the width cap or the first empty system, so a huge
+    m_max allocates nothing per m and gives the same hits."""
+    polys = ELEVEN + enumerate_polygons()
+    tracemalloc.start()
+    try:
+        huge = classify_dataset(polys, 10 ** 4, 16)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert [h.to_json() for h in huge] == \
+        [h.to_json() for h in classify_dataset(polys, 40, 16)]
+
+
+def _zonotope(rng, segments):
+    """Minkowski sum of random segments, translated to the origin."""
+    pts = [(0, 0)]
+    for _ in range(segments):
+        dx, dy = rng.randint(-2, 2), rng.randint(-2, 2)
+        pts += [(x + dx, y + dy) for x, y in pts]
+    return convex_hull(pts).translated_to_origin()
+
+
+def test_width_certificate_above_the_cap():
+    """Above lw(Δ), along (a, b), each basis vector of L(Δ, m) restricts to
+    zero on t -> (t^a, t^b): its coefficients sum to 0 on every level
+    a p + b q.  So a member with Newton polygon Δ needs Δ's edges along
+    both (-b, a) and (b, -a), and then `multiplicity_cap` gives None."""
+    rng = random.Random(1515)
+    polys = random_polygons(rng, 150) + [_zonotope(rng, rng.randint(2, 3)).translate(-3, -2)
+                                         for _ in range(150)]
+    vectors = full = 0
+    for poly in polys:
+        if poly.is_degenerate:
+            continue
+        lw, (a, b) = poly.lattice_width()
+        for m in range(lw + 1, lw + 4):
+            system = compute_system(poly, m)
+            for vec in system.basis:
+                levels = Counter()
+                for (p, q), c in zip(system.points, vec):
+                    levels[a * p + b * q] += c
+                assert not any(levels.values())
+                vectors += 1
+            for f in system.members():
+                if f.newton_polygon().translated_to_origin() == poly.translated_to_origin():
+                    full += 1
+                    edges = {(e[0] // gcd(*e), e[1] // gcd(*e))
+                             for e in ((q[0] - p[0], q[1] - p[1]) for p, q in poly.edges())}
+                    assert {(-b, a), (b, -a)} <= edges
+                    assert multiplicity_cap(poly) is None
+    assert vectors > 500 and full > 20
+
+
+def test_exempt_hits_above_the_width():
+    """Two hits above lw(Δ), on polygons with a segment summand along the
+    width's level lines; both members are products, so both are Inconclusive."""
+    for poly, m in ((polygon((0, 0), (3, 0), (3, 3), (0, 3)), 6),
+                    (polygon((0, 0), (2, 1), (3, 2), (1, 1)), 2)):
+        assert multiplicity_cap(poly) is None and poly.lattice_width()[0] < m
+        hits = [h for h in classify_dataset([poly], m, 36) if h.pair.m == m]
+        assert len(hits) == 1 and hits[0].warning
+        assert hits[0].irreducibility.verdict == IrreducibilityCertificate.INCONCLUSIVE
+
+
+def test_classify_width_cap_matches_kernel_route_on_zonotopes():
+    """The width cap against the flat reference on parallelograms and
+    zonotopes at the origin, whose hits can lie above lw(Δ)."""
+    rng = random.Random(1515)
+    polys = [_zonotope(rng, 2 + k % 2) for k in range(80)]
+    want = flat_classify(polys, 8, 64)
+    assert [h.to_json() for h in classify_dataset(polys, 8, 64)] == \
+        [h.to_json() for h in want]
+    assert any(h.pair.m > h.pair.polygon.lattice_width()[0]
+               for h in want if not h.pair.polygon.is_degenerate)
 
 
 def test_empty_system_stays_empty_at_higher_order():

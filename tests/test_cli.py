@@ -190,6 +190,8 @@ MALFORMED_INPUTS = {
         '[{' + SQUARE + ', "m": 2, "factors": [{"terms": [{"e": [0], "c": "1"}]}]}]'),
     "oracle-infinite-m": _oracle_case('[{' + SQUARE + ', "m": 1e400, "factors": []}]'),
     "bad-vertices": lambda d: ["polygon-info", "--vertices", "0,0 1"],
+    "classify-negative-jobs": lambda d: ["classify", "--jobs", "-3", "--dataset",
+                                         _file(d, "polys.txt", "0,0 1,0 0,1\n")],
     "negative-m": lambda d: ["linsys", "--vertices", "0,0 2,1 1,2", "--m", "-3"],
     "seshadri-negative-m": lambda d: ["seshadri", "--vertices", "0,0 20,1 1,20",
                                       "--m", "-20"],
