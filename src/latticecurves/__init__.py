@@ -35,7 +35,7 @@ from .laurent import (
     uni_resultant,
     verify_factorization,
 )
-from .linsys import LinearSystem, compute_system, expected_dimension, is_expected
+from .linsys import LinearSystem, compute_system, expected_dimension
 from .polygon import (
     LatticePolygon,
     UnimodularMap,

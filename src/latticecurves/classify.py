@@ -18,7 +18,7 @@ from .laurent import (
     LaurentPolynomial,
     irreducibility_certificate,
 )
-from .linsys import compute_system, expected_dimension, is_expected, raise_order
+from .linsys import compute_system, expected_dimension, raise_order
 from .polygon import LatticePolygon, canonical_form, mixed_volume, multiplicity_cap
 
 
@@ -51,7 +51,7 @@ def numeric_invariants(poly: LatticePolygon, m: int) -> IntrinsicPair:
         tags.add("NumericallyNonPositive")
     if c2 < 0 and pa == 0:
         tags.add(("MinusNPair", -c2))
-    if is_expected(poly, m):
+    if expected_dimension(poly, m) > 0:
         tags.add("Expected")
     return IntrinsicPair(poly, m, c2, pa, frozenset(tags))
 
@@ -106,19 +106,15 @@ class ClassificationHit:
 
 
 def _examine(task):
-    """[(m, hit)] over one polygon's m = first..m_max, factors looked up by m.
+    """[(m, hit)] over one polygon's m = first..last, factors looked up by m.
     The rows for m are among those for m + 1, so the first empty system ends
-    the scan.  It also ends above `multiplicity_cap`: past lw(Δ) every member
-    is divisible by a binomial whose segment Δ lacks as a summand, so no
-    member has Newton polygon Δ at that m or any larger one.
-    An `expected_dimension` of 2 or more proves the system nonempty and not a
-    unique curve, so that m is passed over without a kernel.  Only the first
-    system is solved; each later order is raised from the one before it
-    (`raise_order`), whose certificate is the check G w = 0 on the new rows."""
-    vertices, first, m_max, factors = task
+    the scan.  An `expected_dimension` of 2 or more proves the system
+    nonempty and not a unique curve, so that m is passed over without a
+    kernel.  Only the first system is solved; each later order is raised
+    from the one before it (`raise_order`), whose certificate is the check
+    G w = 0 on the new rows."""
+    vertices, first, last, factors = task
     poly = LatticePolygon(vertices)
-    cap = multiplicity_cap(poly)
-    last = m_max if cap is None else min(m_max, cap)
     hits, system = [], None
     for m in range(first, last + 1):
         if expected_dimension(poly, m) >= 2:
@@ -149,8 +145,11 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
     oracle maps (canonical vertices, m) to a factor list certifying
     reducibility; such pairs are dropped.  jobs above 1 runs the tasks in a
     process pool, None, 0 or 1 serially; a negative jobs raises RangeError.
-    Each task scans its polygon from the least m with vol(Δ) - m² <= 0,
-    lazily, so m_max costs nothing past where the scan ends.
+    Each task scans its polygon from the least m with vol(Δ) - m² <= 0 up to
+    m_max or `multiplicity_cap`, lazily, so m_max costs nothing past where
+    the scan ends.  Above the cap every member is divisible by a binomial
+    whose segment Δ lacks as a summand, so no member has Newton polygon Δ;
+    a polygon whose cap lies below its first m is dropped before it is keyed.
     """
     if m_max < 1:
         raise RangeError("m_max must be at least 1")
@@ -162,18 +161,21 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
     keys, tasks = [], []
     seen_input = set()
     for poly in polygons:
-        # volume is a unimodular invariant, so skipping before keying keeps the dedupe
+        # volume and the width cap are unimodular invariants: skips keep the dedupe
         vol = poly.volume
-        if vol > volume_max or vol > m_max * m_max:
+        first = isqrt(max(vol - 1, 0)) + 1  # the least m >= 1 with m² >= vol
+        if vol > volume_max or first > m_max:
+            continue
+        cap = multiplicity_cap(poly)
+        last = m_max if cap is None else min(m_max, cap)
+        if last < first:
             continue
         key = canonical_form(poly).vertices
         if key in seen_input:
             continue
         seen_input.add(key)
         keys.append(key)
-        # the least m >= 1 with m² >= vol
-        tasks.append((poly.vertices, isqrt(max(vol - 1, 0)) + 1, m_max,
-                      factors_by_key.get(key, {})))
+        tasks.append((poly.vertices, first, last, factors_by_key.get(key, {})))
     if jobs and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 

@@ -98,11 +98,6 @@ def expected_dimension(poly: LatticePolygon, m: int) -> int:
     return poly.lattice_counts()[0] - m * (m + 1) // 2
 
 
-def is_expected(poly: LatticePolygon, m: int) -> bool:
-    """True when the point count alone forces a nonzero section; m >= 1."""
-    return expected_dimension(poly, m) > 0
-
-
 def _reduce_mod(ints: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     """Forward elimination mod a prime p < 2**31: (pivot columns, free block),
     the reduced pivot rows in the free columns.

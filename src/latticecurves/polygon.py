@@ -216,36 +216,30 @@ class LatticePolygon:
             return 0, (0, 1)
         if self.is_segment:
             (dx, dy), _ = _edge_multiset(self)[0]
-            # width 0 along either normal; normalize the representative
-            cands = [(-dy, dx), (dy, -dx)]
-            cands = [c for c in cands if c[0] > 0 or (c[0] == 0 and c[1] > 0)]
-            return 0, min(cands, key=lambda c: (abs(c[0]) + abs(c[1]), c[0], c[1]))
+            # width 0 along either normal; return the normalized one
+            return 0, ((-dy, dx) if dy < 0 or (dy == 0 and dx > 0) else (dy, -dx))
+        seed = [(0, 1), (1, 0)] + [r for r, _ in self.normal_fan()]
+        w, _, a, b = min(self._directions(min(self.width_in_direction(v) for v in seed)))
+        return w, (a, b)
+
+    def _directions(self, bound: int):
+        """(width, |a|+|b|, a, b) for each primitive (a, b) with a > 0 or
+        a = 0 < b along which a two-dimensional polygon is at most bound wide."""
         # difference body K = polygon - polygon; width_v = max over K of w.v
         diff = _hull_vertices(
             (p[0] - q[0], p[1] - q[1])
             for p in self.vertices
             for q in self.vertices
         )
-        seed = [(0, 1), (1, 0)] + [r for r, _ in self.normal_fan()]
-        bound = min(self.width_in_direction(v) for v in seed)
         # a*wx + b*wy <= bound for every w in K; the slice a = 0 holds b = 0
         halfplanes = [(-wx, -wy, -bound) for wx, wy in diff]
-        best = None
         for a in count():
             bounds = _slice(halfplanes, a)
             if bounds is None:
-                break
+                return
             for b in range(bounds[0], bounds[1] + 1):
-                if a == 0 and b <= 0:
-                    continue
-                if gcd(a, b) != 1:
-                    continue
-                w = self.width_in_direction((a, b))
-                key = (w, abs(a) + abs(b), a, b)
-                if best is None or key < best[0]:
-                    best = (key, (a, b))
-        assert best is not None
-        return best[0][0], best[1]
+                if (a > 0 or b > 0) and gcd(a, b) == 1:
+                    yield self.width_in_direction((a, b)), abs(a) + abs(b), a, b
 
     def to_json(self) -> dict:
         return {"vertices": [[x, y] for x, y in self.vertices]}
@@ -394,20 +388,26 @@ def is_decomposable(poly: LatticePolygon) -> bool:
 
 
 def multiplicity_cap(poly: LatticePolygon) -> int | None:
-    """lw(Δ), a bound on m for every f in L(Δ, m) with NP(f) = Δ, or None
-    when no such bound is proved.
+    """The least width of Δ along a primitive (a, b) unless Δ has edges along
+    both (-b, a) and (b, -a), or None for degenerate Δ: a unimodular
+    invariant that bounds m for every f in L(Δ, m) with NP(f) = Δ.
 
-    With lw along (a, b), f restricted to t -> (t^a, t^b) has exponent
-    spread lw and order >= m at t = 1, so for m > lw it is zero and the
-    binomial x^(-b) y^a - 1 divides f.  NP(f) then has the summand
-    [0, (-b, a)], hence edges along both (-b, a) and (b, -a).  None when Δ
-    is degenerate or has both of those edges.
+    f restricted to t -> (t^a, t^b) has exponent spread at most that width
+    and order >= m at t = 1, so for a larger m it is zero and x^(-b) y^a - 1
+    divides f; NP(f) then has the summand [0, (-b, a)], hence both edges.
+    One of the #edges + 1 directions (1, k) lacks an edge pair and bounds the search.
     """
     if poly.is_degenerate:
         return None
-    lw, (a, b) = poly.lattice_width()
     edges = {e for e, _ in _edge_multiset(poly)}
-    return None if {(-b, a), (b, -a)} <= edges else lw
+    # the normals whose level lines run along a pair of opposite edges
+    paired = {(dy, -dx) for dx, dy in edges if (-dx, -dy) in edges}
+    lw, w = poly.lattice_width()
+    if w not in paired:
+        return lw
+    bound = min(poly.width_in_direction((1, k)) for k in range(len(edges) + 1)
+                if (1, k) not in paired)
+    return min(width for width, _, a, b in poly._directions(bound) if (a, b) not in paired)
 
 
 _DECOMPOSITION_LIMIT = 1_000_000  # largest edge sub-multiset search

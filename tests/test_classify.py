@@ -241,10 +241,10 @@ def test_classify_count_route_matches_kernel_route():
 
 def test_scan_solves_only_its_first_system():
     """At m = 2 the unit square's system holds one curve; m = 3 is raised
-    from it, empty, without a second kernel.  The square has edges along
-    both (1, 0) and (-1, 0), so the width cap leaves its scan alone."""
+    from it, empty, without a second kernel.  The task's last m is 4, past
+    the square's width cap of 2, so the empty system ends the scan."""
     square = polygon((0, 0), (1, 0), (1, 1), (0, 1))
-    assert multiplicity_cap(square) is None
+    assert multiplicity_cap(square) == 2
     compute_system.cache_clear()
     hits = _examine((square.vertices, 2, 4, {}))
     assert [m for m, _ in hits] == [2]
@@ -252,14 +252,34 @@ def test_scan_solves_only_its_first_system():
     assert (info.misses, info.hits) == (1, 0)
 
 
-def test_scan_above_the_width_cap_solves_no_kernel():
-    """The triangle has lw = 2 and no pair of opposite edges, so m = 3 and 4
-    end its scan before any system is built."""
+def test_scan_above_the_width_cap_solves_no_kernel(monkeypatch):
+    """hull((0,0),(4,0),(0,1)) has vol 4, so its scan would start at m = 2,
+    but its width cap is 1: it and its images are dropped before a
+    canonical form is computed or a system is built."""
+    import latticecurves.classify as classify
+
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("canonical_form", "compute_system"):
+        monkeypatch.setattr(classify, name, counted(name, getattr(classify, name)))
+    thin = polygon((0, 0), (4, 0), (0, 1))
+    assert (thin.volume, multiplicity_cap(thin)) == (4, 1)
+    images = [thin, thin.translate(-5, -3),
+              UnimodularMap(((2, 1), (1, 1)), (-1, 4)).apply(thin),
+              UnimodularMap(((0, 1), (1, 0)), (0, 0)).apply(thin)]
+    assert all(multiplicity_cap(p) == 1 for p in images)
+    assert classify_dataset(images, 8, 36) == []
+    assert calls == Counter()
+    # the counters see a polygon that is scanned
     tri = polygon((0, 0), (2, 1), (1, 2))
-    assert multiplicity_cap(tri) == 2
-    compute_system.cache_clear()
-    assert _examine((tri.vertices, 3, 4, {})) == []
-    assert compute_system.cache_info().misses == 0
+    assert len(classify_dataset(images + [tri], 8, 36)) == 1
+    assert calls == Counter({"canonical_form": 1, "compute_system": 1})
 
 
 def test_scan_ends_without_reaching_m_max():
@@ -290,7 +310,7 @@ def test_width_certificate_above_the_cap():
     """Above lw(Δ), along (a, b), each basis vector of L(Δ, m) restricts to
     zero on t -> (t^a, t^b): its coefficients sum to 0 on every level
     a p + b q.  So a member with Newton polygon Δ needs Δ's edges along
-    both (-b, a) and (b, -a), and then `multiplicity_cap` gives None."""
+    both (-b, a) and (b, -a), and then m is at most `multiplicity_cap`."""
     rng = random.Random(1515)
     polys = random_polygons(rng, 150) + [_zonotope(rng, rng.randint(2, 3)).translate(-3, -2)
                                          for _ in range(150)]
@@ -313,19 +333,67 @@ def test_width_certificate_above_the_cap():
                     edges = {(e[0] // gcd(*e), e[1] // gcd(*e))
                              for e in ((q[0] - p[0], q[1] - p[1]) for p, q in poly.edges())}
                     assert {(-b, a), (b, -a)} <= edges
-                    assert multiplicity_cap(poly) is None
+                    assert m <= multiplicity_cap(poly)
     assert vectors > 500 and full > 20
 
 
 def test_exempt_hits_above_the_width():
     """Two hits above lw(Δ), on polygons with a segment summand along the
-    width's level lines; both members are products, so both are Inconclusive."""
+    width's level lines, each exactly at its width cap; both members are
+    products, so both are Inconclusive."""
     for poly, m in ((polygon((0, 0), (3, 0), (3, 3), (0, 3)), 6),
                     (polygon((0, 0), (2, 1), (3, 2), (1, 1)), 2)):
-        assert multiplicity_cap(poly) is None and poly.lattice_width()[0] < m
+        assert multiplicity_cap(poly) == m and poly.lattice_width()[0] < m
         hits = [h for h in classify_dataset([poly], m, 36) if h.pair.m == m]
         assert len(hits) == 1 and hits[0].warning
         assert hits[0].irreducibility.verdict == IrreducibilityCertificate.INCONCLUSIVE
+
+
+def _brute_cap(poly):
+    """The least width over primitive (a, b), |a|, |b| <= 25, along whose
+    level lines poly lacks an edge in one of the two directions."""
+    vs = poly.vertices
+    edges = set()
+    for i, p in enumerate(vs):
+        q = vs[(i + 1) % len(vs)]
+        g = gcd(q[0] - p[0], q[1] - p[1])
+        edges.add(((q[0] - p[0]) // g, (q[1] - p[1]) // g))
+    widths = []
+    for a in range(-25, 26):
+        for b in range(-25, 26):
+            if gcd(a, b) != 1 or {(-b, a), (b, -a)} <= edges:
+                continue
+            dots = [a * x + b * y for x, y in vs]
+            widths.append(max(dots) - min(dots))
+    return min(widths)
+
+
+def test_multiplicity_cap_matches_brute_force_and_is_invariant():
+    """Two routes to the width cap, on hulls and zonotopes with negative
+    coordinates, many of them with edge pairs; the cap is also unchanged
+    by random unimodular maps."""
+    rng = random.Random(1616)
+    polys = random_polygons(rng, 200) + [
+        _zonotope(rng, rng.randint(2, 4)).translate(-rng.randint(0, 4), -rng.randint(0, 4))
+        for _ in range(200)]
+    exempt = degenerate = 0
+    for poly in polys:
+        cap = multiplicity_cap(poly)
+        if poly.is_degenerate:
+            assert cap is None
+            degenerate += 1
+            continue
+        assert cap == _brute_cap(poly), poly.vertices
+        exempt += cap > poly.lattice_width()[0]
+        for _ in range(3):
+            while True:
+                a, b, c, d = (rng.randint(-2, 2) for _ in range(4))
+                if abs(a * d - b * c) == 1:
+                    break
+            image = UnimodularMap(((a, b), (c, d)),
+                                  (rng.randint(-5, 5), rng.randint(-5, 5))).apply(poly)
+            assert multiplicity_cap(image) == cap, (poly.vertices, image.vertices)
+    assert exempt > 100 and degenerate > 0
 
 
 def test_classify_width_cap_matches_kernel_route_on_zonotopes():

@@ -18,7 +18,6 @@ from latticecurves.linsys import (
     compute_system,
     condition_matrix,
     expected_dimension,
-    is_expected,
     raise_order,
 )
 from latticecurves.modular import _word_primes
@@ -200,11 +199,12 @@ def test_members_vanish_to_order_m():
 
 
 def test_is_expected():
-    assert is_expected(polygon((0, 0), (4, 1), (1, 4)), 3)
-    assert not is_expected(polygon((0, 0), (1, 4), (2, 4), (4, 3)), 4)
+    """The point count alone forces a nonzero section when it is positive."""
+    assert expected_dimension(polygon((0, 0), (4, 1), (1, 4)), 3) > 0
+    assert not expected_dimension(polygon((0, 0), (1, 4), (2, 4), (4, 3)), 4) > 0
     for m in (0, -5):
         with pytest.raises(RangeError, match="vanishing order must be at least 1"):
-            is_expected(polygon((0, 0), (20, 1), (1, 20)), m)
+            expected_dimension(polygon((0, 0), (20, 1), (1, 20)), m)
 
 
 def test_expected_dimension():
