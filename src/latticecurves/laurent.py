@@ -10,8 +10,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
+from itertools import count, zip_longest
 from math import comb, gcd, isqrt, lcm, prod
+from operator import index
 
 import numpy as np
 
@@ -77,14 +78,7 @@ class LaurentPolynomial:
         return hash(frozenset(self.terms.items()))
 
     def __add__(self, other):
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e, Fraction(0)) + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return LaurentPolynomial(out)
+        return LaurentPolynomial([*self.terms.items(), *other.terms.items()])
 
     def __neg__(self):
         return LaurentPolynomial({e: -c for e, c in self.terms.items()})
@@ -95,23 +89,14 @@ class LaurentPolynomial:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             return self.scale(other)
-        out = {}
-        for (p1, q1), c1 in self.terms.items():
-            for (p2, q2), c2 in other.terms.items():
-                e = (p1 + p2, q1 + q2)
-                s = out.get(e, Fraction(0)) + c1 * c2
-                if s:
-                    out[e] = s
-                else:
-                    del out[e]
-        return LaurentPolynomial(out)
+        return LaurentPolynomial(((p1 + p2, q1 + q2), c1 * c2)
+                                 for (p1, q1), c1 in self.terms.items()
+                                 for (p2, q2), c2 in other.terms.items())
 
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPolynomial":
-        c = Fraction(c)
-        if not c:
-            return LaurentPolynomial()
+        c = Fraction(c)  # a zero c leaves no term
         return LaurentPolynomial({e: c * v for e, v in self.terms.items()})
 
     def shift(self, dp: int, dq: int) -> "LaurentPolynomial":
@@ -167,22 +152,15 @@ class LaurentPolynomial:
         )
 
     def __repr__(self):
-        if not self.terms:
-            return "0"
-        bits = []
-        for (p, q), c in sorted(self.terms.items()):
-            bits.append(f"{c}*u^{p}*v^{q}")
-        return " + ".join(bits)
+        return " + ".join(f"{c}*u^{p}*v^{q}" for (p, q), c in sorted(self.terms.items())) or "0"
 
 
 def verify_factorization(f: LaurentPolynomial, factors) -> bool:
     """True iff the product equals f up to a monomial unit and nonzero scalar."""
-    prod = LaurentPolynomial.one()
-    for g in factors:
-        prod = prod * g
-    if f.is_zero() or prod.is_zero():
-        return f.is_zero() and prod.is_zero()
-    return f.unit_normalized() == prod.unit_normalized()
+    product = prod(factors, start=LaurentPolynomial.one())
+    if f.is_zero() or product.is_zero():
+        return f.is_zero() and product.is_zero()
+    return f.unit_normalized() == product.unit_normalized()
 
 
 @dataclass(frozen=True)
@@ -229,108 +207,65 @@ def irreducibility_certificate(
 
 
 # ---------------------------------------------------------------------------
-# univariate polynomials over Q
+# univariate polynomials over Z
 
 
-class UniPoly:
-    """Dense univariate polynomial over Q, coefficients lowest degree first."""
+class UniPoly(tuple):
+    """Dense univariate polynomial over Z: the tuple of its coefficients,
+    lowest degree first, with no trailing zero."""
 
-    __slots__ = ("coeffs",)
+    __slots__ = ()
 
-    def __init__(self, coeffs=()):
-        cs = [Fraction(c) for c in coeffs]
+    def __new__(cls, coeffs=()):
+        cs = [index(c) for c in coeffs]
         while cs and not cs[-1]:
             cs.pop()
-        self.coeffs = tuple(cs)
+        return super().__new__(cls, cs)
 
     @staticmethod
     def t_power(k: int, c=1) -> "UniPoly":
         return UniPoly([0] * k + [c])
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self
 
     @property
     def degree(self) -> int:
         """Degree; -1 for the zero polynomial."""
-        return len(self.coeffs) - 1
-
-    def __eq__(self, other):
-        return isinstance(other, UniPoly) and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash(self.coeffs)
+        return len(self) - 1
 
     def __add__(self, other):
-        n = max(len(self.coeffs), len(other.coeffs))
-        return UniPoly(
-            [
-                (self.coeffs[i] if i < len(self.coeffs) else 0)
-                + (other.coeffs[i] if i < len(other.coeffs) else 0)
-                for i in range(n)
-            ]
-        )
+        return UniPoly([a + b for a, b in zip_longest(self, other, fillvalue=0)])
 
     def __neg__(self):
-        return UniPoly([-c for c in self.coeffs])
+        return UniPoly([-c for c in self])
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return UniPoly([Fraction(other) * c for c in self.coeffs])
-        if self.is_zero() or other.is_zero():
-            return UniPoly()
-        out = [Fraction(0)] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if not a:
-                continue
-            for j, b in enumerate(other.coeffs):
-                out[i + j] += a * b
+        if not isinstance(other, UniPoly):
+            return UniPoly([other * c for c in self])
+        out = [0] * max(len(self) + len(other) - 1, 0)
+        for i, a in enumerate(self):
+            if a:
+                for j, b in enumerate(other):
+                    out[i + j] += a * b
         return UniPoly(out)
 
     __rmul__ = __mul__
 
-    def divmod(self, other) -> tuple["UniPoly", "UniPoly"]:
-        if other.is_zero():
-            raise ZeroDivisionError("division by zero polynomial")
-        rem = list(self.coeffs)
-        den = other.coeffs
-        q = [Fraction(0)] * max(len(rem) - len(den) + 1, 0)
-        for i in range(len(rem) - len(den), -1, -1):
-            c = rem[i + len(den) - 1] / den[-1]
-            if c:
-                q[i] = c
-                for j, d in enumerate(den):
-                    rem[i + j] -= c * d
-        return UniPoly(q), UniPoly(rem)
-
-    def gcd(self, other) -> "UniPoly":
-        a, b = self, other
-        while not b.is_zero():
-            a, b = b, a.divmod(b)[1]
-        if a.is_zero():
-            return a
-        return a * (1 / a.coeffs[-1])  # monic
-
     def valuation_at_zero(self) -> int:
         if self.is_zero():
             raise ZeroPolynomial("valuation undefined for zero")
-        for i, c in enumerate(self.coeffs):
-            if c:
-                return i
-        raise AssertionError
+        return next(i for i, c in enumerate(self) if c)
 
-    def evaluate(self, x) -> Fraction:
-        x = Fraction(x)
-        out = Fraction(0)
-        for c in reversed(self.coeffs):
+    def evaluate(self, x):
+        """Value at x by Horner's rule, in the arithmetic of x."""
+        out = 0
+        for c in reversed(self):
             out = out * x + c
         return out
-
-    def __repr__(self):
-        return f"UniPoly({list(self.coeffs)})"
 
 
 def geometric_sum(lo: int, hi: int) -> UniPoly:
@@ -345,18 +280,85 @@ TPoly = list[LaurentPolynomial]  # polynomial in t with Laurent coefficients,
                                  # lowest degree first
 
 
-def _trim(a: TPoly) -> TPoly:
-    a = list(a)
-    while a and a[-1].is_zero():
-        a.pop()
-    return a
+def _res_mod(a, b, p: int, seen: set | None = None) -> int:
+    """Res(a, b) mod p at formal degrees n = len(a) - 1 and m = len(b) - 1,
+    by Euclid on one pair, coefficients lowest first: the scalar twin of
+    `_res_mod_batch`, with the same pop and swap steps, but a reduction by
+    the whole remainder r of a by b, Res_{n,m}(a, b) = (-1)^(nm)
+    b_m^(n-m+1) Res_{m,m-1}(b, r).  `seen` collects the branches taken."""
+    a, b, res = [c % p for c in a], [c % p for c in b], 1
+    seen = set() if seen is None else seen
+    while True:
+        n, m = len(a) - 1, len(b) - 1
+        if not n or not m:
+            seen.add("finish")
+            return res * pow(a[0], m, p) * pow(b[0], n, p) % p
+        if not b[-1]:
+            if not a[-1]:
+                seen.add("both leads vanish")
+                return 0
+            seen.add("pop run" if m > 1 and not b[-2] else "pop")  # pops again next
+            res = res * a[-1] % p
+            b.pop()
+            continue
+        if not a[-1] or n < m:
+            seen.add("swap")
+            a, b, res = b, a, res * (-1) ** (n * m)
+        else:
+            # the lockstep batch reduces n - m + 1 times at the exponent m
+            seen.add("reduce" if n == m else "reduce, exponent repeated")
+            inv = pow(b[-1], -1, p)
+            for i in range(n, m - 1, -1):
+                c = a[i] * inv % p
+                a[i - m:i + 1] = [(x - c * y) % p for x, y in zip(a[i - m:i + 1], b)]
+            res = res * (-1) ** (n * m) * pow(b[-1], n - m + 1, p) % p
+            a, b = b, a[:m]
 
 
-def _pow_mod(x, e, p):
-    """x ** e mod p, elementwise, for entries of x below p < 2**31."""
-    out = np.ones_like(x)
-    for k in range(int(e.max(initial=0)).bit_length()):
-        out, x = np.where(e >> k & 1, out * x % p, out), x * x % p
+def shares_factor(f: UniPoly, g: UniPoly) -> bool:
+    """True iff gcd(f, g) has positive degree; gcd(0, 0) = 0 has not.
+
+    With a zero or a constant side, the gcd is read off the degrees.
+    Otherwise Res(f, g) at their degrees decides, one word prime at a time
+    (`_res_mod`): a nonzero residue proves Res != 0, so gcd(f, g) = 1.
+    Residues 0 modulo primes whose product passes Hadamard's bound
+    ||f||_2^deg g ||g||_2^deg f on |Res| prove Res = 0 (Brown, JACM 1971).
+    """
+    n, m = f.degree, g.degree
+    if min(n, m) <= 0:
+        return min(n, m) < 0 < max(n, m)
+    bound = sum(c * c for c in f) ** m * sum(c * c for c in g) ** n  # squared
+    mod = 1
+    for p in _word_primes():
+        if _res_mod(f, g, p):
+            return False
+        mod *= p
+        if mod * mod > bound:
+            return True
+
+
+def _inverse_mod(x: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """x^-1 mod p for every row, 0 < x < p and primes p < 2**31, by
+    Montgomery's batch inversion (Math. Comp. 1987): x_i^-1 is the product
+    of the other x_j of its prime over the product of all of them.  Sorted
+    by prime, the rows form runs; one segmented scan in log2(rows) doubling
+    steps takes the products along each run from the left and from the
+    right, and one Python inverse per run inverts the run's total."""
+    order = np.argsort(p, kind="stable")
+    q, v = np.stack([p[order], p[order][::-1]]), np.stack([x[order], x[order][::-1]])
+    s = 1
+    while s < len(p):  # v[:, i] <- product of the run of i up to i, each way
+        v[:, s:] = np.where(q[:, s:] == q[:, :-s], v[:, s:] * v[:, :-s] % q[:, s:], v[:, s:])
+        s *= 2
+    q, before, after = q[0], v[0], v[1, ::-1]
+    same = q[1:] == q[:-1]  # row i + 1 continues the run of row i
+    ends = np.flatnonzero(np.append(~same, True))
+    inv = np.repeat([pow(t, -1, r) for t, r in zip(before[ends].tolist(), q[ends].tolist())],
+                    np.diff(ends, prepend=-1))
+    inv[1:] = np.where(same, inv[1:] * before[:-1] % q[1:], inv[1:])
+    inv[:-1] = np.where(same, inv[:-1] * after[1:] % q[:-1], inv[:-1])
+    out = np.empty_like(inv)
+    out[order] = inv
     return out
 
 
@@ -374,8 +376,9 @@ def _res_mod_batch(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     is taken on the way: the parities nm gather in one sign per row, and a
     reducing row multiplies b_m into acc[row, m - 1], indexed by the
     exponent, so the denominator prod_e acc[:, e]^e is at the end
-    prod_{k>=1} prod_{e>=k} acc[:, e], a product of suffix products, inverted
-    once for all rows by one Fermat power.
+    prod_{k>=1} prod_{e>=k} acc[:, e], a product of suffix products.  The
+    same loop over e takes a finished row's c^k, as c for each e <= k, and
+    one batch inversion (`_inverse_mod`) inverts every row's denominator.
     """
     (rows, n1), m1 = a.shape, b.shape[1]
     width = max(n1, m1)
@@ -383,15 +386,15 @@ def _res_mod_batch(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     A[:, :n1], B[:, :m1] = a[:, ::-1], b[:, ::-1]
     da, db = np.full(rows, n1 - 1), np.full(rows, m1 - 1)
     num, res = np.ones((2, rows), np.int64)
-    odd = np.zeros(rows, np.int64)
+    odd, fin, k = np.zeros((3, rows), np.int64)
     acc = np.ones((rows, width), np.int64)  # column 0 takes what no row reads
     flat, base, pc = acc.reshape(-1), np.arange(0, rows * width, width), p[:, None]
     left = rows
     while True:
         done = da * db == 0
         if done.any():
-            c, k, q = np.where(da == 0, A[:, 0], B[:, 0])[done], (da + db)[done], p[done]
-            res[done] = num[done] * _pow_mod(c, k, q) % q
+            fin[done], k[done] = np.where(da == 0, A[:, 0], B[:, 0])[done], (da + db)[done]
+            res[done] = num[done]
             # a finished row runs on, popping a zero b for ever
             B[done], da[done], db[done] = 0, -1, -1
             left -= np.count_nonzero(done)
@@ -418,7 +421,8 @@ def _res_mod_batch(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     for e in range(width - 1, 0, -1):
         suffix = suffix * acc[:, e] % p
         den = den * suffix % p
-    res = res * _pow_mod(den, p - 2, p) % p
+        res = res * np.where(k >= e, fin, 1) % p
+    res = res * _inverse_mod(den, p) % p
     return np.where(odd & 1, (p - res) % p, res)
 
 
@@ -608,9 +612,8 @@ def _perfect_power_root(f: LaurentPolynomial,
 def ord_profile(f1: UniPoly, f2: UniPoly, f3: UniPoly, f4: UniPoly,
                 at: str = "zero") -> tuple[int, int]:
     """Order vector of t -> (f1/f2, f3/f4) at t = 0 or t = infinity."""
-    for f in (f1, f2, f3, f4):
-        if f.is_zero():
-            raise ConstantMap("zero component in parametrization")
+    if not all((f1, f2, f3, f4)):
+        raise ConstantMap("zero component in parametrization")
     if at == "zero":
         return (f1.valuation_at_zero() - f2.valuation_at_zero(),
                 f3.valuation_at_zero() - f4.valuation_at_zero())
@@ -623,6 +626,8 @@ def implicitize(f1: UniPoly, f2: UniPoly, f3: UniPoly, f4: UniPoly,
                 _details: dict | None = None) -> LaurentPolynomial:
     """Implicit equation of the closure of the image of t -> (f1/f2, f3/f4).
 
+    The f are integer polynomials; gcd(f1, f2) = gcd(f3, f4) = 1 is proved
+    by resultants mod word primes (`shares_factor`), else SharedRoot.
     Resultant of f1 - u f2 and f3 - v f4 with respect to t, cleared once to
     its primitive integer form (`_primitive`); a perfect power g^k is replaced
     by g, checked exactly.  When that is neither a certified power nor
@@ -630,18 +635,16 @@ def implicitize(f1: UniPoly, f2: UniPoly, f3: UniPoly, f4: UniPoly,
     is and details["normalized"] is False.  details["newton_polygon"] is the
     Newton polygon of the result.
     """
-    g12, g34 = f1.gcd(f2), f3.gcd(f4)
-    if not g12.is_zero() and g12.degree > 0:
+    if shares_factor(f1, f2):
         raise SharedRoot("f1 and f2 share a factor")
-    if not g34.is_zero() and g34.degree > 0:
+    if shares_factor(f3, f4):
         raise SharedRoot("f3 and f4 share a factor")
     if f1.degree <= 0 and f2.degree <= 0 and f3.degree <= 0 and f4.degree <= 0:
         raise ConstantMap("parametrization is constant")
-    deg = max(f1.degree, f2.degree, f3.degree, f4.degree)
-    a = _trim([LaurentPolynomial({(0, 0): num_coeff(f1, i), (1, 0): -num_coeff(f2, i)})
-               for i in range(deg + 1)])  # f1 - u f2
-    b = _trim([LaurentPolynomial({(0, 0): num_coeff(f3, i), (0, 1): -num_coeff(f4, i)})
-               for i in range(deg + 1)])  # f3 - v f4
+    a = [LaurentPolynomial({(0, 0): c, (1, 0): -d})
+         for c, d in zip_longest(f1, f2, fillvalue=0)]  # f1 - u f2
+    b = [LaurentPolynomial({(0, 0): c, (0, 1): -d})
+         for c, d in zip_longest(f3, f4, fillvalue=0)]  # f3 - v f4
     res = uni_resultant(a, b)
     if res.is_zero():
         raise ConstantMap("degenerate parametrization: resultant vanished")
@@ -657,7 +660,3 @@ def implicitize(f1: UniPoly, f2: UniPoly, f3: UniPoly, f4: UniPoly,
             irreducibility_certificate(g, newton=newton).verdict
             == IrreducibilityCertificate.IRREDUCIBLE)
     return g
-
-
-def num_coeff(p: UniPoly, i: int) -> Fraction:
-    return p.coeffs[i] if i < len(p.coeffs) else Fraction(0)

@@ -116,6 +116,23 @@ def test_family_verify_stdout_is_golden(capsys, family):
     assert hashlib.sha256(out.encode()).hexdigest() == FAMILY_VERIFY_SHA256[family]
 
 
+# family --verify at the largest m that CI runs, recorded before the
+# parametrizations became integer; family III's map carries a^14 at m = 16
+FAMILY_VERIFY_LARGE_M_SHA256 = {
+    ("I", 20): "e718564104916ce5c9e99a2283aaaf6486b173342e7f70e301b9fe45e4b2fdf3",
+    ("II", 16): "ef77c1bc1e65ef2de3e9ad0ee0ffb91f94ee07cd53da03633b820211d914b0d8",
+    ("III", 16): "de67af0fe7b01710563cb43beaadea9348709296ff095256c44b00d2bf08df57",
+    ("IV", 16): "94ec7eb6b00c74a70eff35caea3804645be46e057e1f1c30c739a69fb5b5fc8e",
+}
+
+
+@pytest.mark.parametrize("family, m", sorted(FAMILY_VERIFY_LARGE_M_SHA256))
+def test_family_verify_stdout_is_golden_at_large_m(capsys, family, m):
+    assert main(["family", "--id", family, "--m", str(m), "--verify"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == FAMILY_VERIFY_LARGE_M_SHA256[family, m]
+
+
 def test_dataset_ingestion(tmp_path):
     f = tmp_path / "polys.txt"
     f.write_text("# comment\n0,0 1,0 0,1\n\n0,0 2,0 1,0  # collinear\n")

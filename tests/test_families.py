@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from latticecurves.errors import HypothesisFailure, NoParametrization, RangeError
@@ -57,14 +59,32 @@ def test_closed_form_volume_boundary():
             assert poly.volume == vol and b_actual == b, (fam, m)
 
 
+def paper_family_iii(k: int, t: Fraction) -> tuple[Fraction, ...]:
+    """f1..f4 of family III at t as the paper writes them, a = (k-1)/(k-2)."""
+    a2 = Fraction(k - 1, k - 2) ** 2
+    f1 = a2 ** (k - 1) * (t - 1)
+    f2 = t ** (2 * k - 3) * (t - a2) * (t * t - a2) / a2
+    f3 = t ** (2 * k - 1) * (t - a2) / a2
+    return f1, f2, f3, f1 - f2 + f3
+
+
 def test_family_parametrization_structure():
     p = family_parametrization(FamilySpec("I", 5))
     assert p.f1 == UniPoly([-1])
     assert p.f4 == p.f1 - p.f2 + p.f3
-    p3 = family_parametrization(FamilySpec("III", 8))
-    # a = 3/2 at k = 4: the leading setup uses a^(2k-2) = (3/2)^6
-    from fractions import Fraction
-    assert p3.f1.coeffs[-1] == Fraction(3, 2) ** 6
+    # family III is the paper's map times one constant, so the same map
+    for m in (8, 12, 20, 40):
+        p3 = family_parametrization(FamilySpec("III", m))
+        assert p3.f4 == p3.f1 - p3.f2 + p3.f3
+        scales = set()
+        for t in (Fraction(n, d) for n in range(-4, 6) for d in (1, 2, 3)):
+            ours = [f.evaluate(t) for f in (p3.f1, p3.f2, p3.f3, p3.f4)]
+            for f, g in zip(ours, paper_family_iii(m // 2, t)):
+                if g:
+                    scales.add(f / g)
+                else:
+                    assert f == 0
+        assert len(scales) == 1 and 0 not in scales, m
     with pytest.raises(NoParametrization):
         family_parametrization(FamilySpec("V", 6))
 
@@ -85,6 +105,10 @@ def test_multiplicity_lemma_rejects_bad_hypotheses():
     with pytest.raises(HypothesisFailure):
         # f4 != f1 - f2 + f3
         verify_multiplicity_lemma(Parametrization(one, t, one, one))
+    zero = UniPoly()
+    for f3 in (zero, one):  # gcd(0, 0) = 0
+        with pytest.raises(HypothesisFailure):
+            verify_multiplicity_lemma(Parametrization(zero, zero, f3, f3))
 
 
 def test_end_to_end_family_i_small():
@@ -104,6 +128,24 @@ def test_end_to_end_family_ii_m5():
         polygon((0, 0), (2, 0), (5, 1), (4, 5), (3, 4))
 
 
+def test_newton_polygon_match_ignores_translation(monkeypatch):
+    # both polygons are translated to the origin before they are compared
+    from latticecurves import families
+
+    implicitize = families.implicitize
+
+    def moved_implicitize(f1, f2, f3, f4, details):
+        f = implicitize(f1, f2, f3, f4, details)
+        details["newton_polygon"] = details["newton_polygon"].translate(1, 2)
+        return f
+
+    target = family_polygon(FamilySpec("II", 5)).translate(2, -3)
+    monkeypatch.setattr(families, "implicitize", moved_implicitize)
+    monkeypatch.setattr(families, "family_polygon", lambda spec: target)
+    report = verify_family_end_to_end(FamilySpec("II", 5))
+    assert report["newton_polygon_matches"] and report["passed"]
+
+
 def test_end_to_end_budget():
     with pytest.raises(RangeError):
         verify_family_end_to_end(FamilySpec("I", 9), budget=8)
@@ -114,7 +156,6 @@ def test_end_to_end_budget():
 
 
 def test_family_i_implicit_vanishes_on_samples():
-    from fractions import Fraction
     report = verify_family_end_to_end(FamilySpec("I", 4))
     from latticecurves.laurent import LaurentPolynomial
     f = LaurentPolynomial.from_json(report["polynomial"])

@@ -1,6 +1,7 @@
 import random
+from collections import Counter
 from fractions import Fraction
-from itertools import islice
+from itertools import islice, zip_longest
 from math import comb, gcd, isqrt, lcm
 
 import numpy as np
@@ -21,15 +22,16 @@ from latticecurves.laurent import (
     _integer_side,
     _interpolate_mod,
     _int_kth_root,
+    _inverse_mod,
     _perfect_power_root,
     _primitive,
+    _res_mod,
     _res_mod_batch,
-    _trim,
     geometric_sum,
     implicitize,
     irreducibility_certificate,
-    num_coeff,
     ord_profile,
+    shares_factor,
     uni_resultant,
     verify_factorization,
 )
@@ -48,6 +50,49 @@ H = LaurentPolynomial({(5, 3): 1, (5, 2): -2, (4, 3): -6, (4, 2): 11,
 
 def _const_lp(c) -> LaurentPolynomial:
     return LaurentPolynomial({(0, 0): c})
+
+
+def _trim(a: list) -> list:
+    """A coefficient list, numbers or Laurent polynomials, without its top zeros."""
+    a = list(a)
+    while a and not a[-1]:
+        a.pop()
+    return a
+
+
+def _side(f: UniPoly, g: UniPoly, w: LaurentPolynomial) -> list:
+    """f - w g as a t-polynomial with Laurent coefficients."""
+    return _trim([_const_lp(c) - w * _const_lp(d)
+                  for c, d in zip_longest(f, g, fillvalue=0)])
+
+
+def _fraction_divmod(a: list, b: list) -> tuple[list, list]:
+    """Quotient and remainder over Q of coefficient lists, lowest first, with
+    b's last entry nonzero; the remainder keeps len(b) - 1 entries."""
+    rem = [Fraction(c) for c in a]
+    q = [Fraction(0)] * max(len(rem) - len(b) + 1, 0)
+    for i in range(len(rem) - len(b), -1, -1):
+        c = rem[i + len(b) - 1] / b[-1]
+        q[i] = c
+        for j, d in enumerate(b):
+            rem[i + j] -= c * d
+    return q, rem[:len(b) - 1]
+
+
+def _fraction_gcd(a: list, b: list) -> list:
+    """Monic gcd over Q by Euclid on coefficient lists, lowest first; [] is 0.
+    The reference for the resultant certificate `shares_factor`."""
+    a, b = _trim(a), _trim(b)
+    while b:
+        a, b = b, _trim(_fraction_divmod(a, b)[1])
+    return [Fraction(c) / a[-1] for c in a]
+
+
+def _integer_pair(p: list, q: list) -> tuple[UniPoly, UniPoly]:
+    """Two rational coefficient lists times the lcm of their denominators:
+    the same map t -> p/q, in integer polynomials."""
+    lam = lcm(*(Fraction(c).denominator for c in p + q))
+    return UniPoly([int(c * lam) for c in p]), UniPoly([int(c * lam) for c in q])
 
 
 def sylvester_matrix(a: list, b: list) -> list[list]:
@@ -81,50 +126,6 @@ def sylvester_det_direct(a, b) -> LaurentPolynomial:
 
     n = len(mat)
     return det(list(range(n)), list(range(n)))
-
-
-def _res_mod(a: list[int], b: list[int], p: int, seen: set | None = None) -> int:
-    """Res(a, b) mod p at formal degrees n = len(a) - 1 and m = len(b) - 1,
-    by Euclid, one pair at a time; coefficients lowest first.  The reference
-    for the lockstep `_res_mod_batch`; `seen` collects the branches taken.
-
-    A lead that vanishes mod p lowers the formal degree of its side:
-    Res_{n,m}(a, b) = a_n Res_{n,m-1}(a, b) when b_m = 0, and 0 when a_n = 0
-    too; Res_{n,m}(a, b) = (-1)^(nm) Res_{m,n}(b, a) moves a vanishing a_n
-    to the other side.  With both leads nonzero and n >= m, the remainder r
-    of a by b, of formal degree m - 1, gives Res_{n,m}(a, b) =
-    (-1)^(nm) b_m^(n-m+1) Res_{m,m-1}(b, r).
-    """
-    a, b, res = [c % p for c in a], [c % p for c in b], 1
-    seen = set() if seen is None else seen
-    last = None
-    while True:
-        n, m = len(a) - 1, len(b) - 1
-        if not n or not m:
-            seen.add("finish")
-            return res * pow(a[0], m, p) * pow(b[0], n, p) % p
-        if not b[-1]:
-            if not a[-1]:
-                seen.add("both leads vanish")
-                return 0
-            seen.add("pop run" if last == "pop" else "pop")
-            last = "pop"
-            res = res * a[-1] % p
-            b.pop()
-            continue
-        last = None
-        if not a[-1] or n < m:
-            seen.add("swap")
-            a, b, res = b, a, res * (-1) ** (n * m)
-        else:
-            # the lockstep batch reduces n - m + 1 times at the exponent m
-            seen.add("reduce" if n == m else "reduce, exponent repeated")
-            inv = pow(b[-1], -1, p)
-            for i in range(n, m - 1, -1):
-                c = a[i] * inv % p
-                a[i - m:i + 1] = [(x - c * y) % p for x, y in zip(a[i - m:i + 1], b)]
-            res = res * (-1) ** (n * m) * pow(b[-1], n - m + 1, p) % p
-            a, b = b, a[:m]
 
 
 def test_ring_operations():
@@ -221,11 +222,16 @@ def test_certificate_past_the_decomposition_limit_is_inconclusive():
 def test_unipoly_arithmetic_and_gcd():
     a = UniPoly([-1, 0, 1])          # t^2 - 1
     b = UniPoly([-1, 1])             # t - 1
-    q, r = a.divmod(b)
-    assert q == UniPoly([1, 1]) and r.is_zero()
-    assert a.gcd(b) == UniPoly([-1, 1])
+    q, r = _fraction_divmod(a, b)
+    assert q == [1, 1] and not any(r)
+    assert _fraction_gcd(a, b) == [-1, 1]
+    assert shares_factor(a, b) and not shares_factor(a, UniPoly([2, 1]))
+    assert a * b == UniPoly([1, -1, -1, 1]) and (a - a).is_zero()
+    assert 3 * a == a * 3 == UniPoly([-3, 0, 3])
     assert UniPoly([0, 0, 3, 6]).valuation_at_zero() == 2
     assert geometric_sum(1, 4) == UniPoly([0, 1, 1, 1, 1])
+    with pytest.raises(TypeError):  # integer coefficients only
+        UniPoly([Fraction(1, 2)])
 
 
 def test_resultant_matches_direct_expansion():
@@ -234,12 +240,7 @@ def test_resultant_matches_direct_expansion():
     f2 = geometric_sum(1, m)
     f3 = UniPoly.t_power(m)
     f4 = f1 - f2 + f3
-    u = LaurentPolynomial.monomial(1, 0)
-    v = LaurentPolynomial.monomial(0, 1)
-    a = _trim([_const_lp(num_coeff(f1, i)) - u * _const_lp(num_coeff(f2, i))
-               for i in range(m + 1)])
-    b = _trim([_const_lp(num_coeff(f3, i)) - v * _const_lp(num_coeff(f4, i))
-               for i in range(m + 1)])
+    a, b = _side(f1, f2, U), _side(f3, f4, V)
     assert uni_resultant(a, b) == sylvester_det_direct(a, b)
 
 
@@ -416,6 +417,81 @@ def test_res_mod_batch_takes_every_branch_like_scalar_euclid():
                     "pop run", "swap", "reduce", "reduce, exponent repeated"}
 
 
+def test_shares_factor_matches_fraction_euclid(monkeypatch):
+    # the resultant certificate against Euclid over Q: shared factors, leads
+    # divisible by the first word prime, resultants that vanish modulo it
+    # but not over Z, and zero or constant sides
+    from latticecurves import laurent
+
+    tried = []
+    res_mod = laurent._res_mod
+    monkeypatch.setattr(laurent, "_res_mod", lambda a, b, p: tried.append(p) or res_mod(a, b, p))
+    rng = random.Random(1971)
+    p0 = next(_word_primes())
+
+    def rand(deg):
+        return [rng.randint(-9, 9) for _ in range(deg)] + [rng.choice([-1, 1]) * rng.randint(1, 9)]
+
+    def times(*fs):
+        out = UniPoly([1])
+        for f in fs:
+            out = out * UniPoly(f)
+        return list(out)
+
+    seen = set()
+    for _ in range(500):
+        kind = rng.choice(["random", "shared", "lead divisible by p0", "root shared mod p0",
+                           "zero", "constant"])
+        f, g = rand(rng.randint(0, 4)), rand(rng.randint(0, 4))
+        if kind == "shared":
+            h = rand(rng.randint(1, 3))
+            f, g = times(f, h), times(g, h)
+        elif kind == "lead divisible by p0":
+            f = rand(rng.randint(1, 4))
+            f[-1] *= p0
+        elif kind == "root shared mod p0":
+            r = rng.randint(-20, 20)
+            f, g = times(f, [-r, 1]), times(g, [-r - rng.choice([-1, 1]) * p0, 1])
+        elif kind == "zero":
+            f = rng.choice([[], [0, 0]])
+            g = rng.choice([[], g])
+        elif kind == "constant":
+            f = [rng.choice([-1, 1]) * rng.choice([1, 7, p0])]
+        if rng.random() < 0.5:
+            f, g = g, f
+        want = len(_fraction_gcd(f, g)) > 1
+        tried.clear()
+        assert shares_factor(UniPoly(f), UniPoly(g)) == want, (kind, f, g)
+        seen.add(kind)
+        if len(tried) > 1 and not want:
+            seen.add("vanishes mod p0, not over Z")
+        if want and tried:
+            seen.add(f"Res = 0 proved by {'one prime' if len(tried) == 1 else 'primes'}")
+        if not tried:
+            seen.add("decided by the degrees")
+    assert seen == {"random", "shared", "lead divisible by p0", "root shared mod p0", "zero",
+                    "constant", "vanishes mod p0, not over Z", "Res = 0 proved by one prime",
+                    "Res = 0 proved by primes", "decided by the degrees"}
+
+
+def test_inverse_mod_matches_pow():
+    # one batch mixes primes down to 2 and 3; runs of one row; a single row
+    rng = random.Random(1987)
+    primes = [2, 3, 5, 101, *islice(_word_primes(), 3)]
+    seen = set()
+    for rows in (1, 1, 2, 3, *(rng.randint(1, 300) for _ in range(60))):
+        p = [rng.choice(primes) for _ in range(rows)]
+        x = [rng.randrange(1, q) for q in p]
+        got = _inverse_mod(np.array(x, np.int64), np.array(p, np.int64))
+        assert got.tolist() == [pow(a, -1, q) for a, q in zip(x, p)]
+        runs = Counter(p)
+        seen.update(k for k, hit in (("single row", rows == 1),
+                                     ("run of one row", rows > 1 and 1 in runs.values()),
+                                     ("2 and 3", {2, 3} <= runs.keys()),
+                                     ("mixed primes", len(runs) > 1)) if hit)
+    assert seen == {"single row", "run of one row", "2 and 3", "mixed primes"}
+
+
 def test_grid_residues_match_exact_evaluation():
     # coefficients past 2**64 of both signs, zero t-coefficients, 1 to 14
     # primes; exponents up to 40 make node powers full-size residues
@@ -515,15 +591,14 @@ def test_implicitize_vanishes_on_random_parametrizations():
     rng = random.Random(1971)
 
     def rand_poly():
-        return UniPoly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                        for _ in range(rng.randint(1, 5))])
+        return _trim([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                       for _ in range(rng.randint(1, 5))])
 
-    def rand_pair():
+    def rand_pair():  # coprime over Q, denominators cleared per pair
         while True:
             p, q = rand_poly(), rand_poly()
-            if (not p.is_zero() and not q.is_zero() and max(p.degree, q.degree) >= 1
-                    and p.gcd(q).degree == 0):
-                return p, q
+            if p and q and max(len(p), len(q)) >= 2 and len(_fraction_gcd(p, q)) == 1:
+                return _integer_pair(p, q)
 
     for _ in range(40):
         (f1, f2), (f3, f4) = rand_pair(), rand_pair()
@@ -546,16 +621,15 @@ def test_implicitize_matches_the_primitive_resultant_and_the_fraction_route():
     # t -> t^k makes the map k:1, so the resultant is a true k-th power
     rng = random.Random(1974)
 
-    def rand_pair():
+    def rand_pair():  # coprime over Q, denominators cleared per pair
         while True:
-            p, q = (UniPoly([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
-                             for _ in range(rng.randint(1, 4))]) for _ in range(2))
-            if (not p.is_zero() and not q.is_zero() and max(p.degree, q.degree) >= 1
-                    and p.gcd(q).degree == 0):
-                return p, q
+            p, q = (_trim([Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+                            for _ in range(rng.randint(1, 4))]) for _ in range(2))
+            if p and q and max(len(p), len(q)) >= 2 and len(_fraction_gcd(p, q)) == 1:
+                return _integer_pair(p, q)
 
     def at_power(f, k):  # f(t^k)
-        return UniPoly([0 if i % k else f.coeffs[i // k] for i in range(k * f.degree + 1)])
+        return UniPoly([0 if i % k else f[i // k] for i in range(k * f.degree + 1)])
 
     seen = set()
     for _ in range(30):
@@ -563,12 +637,7 @@ def test_implicitize_matches_the_primitive_resultant_and_the_fraction_route():
         f1, f2, f3, f4 = (at_power(f, k) for f in (*rand_pair(), *rand_pair()))
         details = {}
         g = implicitize(f1, f2, f3, f4, details)
-        deg = max(f1.degree, f2.degree, f3.degree, f4.degree)
-        a = _trim([_const_lp(num_coeff(f1, i)) - U * _const_lp(num_coeff(f2, i))
-                   for i in range(deg + 1)])
-        b = _trim([_const_lp(num_coeff(f3, i)) - V * _const_lp(num_coeff(f4, i))
-                   for i in range(deg + 1)])
-        res = uni_resultant(a, b)
+        res = uni_resultant(_side(f1, f2, U), _side(f3, f4, V))
         power = ONE
         for _ in range(details["power"]):
             power = power * g
