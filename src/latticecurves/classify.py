@@ -166,7 +166,7 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
         first = isqrt(max(vol - 1, 0)) + 1  # the least m >= 1 with m² >= vol
         if vol > volume_max or first > m_max:
             continue
-        cap = multiplicity_cap(poly)
+        cap = multiplicity_cap(poly, first)
         last = m_max if cap is None else min(m_max, cap)
         if last < first:
             continue

@@ -387,7 +387,7 @@ def is_decomposable(poly: LatticePolygon) -> bool:
     return (0, 0, True, True) in states
 
 
-def multiplicity_cap(poly: LatticePolygon) -> int | None:
+def multiplicity_cap(poly: LatticePolygon, first: int | None = None) -> int | None:
     """The least width of Δ along a primitive (a, b) unless Δ has edges along
     both (-b, a) and (b, -a), or None for degenerate Δ: a unimodular
     invariant that bounds m for every f in L(Δ, m) with NP(f) = Δ.
@@ -395,18 +395,20 @@ def multiplicity_cap(poly: LatticePolygon) -> int | None:
     f restricted to t -> (t^a, t^b) has exponent spread at most that width
     and order >= m at t = 1, so for a larger m it is zero and x^(-b) y^a - 1
     divides f; NP(f) then has the summand [0, (-b, a)], hence both edges.
-    One of the #edges + 1 directions (1, k) lacks an edge pair and bounds the search.
+    The widths along (0, 1), the edge normals and (1, k), k = 0..#edges (one
+    of which lacks an edge pair), bound the cap: given first, their least free
+    one is returned when it is below first, which proves the cap below first
+    without a direction walk; otherwise it bounds the walk.
     """
     if poly.is_degenerate:
         return None
     edges = {e for e, _ in _edge_multiset(poly)}
     # the normals whose level lines run along a pair of opposite edges
     paired = {(dy, -dx) for dx, dy in edges if (-dx, -dy) in edges}
-    lw, w = poly.lattice_width()
-    if w not in paired:
-        return lw
-    bound = min(poly.width_in_direction((1, k)) for k in range(len(edges) + 1)
-                if (1, k) not in paired)
+    seeds = [(0, 1)] + [(1, k) for k in range(len(edges) + 1)] + [(-dy, dx) for dx, dy in edges]
+    bound = min(poly.width_in_direction(v) for v in seeds if v not in paired)
+    if first is not None and bound < first:
+        return bound
     return min(width for width, _, a, b in poly._directions(bound) if (a, b) not in paired)
 
 
@@ -480,10 +482,14 @@ def _at_origin(points) -> tuple[Point, ...]:
 
 
 def _square_images(verts):
-    """The eight images of a point list under x <-> y, x -> -x and y -> -y."""
+    """The images of a CCW vertex cycle under x <-> y, x -> -x and y -> -y, as
+    CCW cycles from (0, 0); no hull, as one with determinant -1 reverses it."""
     for sx, sy in product((1, -1), repeat=2):
-        yield [(sx * x, sy * y) for x, y in verts]
-        yield [(sy * y, sx * x) for x, y in verts]
+        for det, img in ((sx * sy, [(sx * x, sy * y) for x, y in verts]),
+                         (-sx * sy, [(sy * y, sx * x) for x, y in verts])):
+            img = _canonical_order(tuple(img[::det]))
+            x0, y0 = img[0]
+            yield tuple((x - x0, y - y0) for x, y in img)
 
 
 def enumerate_polygons(coord_max: int = 3, volume_max: int = 6) -> list[LatticePolygon]:
@@ -498,7 +504,11 @@ def enumerate_polygons(coord_max: int = 3, volume_max: int = 6) -> list[LatticeP
     above volume_max are dropped at once.  Each symmetry g of the square keeps
     the grid and commutes with hulls, g(hull(A + q)) = hull(g(A) + g(q)), so a
     new class is recorded with its eight images and only it is grown; each g
-    is unimodular, so only grown classes need a canonical form.
+    is unimodular, so only grown classes need a canonical form.  Before any
+    hull, q's crosses with the class's CCW edges decide it: none negative
+    means q lies inside; else the triangle on the most violated edge adds
+    -cross to the volume, so vol - cross > volume_max drops q.  The images
+    need no hull either (`_square_images`).
     """
     if coord_max < 0 or volume_max < 0:
         raise RangeError("coord_max and volume_max must be nonnegative")
@@ -506,11 +516,17 @@ def enumerate_polygons(coord_max: int = 3, volume_max: int = 6) -> list[LatticeP
     classes = set(grown)
     for verts in grown:
         xs, ys = zip(*verts)
+        poly = LatticePolygon(verts)
+        edges = poly.edges() if len(verts) >= 3 else ()
         for q in product(range(max(xs) - coord_max, min(xs) + coord_max + 1),
                          range(max(ys) - coord_max, min(ys) + coord_max + 1)):
+            if edges:
+                worst = min(_cross(a, b, q) for a, b in edges)
+                if worst >= 0 or poly.volume - worst > volume_max:
+                    continue
             h = _at_origin(verts + (q,))
             if h not in classes and LatticePolygon(h).volume <= volume_max:
-                classes.update(_at_origin(img) for img in _square_images(h))
+                classes.update(_square_images(h))
                 grown.append(h)
     keys = {canonical_form(LatticePolygon(verts)).vertices for verts in grown}
     return [LatticePolygon(k) for k in sorted(keys)]

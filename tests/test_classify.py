@@ -25,6 +25,7 @@ from latticecurves.laurent import (
 )
 from latticecurves.linsys import compute_system, condition_matrix
 from latticecurves.polygon import (
+    LatticePolygon,
     UnimodularMap,
     canonical_form,
     convex_hull,
@@ -394,6 +395,37 @@ def test_multiplicity_cap_matches_brute_force_and_is_invariant():
                                   (rng.randint(-5, 5), rng.randint(-5, 5))).apply(poly)
             assert multiplicity_cap(image) == cap, (poly.vertices, image.vertices)
     assert exempt > 100 and degenerate > 0
+
+
+def test_multiplicity_cap_seed_exit_matches_the_exact_cap(monkeypatch):
+    """Two routes to "is the cap below first": the seed-direction exit and
+    the exact cap, on hulls of 1-6 points in [-4, 4]^2 (degenerate ones
+    too) for every first in 0..8; at or above first the two values agree."""
+    rng = random.Random(1818)
+    exits = degenerate = 0
+    for _ in range(300):
+        poly = convex_hull([(rng.randint(-4, 4), rng.randint(-4, 4))
+                            for _ in range(rng.randint(1, 6))])
+        exact = multiplicity_cap(poly)
+        degenerate += exact is None
+        for first in range(9):
+            cap = multiplicity_cap(poly, first)
+            if exact is None:
+                assert cap is None
+                continue
+            assert (cap < first) == (exact < first), (poly.vertices, first)
+            if exact >= first:
+                assert cap == exact
+            else:
+                assert exact <= cap < first
+                exits += cap > exact
+    assert degenerate > 0 and exits > 0
+    # a narrow seed direction decides without a direction walk
+    def no_walk(self, bound):
+        raise AssertionError("direction walk")
+
+    monkeypatch.setattr(LatticePolygon, "_directions", no_walk)
+    assert multiplicity_cap(polygon((0, 0), (4, 0), (0, 1)), 2) == 1
 
 
 def test_classify_width_cap_matches_kernel_route_on_zonotopes():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+import sys
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, gcd
@@ -293,8 +294,10 @@ def test_enumerate_polygons_matches_translation_classes(coord_max, volume_max):
 
 
 # sha256 of repr([p.vertices for p in enumerate_polygons(c, v)]), recorded
-# with the translation-class search above
+# with the translation-class search above; (3, 6), the README's default, was
+# recorded before the edge-cross prefilter
 ENUMERATION_SHA256 = {
+    (3, 6): "fe36846516d5cd0f62023210d4bd71ff9826fcc86b42adf58035dddfce7ef84e",
     (4, 12): "c6dc0fce30c1ab2810d588957ce3fd8428b992ceebd17dfa8ea09d60aa703e1e",
     (5, 10): "a77dda72bb8d3c01332d2cc9ec679079edc8690f79e962a452d21eee0258aad8",
 }
@@ -307,6 +310,22 @@ def test_enumeration_is_pinned(coord_max, volume_max):
     assert digest == ENUMERATION_SHA256[coord_max, volume_max]
 
 
+def test_enumeration_decides_most_candidates_without_a_hull(monkeypatch):
+    """The edge-cross prefilter and the hull-free images leave fewer than
+    1000 hulls for enumerate_polygons(3, 6) (2644 without them)."""
+    module = sys.modules[LatticePolygon.__module__]
+    calls = []
+    hull = module._hull_vertices
+
+    def counted(points):
+        calls.append(1)
+        return hull(points)
+
+    monkeypatch.setattr(module, "_hull_vertices", counted)
+    assert len(enumerate_polygons(3, 6)) == 30
+    assert 0 < len(calls) < 1000
+
+
 def test_enumerate_polygons_rejects_negative_bounds():
     for coord_max, volume_max in [(3, -1), (-1, 6), (-1, -1)]:
         with pytest.raises(RangeError):
@@ -314,17 +333,28 @@ def test_enumerate_polygons_rejects_negative_bounds():
     assert enumerate_polygons(0, 0) == [LatticePolygon(((0, 0),))]
 
 
+def reference_square_images(verts):
+    """Reference: the eight images of a point list under x <-> y, x -> -x and
+    y -> -y, as raw point lists (no hull, no translation)."""
+    for sx, sy in product((1, -1), repeat=2):
+        yield [(sx * x, sy * y) for x, y in verts]
+        yield [(sy * y, sx * x) for x, y in verts]
+
+
 def test_square_images_keep_canonical_form_and_box():
-    # the enumeration records a class with its eight images; each must be
-    # equivalent to it and fit in the same box up to swapping the axes
-    assert len({tuple(img) for img in _square_images([(1, 2)])}) == 8
+    # the enumeration records a class with its eight images; each is the
+    # hull of the mapped vertices at the origin, equivalent to the class and
+    # in the same box up to swapping the axes
+    assert len(set(_square_images(((0, 0), (1, 0), (0, 2))))) == 8
+    assert set(_square_images(((0, 0),))) == {((0, 0),)}
     r = random.Random(3141)
     for _ in range(200):
         h = _at_origin([(r.randint(0, 4), r.randint(0, 4)) for _ in range(r.randint(1, 6))])
         key = canonical_form(LatticePolygon(h))
         spans = sorted(max(axis) - min(axis) for axis in zip(*h))
-        for img in _square_images(h):
-            g = _at_origin(img)
+        images = list(_square_images(h))
+        assert images == [_at_origin(img) for img in reference_square_images(h)]
+        for g in images:
             assert canonical_form(LatticePolygon(g)) == key
             assert sorted(max(axis) - min(axis) for axis in zip(*g)) == spans
 
