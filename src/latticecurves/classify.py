@@ -106,15 +106,15 @@ class ClassificationHit:
 
 
 def _examine(task):
-    """[(m, hit)] over one polygon's m = first..last, factors looked up by m.
+    """[(m, hit)] over one polygon's m = first..last, skipping the oracle's m's.
     The rows for m are among those for m + 1, so the first empty system ends
     the scan.  An `expected_dimension` of 2 or more proves the system
     nonempty and not a unique curve, so that m is passed over without a
     kernel.  Only the first system is solved; each later order is raised
     from the one before it (`raise_order`), whose certificate is the check
-    G w = 0 on the new rows."""
-    vertices, first, last, factors = task
-    poly = LatticePolygon(vertices)
+    G w = 0 on the new rows.  An m in `reducible` is dropped once its system
+    holds one curve: the oracle's witness was checked when it was loaded."""
+    poly, first, last, reducible = task
     hits, system = [], None
     for m in range(first, last + 1):
         if expected_dimension(poly, m) >= 2:
@@ -125,14 +125,13 @@ def _examine(task):
             system = compute_system(poly, m)
         if system.is_empty():
             break
-        if system.dimension != 1:
+        if system.dimension != 1 or m in reducible:
             continue
         f = system.members()[0]
-        if f.newton_polygon() != poly.translated_to_origin():
+        newton = f.newton_polygon()
+        if newton != poly.translated_to_origin():
             continue
-        cert = irreducibility_certificate(f, witness_factors=factors.get(m))
-        if cert.verdict == IrreducibilityCertificate.REDUCIBLE:
-            continue
+        cert = irreducibility_certificate(f, newton=newton)
         warning = cert.verdict == IrreducibilityCertificate.INCONCLUSIVE
         hits.append((m, ClassificationHit(numeric_invariants(poly, m), f, cert, warning)))
     return hits
@@ -142,9 +141,12 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
                      jobs: int | None = None) -> list[ClassificationHit]:
     """Unique-curve pairs from a polygon stream, deduplicated by canonical form.
 
-    oracle maps (canonical vertices, m) to a factor list certifying
-    reducibility; such pairs are dropped.  jobs above 1 runs the tasks in a
-    process pool, None, 0 or 1 serially; a negative jobs raises RangeError.
+    oracle holds the (canonical vertices, m) pairs whose unique member is
+    reducible, as `cli.load_oracle` returns them with their checked
+    witnesses; those pairs are dropped, in every coordinate system, since a
+    unimodular change of coordinates fixes (1, 1) and carries the member and
+    its factors along.  jobs above 1 runs the tasks in a process pool, None,
+    0 or 1 serially; a negative jobs raises RangeError.
     Each task scans its polygon from the least m with vol(Δ) - m² <= 0 up to
     m_max or `multiplicity_cap`, lazily, so m_max costs nothing past where
     the scan ends.  Above the cap every member is divisible by a binomial
@@ -155,11 +157,10 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
         raise RangeError("m_max must be at least 1")
     if jobs is not None and jobs < 0:
         raise RangeError("jobs must be nonnegative")
-    factors_by_key = {}
-    for (key, m), factors in (oracle or {}).items():
-        factors_by_key.setdefault(key, {})[m] = factors
-    keys, tasks = [], []
-    seen_input = set()
+    reducible = {}
+    for key, m in oracle or ():
+        reducible.setdefault(key, set()).add(m)
+    tasks = {}  # canonical vertices -> (polygon, first, last, oracle m's)
     for poly in polygons:
         # volume and the width cap are unimodular invariants: skips keep the dedupe
         vol = poly.volume
@@ -171,17 +172,14 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
         if last < first:
             continue
         key = canonical_form(poly).vertices
-        if key in seen_input:
-            continue
-        seen_input.add(key)
-        keys.append(key)
-        tasks.append((poly.vertices, first, last, factors_by_key.get(key, {})))
+        if key not in tasks:
+            tasks[key] = (poly, first, last, reducible.get(key, ()))
     if jobs and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            found = list(pool.map(_examine, tasks))
+            found = list(pool.map(_examine, tasks.values()))
     else:
-        found = map(_examine, tasks)
-    results = {(key, m): hit for key, hits in zip(keys, found) for m, hit in hits}
+        found = map(_examine, tasks.values())
+    results = {(key, m): hit for key, hits in zip(tasks, found) for m, hit in hits}
     return [results[k] for k in sorted(results, key=lambda k: (k[1], k[0]))]

@@ -14,7 +14,7 @@ from . import __version__
 from .classify import classify_dataset, numeric_invariants
 from .errors import LatticeCurveError, ParseError
 from .families import FAMILIES, FamilySpec, family_invariants, verify_family_end_to_end
-from .laurent import LaurentPolynomial, verify_factorization
+from .laurent import IrreducibilityCertificate, LaurentPolynomial, irreducibility_certificate
 from .linsys import compute_system
 from .polygon import LatticePolygon, canonical_form, enumerate_polygons, polygon
 from .seshadri import estimate, rationality_certificates, width_upper_bound
@@ -44,7 +44,12 @@ def ingest_polygon_dataset(path):
 
 
 def load_oracle(path):
-    """Reducibility annotations keyed by (canonical vertices, m); verified."""
+    """Reducibility annotations keyed by (canonical vertices, m).
+
+    This is the one place a witness is checked: an entry is accepted only
+    when its factors are two or more non-monomials whose product is the
+    first member of L(Δ, m) up to a unit (`ReducibleByWitness`).
+    `classify_dataset` trusts the pairs it is given."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
@@ -61,10 +66,11 @@ def load_oracle(path):
         except (KeyError, IndexError, TypeError, ValueError, OverflowError,
                 ZeroDivisionError, LatticeCurveError) as exc:
             raise ParseError(f"oracle entry {index}: {exc!r}") from exc
-        if not member or not verify_factorization(member[0], factors):
+        if not member or (irreducibility_certificate(member[0], witness_factors=factors)
+                          .verdict != IrreducibilityCertificate.REDUCIBLE):
             raise ParseError(
-                f"oracle entry {index}: factors do not reproduce the system "
-                f"member for {poly.vertices} at m={m}")
+                f"oracle entry {index}: factors are not two or more non-monomials "
+                f"whose product is the system member for {poly.vertices} at m={m}")
         oracle[(canonical_form(poly).vertices, m)] = factors
     return oracle
 

@@ -43,13 +43,8 @@ def _hull_vertices(points) -> tuple[Point, ...]:
         while len(upper) >= 2 and _cross(upper[-2], upper[-1], p) <= 0:
             upper.pop()
         upper.append(p)
-    hull = lower[:-1] + upper[:-1]
-    if len(hull) == 2 and hull[0] == hull[1]:
-        return (hull[0],)
-    if len(lower) == len(pts) and len(upper) == len(pts):
-        # all collinear: keep the two endpoints
-        return (pts[0], pts[-1])
-    return tuple(hull)
+    # the pops on collinear turns leave just the two endpoints of a segment
+    return tuple(lower[:-1] + upper[:-1])
 
 
 def _slice(halfplanes, t: int) -> tuple[int, int] | None:

@@ -36,9 +36,6 @@ RELATIONS: tuple[DivisorClass, DivisorClass] = (
     (2, 3, 1, -5, -1, 0, 0),
 )
 
-# primitive generators of the fan rays, one per D_i (columns of P)
-FAN_RAYS = ((-1, 2), (-2, 3), (-1, 1), (-2, -5), (5, -1), (1, 0))
-
 C: DivisorClass = (0, 1, 2, 32, 1, 0, -6)
 C1: DivisorClass = (0, 0, 0, 5, 1, 0, -1)
 C2: DivisorClass = (0, 0, 0, 0, 5, 1, -1)

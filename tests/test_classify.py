@@ -150,6 +150,29 @@ def test_classify_with_oracle_drops_reducible():
     assert classify_dataset([square], 2, 16, oracle) == []
 
 
+def test_oracle_drops_every_image_of_its_polygons():
+    """A unimodular change of coordinates fixes (1, 1), so it carries the
+    unique member and its factors to every polygon of the class: the oracle
+    drops each image at its m, not only the translates."""
+    oracle = load_oracle(
+        str(resources.files("latticecurves.data").joinpath("oracle_vol6.json")))
+    rng = random.Random(1919)
+    maps = []
+    while len(maps) < 50:
+        (a, b), (c, d) = linear = tuple(
+            tuple(rng.randint(-2, 2) for _ in range(2)) for _ in range(2))
+        if abs(a * d - b * c) == 1:
+            maps.append(UnimodularMap(linear, (0, 0)))
+    reported = moved = 0
+    for key, m in oracle:
+        for u in maps:
+            image = u.apply(LatticePolygon(key)).translated_to_origin()
+            moved += image != LatticePolygon(key).translated_to_origin()
+            reported += any(h.pair.m == m for h in classify_dataset([image], m, 36, oracle))
+    assert (reported, len(oracle) * len(maps)) == (0, 300)
+    assert moved > 200
+
+
 def test_classify_deduplicates_equivalent_inputs():
     from latticecurves.polygon import UnimodularMap
     p = polygon((0, 0), (2, 1), (1, 2))
@@ -177,7 +200,8 @@ def test_classify_parallel_matches_serial_with_oracle():
 
 
 def flat_classify(polygons, m_max, volume_max, oracle=None):
-    """Reference: every (polygon, m) pair examined on its own, no early stop."""
+    """Reference: every (polygon, m) pair examined on its own, no early stop.
+    A pair whose class and m are in the oracle is dropped, in any coordinates."""
     oracle = oracle or {}
     results, seen = {}, set()
     for poly in polygons:
@@ -190,14 +214,12 @@ def flat_classify(polygons, m_max, volume_max, oracle=None):
             if vol - m * m > 0:
                 continue
             system = compute_system(poly, m)
-            if system.dimension != 1:
+            if system.dimension != 1 or (key, m) in oracle:
                 continue
             f = system.members()[0]
             if f.newton_polygon() != poly.translated_to_origin():
                 continue
-            cert = irreducibility_certificate(f, witness_factors=oracle.get((key, m)))
-            if cert.verdict == IrreducibilityCertificate.REDUCIBLE:
-                continue
+            cert = irreducibility_certificate(f)
             results[key, m] = ClassificationHit(
                 numeric_invariants(poly, m), f, cert,
                 warning=cert.verdict == IrreducibilityCertificate.INCONCLUSIVE)
@@ -220,6 +242,13 @@ def test_classify_matches_flat_reference():
         str(resources.files("latticecurves.data").joinpath("oracle_vol6.json")))
     polys = ELEVEN + random_polygons(rng, 40) + enumerate_polygons()
     polys += [UnimodularMap(((1, 0), (0, 1)), (-2, -1)).apply(p) for p in polys[:20]]
+    # images of the oracle's polygons that are not translates, moved to the
+    # origin; they come first, so they stand for their classes
+    twist = UnimodularMap(((1, 1), (1, 2)), (0, 0))
+    images = [twist.apply(LatticePolygon(key)).translated_to_origin() for key, _ in oracle]
+    assert all(img != LatticePolygon(key).translated_to_origin()
+               for img, (key, _) in zip(images, oracle))
+    polys = images + polys
     want = [h.to_json() for h in flat_classify(polys, 5, 25, oracle)]
     assert [h.to_json() for h in classify_dataset(polys, 5, 25, oracle)] == want
     assert [h.to_json() for h in classify_dataset(polys, 5, 25, oracle, jobs=2)] == want
@@ -247,7 +276,7 @@ def test_scan_solves_only_its_first_system():
     square = polygon((0, 0), (1, 0), (1, 1), (0, 1))
     assert multiplicity_cap(square) == 2
     compute_system.cache_clear()
-    hits = _examine((square.vertices, 2, 4, {}))
+    hits = _examine((square, 2, 4, ()))
     assert [m for m, _ in hits] == [2]
     info = compute_system.cache_info()
     assert (info.misses, info.hits) == (1, 0)

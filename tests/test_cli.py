@@ -185,6 +185,10 @@ def test_bad_oracle_entry_names_its_index(tmp_path, capsys):
                      "--oracle", str(oracle)]) == 2
         err = capsys.readouterr().err
         assert f"oracle entry {index}:" in err and "line" not in err
+    # both witnesses multiply out to the member, but neither proves it reducible
+    for case in ("oracle-monomial-factor", "oracle-single-factor"):
+        assert main(MALFORMED_INPUTS[case](tmp_path)) == 2
+        assert "oracle entry 0:" in capsys.readouterr().err
 
 
 def _file(directory, name, text):
@@ -201,11 +205,19 @@ def _oracle_case(entries):
 
 
 SQUARE = '"polygon": {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, "verdict": "reducible"'
+# the unique member of L(square, 2), (1 - u)(1 - v), and the constant 1
+SQUARE_MEMBER = ('{"terms": [{"e": [0, 0], "c": "1"}, {"e": [0, 1], "c": "-1"}, '
+                 '{"e": [1, 0], "c": "-1"}, {"e": [1, 1], "c": "1"}]}')
+ONE = '{"terms": [{"e": [0, 0], "c": "1"}]}'
 MALFORMED_INPUTS = {
     "oracle-not-a-list": _oracle_case("5"),
     "oracle-short-exponent": _oracle_case(
         '[{' + SQUARE + ', "m": 2, "factors": [{"terms": [{"e": [0], "c": "1"}]}]}]'),
     "oracle-infinite-m": _oracle_case('[{' + SQUARE + ', "m": 1e400, "factors": []}]'),
+    "oracle-monomial-factor": _oracle_case(
+        '[{' + SQUARE + ', "m": 2, "factors": [' + SQUARE_MEMBER + ', ' + ONE + ']}]'),
+    "oracle-single-factor": _oracle_case(
+        '[{' + SQUARE + ', "m": 2, "factors": [' + SQUARE_MEMBER + ']}]'),
     "bad-vertices": lambda d: ["polygon-info", "--vertices", "0,0 1"],
     "classify-negative-jobs": lambda d: ["classify", "--jobs", "-3", "--dataset",
                                          _file(d, "polys.txt", "0,0 1,0 0,1\n")],

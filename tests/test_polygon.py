@@ -29,6 +29,14 @@ from latticecurves.polygon import (
 def test_hull_strips_interior_and_collinear_points():
     p = convex_hull([(0, 0), (2, 0), (1, 0), (0, 2), (1, 1), (0, 1)])
     assert p.vertices == ((0, 0), (2, 0), (0, 2))
+    # collinear sets, with duplicates, keep their two endpoints
+    assert convex_hull([(1, 1), (3, 5), (2, 3), (3, 5), (1, 1), (2, 3)]).vertices == \
+        ((1, 1), (3, 5))
+    assert convex_hull([(0, 4), (0, -1), (0, 2), (0, 4)]).vertices == ((0, -1), (0, 4))
+    assert convex_hull([(2, -1), (-2, 1), (0, 0), (-2, 1)]).vertices == ((-2, 1), (2, -1))
+    # a repeated single point is a point, and two points are a segment
+    assert convex_hull([(3, -2)] * 4).vertices == ((3, -2),)
+    assert convex_hull([(5, 1), (-1, 4)]).vertices == ((-1, 4), (5, 1))
 
 
 def test_hull_starts_at_the_least_vertex_and_turns_left():
