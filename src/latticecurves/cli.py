@@ -1,12 +1,14 @@
 """Command-line front end: JSON-first reports over all toolkit modules.
 
-Exit codes: 0 success, 1 a verification failed, 2 bad input.
+Exit codes: 0 success, 1 a verification failed, 2 bad input, 141 the reader
+closed standard output early (as a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -47,8 +49,8 @@ def load_oracle(path):
     """Reducibility annotations keyed by (canonical vertices, m).
 
     This is the one place a witness is checked: an entry is accepted only
-    when its factors are two or more non-monomials whose product is the
-    first member of L(Δ, m) up to a unit (`ReducibleByWitness`).
+    when L(Δ, m) holds one curve and its factors are two or more non-monomials
+    whose product is that member up to a unit (`ReducibleByWitness`).
     `classify_dataset` trusts the pairs it is given."""
     with open(path) as fh:
         raw = json.load(fh)
@@ -62,12 +64,15 @@ def load_oracle(path):
             if item["verdict"] != "reducible":
                 continue
             factors = tuple(LaurentPolynomial.from_json(f) for f in item["factors"])
-            member = compute_system(poly, m).members()
+            system = compute_system(poly, m)
         except (KeyError, IndexError, TypeError, ValueError, OverflowError,
                 ZeroDivisionError, LatticeCurveError) as exc:
             raise ParseError(f"oracle entry {index}: {exc!r}") from exc
-        if not member or (irreducibility_certificate(member[0], witness_factors=factors)
-                          .verdict != IrreducibilityCertificate.REDUCIBLE):
+        if system.dimension != 1:
+            raise ParseError(f"oracle entry {index}: the system for {poly.vertices} at m={m} "
+                             f"has dimension {system.dimension}, not one curve")
+        if (irreducibility_certificate(system.members()[0], witness_factors=factors)
+                .verdict != IrreducibilityCertificate.REDUCIBLE):
             raise ParseError(
                 f"oracle entry {index}: factors are not two or more non-monomials "
                 f"whose product is the system member for {poly.vertices} at m={m}")
@@ -76,10 +81,7 @@ def load_oracle(path):
 
 
 def _emit(obj, pretty: bool) -> None:
-    if pretty:
-        print(json.dumps(obj, indent=2, default=str))
-    else:
-        print(json.dumps(obj, default=str))
+    print(json.dumps(obj, indent=2 if pretty else None, default=str), flush=True)
 
 
 def cmd_polygon_info(args) -> int:
@@ -188,66 +190,64 @@ def cmd_wpp(args) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+# name -> (handler, options); each option is (flag, add_argument keywords)
+COMMANDS = {
+    "polygon-info": (cmd_polygon_info, (("--vertices", {"required": True}),
+                                        ("--m", {"type": int}))),
+    "linsys": (cmd_linsys, (("--vertices", {"required": True}),
+                            ("--m", {"type": int, "required": True}))),
+    "classify": (cmd_classify, (
+        ("--dataset", {"required": True}), ("--oracle", {}),
+        ("--m-max", {"type": int, "default": 4}), ("--volume-max", {"type": int, "default": 16}),
+        ("--enumerate", {"action": "store_true",
+                         "help": "append the built-in small-volume enumeration"}),
+        ("--jobs", {"type": int, "default": 0}))),
+    "family": (cmd_family, (
+        ("--id", {"required": True, "choices": FAMILIES}),
+        ("--m", {"type": int, "required": True}), ("--verify", {"action": "store_true"}),
+        ("--budget", {"type": int, "default": 20}))),
+    "surface": (cmd_surface, (("--k-range", {"type": int, "default": 50}),
+                              ("--rr-range", {"type": int, "default": 10}))),
+    "seshadri": (cmd_seshadri, (("--vertices", {"required": True}), ("--m", {"type": int}),
+                                ("--irreducible", {"action": "store_true"}))),
+    "wpp": (cmd_wpp, (
+        ("--a", {"type": int, "required": True}), ("--b", {"type": int, "required": True}),
+        ("--c", {"type": int, "required": True}), ("--table", {}),
+        ("--best", {"action": "store_true"}))),
+}
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """The CLI parser; when `command` names a subcommand, only its subparser is built.
+    The root usage still lists every command, so all help and errors read the same."""
     ap = argparse.ArgumentParser(
         prog="latticecurves",
         description="exact computations with curves on blown-up toric surfaces",
     )
     ap.add_argument("--version", action="version", version=__version__)
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    one = command in COMMANDS
+    sub = ap.add_subparsers(dest="command", required=True,
+                            metavar="{%s}" % ",".join(COMMANDS) if one else None)
+    for name in (command,) if one else COMMANDS:
+        fn, options = COMMANDS[name]
+        p = sub.add_parser(name)
         p.add_argument("--pretty", action="store_true")
+        for flag, kw in options:
+            p.add_argument(flag, **kw)
         p.set_defaults(fn=fn)
-        return p
-
-    p = add("polygon-info", cmd_polygon_info)
-    p.add_argument("--vertices", required=True)
-    p.add_argument("--m", type=int)
-
-    p = add("linsys", cmd_linsys)
-    p.add_argument("--vertices", required=True)
-    p.add_argument("--m", type=int, required=True)
-
-    p = add("classify", cmd_classify)
-    p.add_argument("--dataset", required=True)
-    p.add_argument("--oracle")
-    p.add_argument("--m-max", type=int, default=4)
-    p.add_argument("--volume-max", type=int, default=16)
-    p.add_argument("--enumerate", action="store_true",
-                   help="append the built-in small-volume enumeration")
-    p.add_argument("--jobs", type=int, default=0)
-
-    p = add("family", cmd_family)
-    p.add_argument("--id", required=True, choices=FAMILIES)
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--verify", action="store_true")
-    p.add_argument("--budget", type=int, default=20)
-
-    p = add("surface", cmd_surface)
-    p.add_argument("--k-range", type=int, default=50)
-    p.add_argument("--rr-range", type=int, default=10)
-
-    p = add("seshadri", cmd_seshadri)
-    p.add_argument("--vertices", required=True)
-    p.add_argument("--m", type=int)
-    p.add_argument("--irreducible", action="store_true")
-
-    p = add("wpp", cmd_wpp)
-    p.add_argument("--a", type=int, required=True)
-    p.add_argument("--b", type=int, required=True)
-    p.add_argument("--c", type=int, required=True)
-    p.add_argument("--table")
-    p.add_argument("--best", action="store_true")
     return ap
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
         return args.fn(args)
+    except BrokenPipeError:
+        # the reader closed stdout (`_emit` flushes, so it shows here): send the
+        # rest to devnull, so the flush at exit cannot raise, and exit as SIGPIPE would
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ValueError, OSError, LatticeCurveError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2

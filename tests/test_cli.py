@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import json
 import os
@@ -10,6 +11,8 @@ import pytest
 
 import latticecurves
 from latticecurves.cli import (
+    COMMANDS,
+    build_parser,
     ingest_polygon_dataset,
     load_oracle,
     main,
@@ -150,12 +153,17 @@ def test_dataset_ingestion_reports_line(tmp_path):
     assert err.value.line == 2
 
 
+def child_env():
+    """The environment for a python child that imports this process's package."""
+    src = str(Path(latticecurves.__file__).parents[1])
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def run_child(*args):
     """Run python with `args` on the package that this process imports."""
-    src = str(Path(latticecurves.__file__).parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    return subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=child_env())
 
 
 def test_parse_error_exit_code_names_line_once(tmp_path):
@@ -173,6 +181,78 @@ def test_cli_import_leaves_the_process_pool_out():
     assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
 
 
+@pytest.mark.parametrize("argv, read", [
+    # about 200 kB, more than a pipe holds, so a write meets the closed end
+    (["linsys", "--vertices", "0,0 40,0 0,40", "--m", "1", "--pretty"], 300),
+    # a short report, buffered until the exit flush unless the command flushes it
+    (["polygon-info", "--vertices", "0,0 2,1 1,2"], 0),
+])
+def test_closed_stdout_exits_141_without_a_message(argv, read):
+    env = child_env()
+    env.pop("PYTHONUNBUFFERED", None)
+    proc = subprocess.Popen([sys.executable, "-m", "latticecurves.cli", *argv],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    assert len(proc.stdout.read(read)) == read
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 141, err
+    for text in ("input error", "Traceback", "Exception ignored"):
+        assert text not in err, err
+
+
+README_COMMANDS = [
+    ["polygon-info", "--vertices", "0,0 2,1 1,2", "--m", "2"],
+    ["linsys", "--vertices", "0,0 2,5 4,4 5,2", "--m", "5"],
+    ["classify", "--dataset", "src/latticecurves/data/polygons.txt",
+     "--oracle", "src/latticecurves/data/oracle_vol6.json", "--enumerate"],
+    ["family", "--id", "I", "--m", "3", "--verify"],
+    ["surface"],
+    ["seshadri", "--vertices", "0,0 4,1 1,4", "--m", "4", "--irreducible"],
+    ["wpp", "--a", "9", "--b", "10", "--c", "13", "--best"],
+]
+PARSER_ARGVS = README_COMMANDS + [[name, "--help"] for name in COMMANDS] + [
+    ["classify"],                                   # a missing option
+    ["family", "--id", "X", "--m", "3"],            # a bad --id choice
+    ["classify", "--dataset", "x", "--bogus"],      # an unknown option
+    ["wpp", "--a", "9", "--b", "10", "--c", "13", "extra"],
+    [],                                             # a missing command
+    ["bogus"],                                      # an unknown command
+    ["bogus", "--help"], ["--help"], ["--version"], ["--pretty", "classify"],
+]
+
+
+def _parse(parser, argv, capsys):
+    try:
+        return parser.parse_args(argv)
+    except SystemExit as exc:
+        captured = capsys.readouterr()
+        return exc.code, captured.out, captured.err
+
+
+@pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
+def test_one_subparser_parses_like_the_full_parser(monkeypatch, capsys, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    full = _parse(build_parser(), argv, capsys)
+    assert _parse(build_parser(argv[0] if argv else None), argv, capsys) == full
+    if not isinstance(full, argparse.Namespace):
+        assert full[0] in (0, 2) and (full[1] or full[2])
+
+
+def test_main_builds_only_the_parser_it_runs(monkeypatch, capsys):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    assert main(["polygon-info", "--vertices", "0,0 1,0 0,1"]) == 0
+    assert built == ["latticecurves", "latticecurves polygon-info"]
+    capsys.readouterr()
+
+
 def test_bad_oracle_entry_names_its_index(tmp_path, capsys):
     entries = json.loads(open(data_path("oracle_vol6.json")).read())
     dataset = tmp_path / "polys.txt"
@@ -185,8 +265,9 @@ def test_bad_oracle_entry_names_its_index(tmp_path, capsys):
                      "--oracle", str(oracle)]) == 2
         err = capsys.readouterr().err
         assert f"oracle entry {index}:" in err and "line" not in err
-    # both witnesses multiply out to the member, but neither proves it reducible
-    for case in ("oracle-monomial-factor", "oracle-single-factor"):
+    # the first two witnesses multiply out to the member, but neither proves it
+    # reducible; the third names a system of three curves, which has no unique member
+    for case in ("oracle-monomial-factor", "oracle-single-factor", "oracle-not-unique"):
         assert main(MALFORMED_INPUTS[case](tmp_path)) == 2
         assert "oracle entry 0:" in capsys.readouterr().err
 
@@ -209,6 +290,8 @@ SQUARE = '"polygon": {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1]]}, "verdict": 
 SQUARE_MEMBER = ('{"terms": [{"e": [0, 0], "c": "1"}, {"e": [0, 1], "c": "-1"}, '
                  '{"e": [1, 0], "c": "-1"}, {"e": [1, 1], "c": "1"}]}')
 ONE = '{"terms": [{"e": [0, 0], "c": "1"}]}'
+# u - 1; its square is the first basis member of L(hull((0,0),(2,0),(0,2)), 2)
+U_MINUS_ONE = '{"terms": [{"e": [1, 0], "c": "1"}, {"e": [0, 0], "c": "-1"}]}'
 MALFORMED_INPUTS = {
     "oracle-not-a-list": _oracle_case("5"),
     "oracle-short-exponent": _oracle_case(
@@ -218,6 +301,9 @@ MALFORMED_INPUTS = {
         '[{' + SQUARE + ', "m": 2, "factors": [' + SQUARE_MEMBER + ', ' + ONE + ']}]'),
     "oracle-single-factor": _oracle_case(
         '[{' + SQUARE + ', "m": 2, "factors": [' + SQUARE_MEMBER + ']}]'),
+    "oracle-not-unique": _oracle_case(
+        '[{"polygon": {"vertices": [[0, 0], [2, 0], [0, 2]]}, "verdict": "reducible", '
+        '"m": 2, "factors": [' + U_MINUS_ONE + ', ' + U_MINUS_ONE + ']}]'),
     "bad-vertices": lambda d: ["polygon-info", "--vertices", "0,0 1"],
     "classify-negative-jobs": lambda d: ["classify", "--jobs", "-3", "--dataset",
                                          _file(d, "polys.txt", "0,0 1,0 0,1\n")],
