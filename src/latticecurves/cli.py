@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import operator
 import os
 import sys
 from fractions import Fraction
@@ -60,7 +61,7 @@ def load_oracle(path):
     for index, item in enumerate(raw):
         try:
             poly = LatticePolygon.from_json(item["polygon"])
-            m = int(item["m"])
+            m = operator.index(item["m"])
             if item["verdict"] != "reducible":
                 continue
             factors = tuple(LaurentPolynomial.from_json(f) for f in item["factors"])

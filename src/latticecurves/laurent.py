@@ -1,16 +1,17 @@
-"""Exact Laurent polynomials in two variables and univariate helpers.
+"""Laurent polynomials in two variables over Z, and univariate helpers.
 
-Includes Newton polygons, multiplicity at the torus identity, resultant-based
-implicitization of rational parametrizations, factorization verification and
-a sufficient irreducibility certificate based on Newton-polygon
-indecomposability.
+One normal form, primitive integers (`_primitive`), which by Gauss's lemma
+loses nothing over Q.  Includes Newton polygons, multiplicity at the torus
+identity, resultant-based implicitization of rational parametrizations,
+factorization verification and a sufficient irreducibility certificate based
+on Newton-polygon indecomposability.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count, zip_longest
+from itertools import zip_longest
 from math import comb, gcd, isqrt, lcm, prod
 from operator import index
 
@@ -30,7 +31,7 @@ Exponent = tuple[int, int]
 
 
 class LaurentPolynomial:
-    """Finitely supported map from Z^2 exponents to rational coefficients."""
+    """Finitely supported map from Z^2 exponents to integer coefficients."""
 
     __slots__ = ("terms",)
 
@@ -38,10 +39,9 @@ class LaurentPolynomial:
         clean = {}
         if terms:
             for e, c in (terms.items() if isinstance(terms, dict) else terms):
-                if type(c) is not Fraction:
-                    c = Fraction(c)
+                c = index(c)
                 if c:
-                    key = (int(e[0]), int(e[1]))
+                    key = (index(e[0]), index(e[1]))
                     if key in clean:
                         c += clean[key]
                         if not c:
@@ -52,7 +52,7 @@ class LaurentPolynomial:
 
     @staticmethod
     def monomial(p: int, q: int, c=1) -> "LaurentPolynomial":
-        return LaurentPolynomial({(p, q): Fraction(c)})
+        return LaurentPolynomial({(p, q): c})
 
     @staticmethod
     def zero() -> "LaurentPolynomial":
@@ -87,7 +87,7 @@ class LaurentPolynomial:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
+        if not isinstance(other, LaurentPolynomial):
             return self.scale(other)
         return LaurentPolynomial(((p1 + p2, q1 + q2), c1 * c2)
                                  for (p1, q1), c1 in self.terms.items()
@@ -96,7 +96,7 @@ class LaurentPolynomial:
     __rmul__ = __mul__
 
     def scale(self, c) -> "LaurentPolynomial":
-        c = Fraction(c)  # a zero c leaves no term
+        c = index(c)  # a zero c leaves no term
         return LaurentPolynomial({e: c * v for e, v in self.terms.items()})
 
     def shift(self, dp: int, dq: int) -> "LaurentPolynomial":
@@ -112,47 +112,55 @@ class LaurentPolynomial:
             raise ZeroPolynomial("zero polynomial has no support")
         return (min(p for p, _ in self.terms), min(q for _, q in self.terms))
 
-    def unit_normalized(self) -> "LaurentPolynomial":
-        """Divide by monomial unit and rational content; lex-least coefficient 1."""
-        if not self.terms:
-            raise ZeroPolynomial("cannot normalize zero")
-        dp, dq = self.min_exponents()
-        shifted = self.shift(-dp, -dq)
-        lead = shifted.terms[min(shifted.terms)]
-        return shifted.scale(1 / lead)
-
     def newton_polygon(self) -> LatticePolygon:
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no Newton polygon")
         return LatticePolygon.hull(self.terms)
 
     def multiplicity_at_identity(self) -> int:
-        """Least vanishing order of f(1+s, 1+t) at the origin."""
+        """Least vanishing order of f(1+s, 1+t) at the origin: with f shifted
+        to least exponents (0, 0), the least k <= deg f with a nonzero
+        T(a, k - a) = sum_p C(p, a) S_p(k - a), where each S_p(b) = sum_q
+        c_pq C(q, b) is taken once (a truncated Taylor shift; von zur Gathen
+        and Gerhard, ISSAC 1997)."""
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no multiplicity")
-        # a monomial unit and a nonzero scalar leave the order unchanged
-        (terms,), _, _ = _integer_side([self])
-        for k in count():
+        dp, dq = self.min_exponents()  # a monomial unit leaves the order unchanged
+        cols = {}
+        for (p, q), c in self.terms.items():
+            cols.setdefault(p - dp, []).append((q - dq, c))
+        sums = [(p, []) for p in cols]  # S_p(b) at index b
+        for k in range(max(p + q for p, q in self.terms) - dp - dq + 1):
+            for p, s in sums:
+                s.append(sum(c * comb(q, k) for q, c in cols[p]))
             for a in range(k + 1):
-                if sum(c * comb(p, a) * comb(q, k - a) for p, q, c in terms):
+                if sum(comb(p, a) * s[k - a] for p, s in sums):
                     return k
 
     def to_json(self) -> dict:
-        return {
-            "terms": [
-                {"e": [p, q], "c": f"{c.numerator}/{c.denominator}"}
-                for (p, q), c in sorted(self.terms.items())
-            ]
-        }
+        return {"terms": [{"e": [p, q], "c": f"{c}/1"}
+                          for (p, q), c in sorted(self.terms.items())]}
 
     @staticmethod
     def from_json(obj: dict) -> "LaurentPolynomial":
-        return LaurentPolynomial(
-            {(int(t["e"][0]), int(t["e"][1])): Fraction(t["c"]) for t in obj["terms"]}
-        )
+        """Read "a/b" coefficients and clear their denominators: the result
+        is the polynomial written times the lcm of its denominators.
+        Exponents must be JSON integers."""
+        terms = [(t["e"], Fraction(t["c"])) for t in obj["terms"]]
+        den = lcm(*(c.denominator for _, c in terms))
+        return LaurentPolynomial((e, c.numerator * (den // c.denominator)) for e, c in terms)
 
     def __repr__(self):
         return " + ".join(f"{c}*u^{p}*v^{q}" for (p, q), c in sorted(self.terms.items())) or "0"
+
+
+def _primitive(f: LaurentPolynomial) -> LaurentPolynomial:
+    """f over its monomial unit and content: least exponents (0, 0), coprime
+    coefficients, and a positive lex-least coefficient."""
+    dp, dq = f.min_exponents()
+    g = gcd(*f.terms.values())
+    g = g if f.terms[min(f.terms)] > 0 else -g
+    return LaurentPolynomial({(p - dp, q - dq): c // g for (p, q), c in f.terms.items()})
 
 
 def verify_factorization(f: LaurentPolynomial, factors) -> bool:
@@ -160,7 +168,7 @@ def verify_factorization(f: LaurentPolynomial, factors) -> bool:
     product = prod(factors, start=LaurentPolynomial.one())
     if f.is_zero() or product.is_zero():
         return f.is_zero() and product.is_zero()
-    return f.unit_normalized() == product.unit_normalized()
+    return _primitive(f) == _primitive(product)
 
 
 @dataclass(frozen=True)
@@ -446,14 +454,11 @@ def _interpolate_mod(values, p) -> np.ndarray:
 
 
 def _integer_side(side: TPoly):
-    """Integer terms (p, q, c) of lam * u^dp * v^dq * side, (dp, dq) and lam."""
+    """Terms (p, q, c) of u^dp * v^dq * side, with p, q >= 0, and (dp, dq)."""
     mins = [c.min_exponents() for c in side if not c.is_zero()]
     dp = -min(0, min(p for p, _ in mins))
     dq = -min(0, min(q for _, q in mins))
-    lam = lcm(*(c.denominator for t in side for c in t.terms.values()))
-    terms = [[(p + dp, q + dq, c.numerator * (lam // c.denominator))
-              for (p, q), c in t.terms.items()] for t in side]
-    return terms, (dp, dq), lam
+    return [[(p + dp, q + dq, c) for (p, q), c in t.terms.items()] for t in side], (dp, dq)
 
 
 def _grid_residues(side, nx: int, ny: int, primes: list[int]) -> np.ndarray:
@@ -485,25 +490,23 @@ def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
 
     Coefficients live in the Laurent ring; leading t-coefficients must be
     nonzero (raise DegenerateInput otherwise; trimming is the caller's job).
-    Each side is scaled to integers with nonnegative exponents, and each
-    t-coefficient is evaluated once on a (u, v) grid sized by the degree
-    bound, straight to int64 residues mod every word prime
-    (`_grid_residues`).  One lockstep Euclid takes the resultant at every
-    grid point mod every prime, then one Newton interpolation over every
-    prime in u, then in v.
+    Each side is shifted to nonnegative exponents, and each t-coefficient
+    is evaluated once on a (u, v) grid sized by the degree bound, straight
+    to int64 residues mod every word prime (`_grid_residues`).  One
+    lockstep Euclid takes the resultant at every grid point mod every
+    prime, then one Newton interpolation over every prime in u, then in v.
     The primes, fixed up front, multiply past twice the Goldstein-Graham
     bound (SIAM Review 1974) (sum_i ||a_i||_1^2)^(deg B/2) (sum_j
     ||b_j||_1^2)^(deg A/2): Hadamard's inequality on the Sylvester matrix
     over |u| = |v| = 1 bounds each integer coefficient by it, so the
     symmetric Chinese-remainder lift is exact.  The lift visits only the
-    coefficients with a nonzero residue.  Res(lam A, mu B) = lam^deg B
-    mu^deg A Res(A, B) undoes the scaling.
+    coefficients with a nonzero residue.
     """
     if len(a) < 2 or len(b) < 2:
         raise DegenerateInput("resultant needs deg_t >= 1 on both sides")
     if a[-1].is_zero() or b[-1].is_zero():
         raise DegenerateInput("leading t-coefficient is identically zero")
-    (ia, sa, la), (ib, sb, lb) = _integer_side(a), _integer_side(b)
+    (ia, sa), (ib, sb) = _integer_side(a), _integer_side(b)
     deg_a, deg_b = len(a) - 1, len(b) - 1
 
     def maxdeg(side, axis):
@@ -530,21 +533,8 @@ def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
         crt, mod = crt_step(crt, mod, r.astype(object), p), mod * p
     crt = np.where(2 * crt > mod, crt - mod, crt)
     shift_u, shift_v = (deg_b * sa[i] + deg_a * sb[i] for i in (0, 1))
-    scale = la ** deg_b * lb ** deg_a
-    return LaurentPolynomial({(p - shift_u, q - shift_v): Fraction(c, scale)
+    return LaurentPolynomial({(p - shift_u, q - shift_v): c
                               for q, p, c in zip(qs.tolist(), us.tolist(), crt.tolist())})
-
-
-def _primitive(f: LaurentPolynomial) -> LaurentPolynomial:
-    """f over its monomial unit and rational content: least exponents (0, 0),
-    coprime integer coefficients, and a positive lex-least coefficient."""
-    dp, dq = f.min_exponents()
-    den = lcm(*(c.denominator for c in f.terms.values()))
-    ints = {(p - dp, q - dq): c.numerator * (den // c.denominator)
-            for (p, q), c in f.terms.items()}
-    g = gcd(*ints.values())
-    g = g if ints[min(ints)] > 0 else -g
-    return LaurentPolynomial({e: c // g for e, c in ints.items()})
 
 
 def _int_kth_root(n: int, k: int) -> int | None:
@@ -598,7 +588,7 @@ def _perfect_power_root(f: LaurentPolynomial,
     edge_gcd = gcd(*(c for x, y in verts for c in (x - x0, y - y0)))
     image = [0] * (max(p + base * q for p, q in f.terms) + 1)
     for (p, q), c in f.terms.items():
-        image[p + base * q] = int(c)
+        image[p + base * q] = c
     for k in range(edge_gcd, 1, -1):
         if edge_gcd % k or (root := _uni_kth_root(image, k)) is None:
             continue

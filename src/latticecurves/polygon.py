@@ -15,6 +15,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import count, product
 from math import gcd
+from operator import index
 
 from .errors import DegeneratePolygon, RangeError
 
@@ -241,7 +242,7 @@ class LatticePolygon:
 
     @staticmethod
     def from_json(obj: dict) -> "LatticePolygon":
-        return LatticePolygon.hull((int(x), int(y)) for x, y in obj["vertices"])
+        return LatticePolygon.hull((index(x), index(y)) for x, y in obj["vertices"])
 
 
 def convex_hull(points) -> LatticePolygon:

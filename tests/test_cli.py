@@ -272,6 +272,19 @@ def test_bad_oracle_entry_names_its_index(tmp_path, capsys):
         assert "oracle entry 0:" in capsys.readouterr().err
 
 
+def test_oracle_numbers_must_be_integers(tmp_path, capsys):
+    # each entry loads once its float is written as the integer int() made of it
+    for case, old, new in (("oracle-float-m", "2.5", "2"), ("oracle-float-exponent", "0.9", "0"),
+                           ("oracle-float-vertex", "1.5", "1")):
+        argv = MALFORMED_INPUTS[case](tmp_path)
+        assert main(argv) == 2
+        assert "oracle entry 0: TypeError" in capsys.readouterr().err
+        oracle = tmp_path / "oracle.json"
+        oracle.write_text(oracle.read_text().replace(old, new))
+        assert main(argv) == 0
+        capsys.readouterr()
+
+
 def _file(directory, name, text):
     path = directory / name
     path.write_text(text)
@@ -292,6 +305,7 @@ SQUARE_MEMBER = ('{"terms": [{"e": [0, 0], "c": "1"}, {"e": [0, 1], "c": "-1"}, 
 ONE = '{"terms": [{"e": [0, 0], "c": "1"}]}'
 # u - 1; its square is the first basis member of L(hull((0,0),(2,0),(0,2)), 2)
 U_MINUS_ONE = '{"terms": [{"e": [1, 0], "c": "1"}, {"e": [0, 0], "c": "-1"}]}'
+V_MINUS_ONE = '{"terms": [{"e": [0, 1], "c": "1"}, {"e": [0, 0], "c": "-1"}]}'
 MALFORMED_INPUTS = {
     "oracle-not-a-list": _oracle_case("5"),
     "oracle-short-exponent": _oracle_case(
@@ -301,6 +315,15 @@ MALFORMED_INPUTS = {
         '[{' + SQUARE + ', "m": 2, "factors": [' + SQUARE_MEMBER + ', ' + ONE + ']}]'),
     "oracle-single-factor": _oracle_case(
         '[{' + SQUARE + ', "m": 2, "factors": [' + SQUARE_MEMBER + ']}]'),
+    # numbers that int() would truncate to the shipped square entry at m = 2
+    "oracle-float-m": _oracle_case(
+        '[{' + SQUARE + ', "m": 2.5, "factors": [' + U_MINUS_ONE + ', ' + V_MINUS_ONE + ']}]'),
+    "oracle-float-exponent": _oracle_case(
+        '[{' + SQUARE + ', "m": 2, "factors": [' + U_MINUS_ONE + ', '
+        '{"terms": [{"e": [0.9, 1], "c": "1"}, {"e": [0, 0], "c": "-1"}]}]}]'),
+    "oracle-float-vertex": _oracle_case(
+        '[{"polygon": {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1.5]]}, "verdict": "reducible", '
+        '"m": 2, "factors": [' + U_MINUS_ONE + ', ' + V_MINUS_ONE + ']}]'),
     "oracle-not-unique": _oracle_case(
         '[{"polygon": {"vertices": [[0, 0], [2, 0], [0, 2]]}, "verdict": "reducible", '
         '"m": 2, "factors": [' + U_MINUS_ONE + ', ' + U_MINUS_ONE + ']}]'),

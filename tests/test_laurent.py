@@ -153,35 +153,95 @@ def test_multiplicity_at_identity():
     assert LaurentPolynomial.one().multiplicity_at_identity() == 0
 
 
-def _fraction_multiplicity(f):
+# ---- reference route: polynomials as dicts {(p, q): Fraction}, over Q
+
+
+def _q_terms(f: LaurentPolynomial) -> dict:
+    return {e: Fraction(c) for e, c in f.terms.items()}
+
+
+def _q_mul(f: dict, g: dict) -> dict:
+    out = {}
+    for (p1, q1), c1 in f.items():
+        for (p2, q2), c2 in g.items():
+            e = (p1 + p2, q1 + q2)
+            out[e] = out.get(e, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+def _q_normalized(f: dict) -> dict:
+    """f over its monomial unit and its lex-least coefficient."""
+    dp, dq = min(p for p, _ in f), min(q for _, q in f)
+    lead = f[min(f)]
+    return {(p - dp, q - dq): c / lead for (p, q), c in f.items()}
+
+
+def _q_verify(f: dict, factors) -> bool:
+    """f equals the product up to a monomial unit and a nonzero rational."""
+    product = {(0, 0): Fraction(1)}
+    for g in factors:
+        product = _q_mul(product, g)
+    if not f or not product:
+        return not f and not product
+    return _q_normalized(f) == _q_normalized(product)
+
+
+def _q_cleared(f: dict) -> dict:
+    """f times the lcm of its denominators."""
+    den = lcm(*(c.denominator for c in f.values()))
+    return {e: c * den for e, c in f.items()}
+
+
+def _q_to_json(f: dict) -> dict:
+    return {"terms": [{"e": [p, q], "c": f"{c.numerator}/{c.denominator}"}
+                      for (p, q), c in sorted(f.items())]}
+
+
+def _q_from_json(obj: dict) -> dict:
+    return {tuple(t["e"]): Fraction(t["c"]) for t in obj["terms"]}
+
+
+def _fraction_multiplicity(f: dict) -> int:
     """The Fraction sum that preceded the integer multiplicity_at_identity."""
-    dp, dq = f.min_exponents()
-    f = f.shift(-dp, -dq)
-    pmax = max(p for p, _ in f.terms)
-    qmax = max(q for _, q in f.terms)
+    dp, dq = min(p for p, _ in f), min(q for _, q in f)
+    f = {(p - dp, q - dq): c for (p, q), c in f.items()}
+    pmax = max(p for p, _ in f)
+    qmax = max(q for _, q in f)
     for k in range(pmax + qmax + 1):
         for a in range(k + 1):
             s = Fraction(0)
-            for (p, q), c in f.terms.items():
+            for (p, q), c in f.items():
                 s += c * comb(p, a) * comb(q, k - a)
             if s:
                 return k
     raise AssertionError("nonzero polynomial without finite multiplicity")
 
 
+def _vanishing_factor(rng) -> LaurentPolynomial:
+    """u^a v^b - 1, or u - v: a factor that vanishes at (1, 1)."""
+    a, b = rng.randint(-2, 2), rng.randint(-2, 2)
+    return LaurentPolynomial({(a, b): 1}) - ONE if a or b else U - V
+
+
 def test_multiplicity_at_identity_matches_fraction_sum():
+    from latticecurves.families import FamilySpec, family_parametrization
+
     rng = random.Random(1151)
     seen = set()
     for _ in range(300):
         f = _random_laurent(rng) or ONE
-        for _ in range(rng.randint(0, 3)):  # factors vanishing at (1, 1)
-            a, b = rng.randint(-2, 2), rng.randint(-2, 2)
-            f = f * (LaurentPolynomial({(a, b): 1}) - ONE if a or b else U - V)
+        for _ in range(rng.randint(0, 3)):
+            f = f * _vanishing_factor(rng)
         f = f.shift(rng.randint(-4, 4), rng.randint(-4, 4))
         k = f.multiplicity_at_identity()
-        assert k == _fraction_multiplicity(f)
+        assert k == _fraction_multiplicity(_q_terms(f))
         seen.add(k)
     assert seen >= {0, 1, 2, 3}
+    # the implicit equations of the largest family members the CLI verifies
+    for fam, m in (("I", 20), ("III", 16), ("III", 20)):
+        par = family_parametrization(FamilySpec(fam, m))
+        f = implicitize(par.f1, par.f2, par.f3, par.f4)
+        assert f.multiplicity_at_identity() == _fraction_multiplicity(_q_terms(f)) == m
     with pytest.raises(ZeroPolynomial):
         LaurentPolynomial.zero().multiplicity_at_identity()
 
@@ -189,7 +249,7 @@ def test_multiplicity_at_identity_matches_fraction_sum():
 def test_verify_factorization_up_to_unit():
     prod = G * H
     assert verify_factorization(prod, [G, H])
-    assert verify_factorization(prod.shift(2, -1).scale(Fraction(3, 7)), [G, H])
+    assert verify_factorization(prod.shift(2, -1).scale(-7), [G, H])
     assert not verify_factorization(prod, [G, G])
 
 
@@ -232,6 +292,8 @@ def test_unipoly_arithmetic_and_gcd():
     assert geometric_sum(1, 4) == UniPoly([0, 1, 1, 1, 1])
     with pytest.raises(TypeError):  # integer coefficients only
         UniPoly([Fraction(1, 2)])
+    with pytest.raises(TypeError):
+        LaurentPolynomial({(0, 0): Fraction(1, 2)})
 
 
 def test_resultant_matches_direct_expansion():
@@ -245,17 +307,16 @@ def test_resultant_matches_direct_expansion():
 
 
 def _random_laurent(rng):
-    return LaurentPolynomial({(rng.randint(-1, 1), rng.randint(-1, 2)):
-                              Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+    return LaurentPolynomial({(rng.randint(-1, 1), rng.randint(-1, 2)): rng.randint(-12, 12)
                               for _ in range(rng.randint(1, 3))})
 
 
 def _random_tpoly(rng, deg):
-    """Random t-polynomial: rational Laurent coefficients, some zero inside,
+    """Random t-polynomial: integer Laurent coefficients, some zero inside,
     a nonzero leading one that may vanish on the evaluation grid."""
     side = [_random_laurent(rng) if rng.random() < 0.7 else LaurentPolynomial.zero()
             for _ in range(deg)]
-    lead = rng.choice([U - _const_lp(Fraction(2)), V - ONE, U * V - _const_lp(Fraction(3)),
+    lead = rng.choice([U - _const_lp(2), V - ONE, U * V - _const_lp(3),
                        _random_laurent(rng), _random_laurent(rng)])
     return side + [lead if lead else ONE]
 
@@ -268,21 +329,20 @@ def _random_pair(seed, count, max_deg):
 
 
 def test_resultant_matches_direct_expansion_on_random_laurent_inputs():
-    a, b = [ONE, U - _const_lp(Fraction(2))], [ONE, ONE, V]
+    a, b = [ONE, U - _const_lp(2)], [ONE, ONE, V]
     assert uni_resultant(a, b) == sylvester_det_direct(a, b)
     for a, b in _random_pair(20260418, 100, 3):
         assert uni_resultant(a, b) == sylvester_det_direct(a, b)
 
 
 def test_resultant_matches_direct_expansion_with_huge_coefficients():
-    # coefficients near 10**25 of both signs, over denominators up to 10**3:
-    # the bound needs several primes, and the lift gives negative coefficients
+    # coefficients near 10**25 of both signs: the bound needs several primes,
+    # and the lift gives negative coefficients
     rng = random.Random(25)
 
     def coefficient():
         return LaurentPolynomial({(rng.randint(-1, 1), rng.randint(0, 1)):
-                                  Fraction(rng.randint(-10**25, 10**25), rng.randint(1, 10**3))
-                                  for _ in range(2)})
+                                  rng.randint(-10**25, 10**25) for _ in range(2)})
 
     def norm(side):
         return sum(abs(c) for t in _integer_side(side)[0] for *_, c in t)
@@ -315,12 +375,11 @@ def test_resultant_matches_sympy_up_to_sign():
     t, u, v = sympy.symbols("t u v")
 
     def expr(f):
-        return sum(sympy.Rational(c.numerator, c.denominator) * u**p * v**q
-                   for (p, q), c in f.terms.items())
+        return sum(c * u**p * v**q for (p, q), c in f.terms.items())
 
     # sympy's sign convention differs from the classical one: Res(t - 2, t^3) = 8
     cube = [LaurentPolynomial.zero()] * 3 + [ONE]
-    assert uni_resultant([_const_lp(Fraction(-2)), ONE], cube) == _const_lp(Fraction(8))
+    assert uni_resultant([_const_lp(-2), ONE], cube) == _const_lp(8)
     for a, b in _random_pair(7, 20, 2):
         ours = expr(uni_resultant(a, b))
         theirs = sympy.resultant(sum(expr(c) * t**i for i, c in enumerate(a)),
@@ -716,16 +775,15 @@ def _fraction_kth_root(c: Fraction, k: int) -> Fraction | None:
     return None if num is None or den is None else Fraction(num, den)
 
 
-def fraction_route(f: LaurentPolynomial) -> tuple[LaurentPolynomial, int]:
-    """The Fraction route that `_primitive` and `_perfect_power_root` replace:
-    unit-normalize, try a Fraction k-th root of the Kronecker image for every
-    k dividing both degrees, check g^k, recurse on g, then clear the
-    denominators and the content of the root."""
-    f = f.unit_normalized()
-    du, dv = max(p for p, _ in f.terms), max(q for _, q in f.terms)
+def _fraction_power_root(f: dict) -> tuple[dict, int]:
+    """Largest k with normalized f = g^k over Q, and g normalized: try a
+    Fraction k-th root of the Kronecker image for every k dividing both
+    degrees, check g^k, and recurse on g."""
+    f = _q_normalized(f)
+    du, dv = max(p for p, _ in f), max(q for _, q in f)
     base = du + 1
-    image = [Fraction(0)] * (max(p + base * q for p, q in f.terms) + 1)
-    for (p, q), c in f.terms.items():
+    image = [Fraction(0)] * (max(p + base * q for p, q in f) + 1)
+    for (p, q), c in f.items():
         image[p + base * q] = c
     for k in range(max(du, dv, 1), 1, -1):
         if du % k or dv % k or (len(image) - 1) % k:
@@ -737,12 +795,20 @@ def fraction_route(f: LaurentPolynomial) -> tuple[LaurentPolynomial, int]:
         for n in range(1, (len(image) - 1) // k + 1):
             s = sum(((k + 1) * i - k * n) * r[i] * q[n - i] for i in range(1, n + 1))
             q.append(s / (k * n * r[0]))
-        g = LaurentPolynomial({(i % base, i // base): c for i, c in enumerate(q[::-1])})
-        if verify_factorization(f, [g] * k):
-            inner, kk = fraction_route(g)
+        g = {(i % base, i // base): c for i, c in enumerate(q[::-1]) if c}
+        if _q_verify(f, [g] * k):
+            inner, kk = _fraction_power_root(g)
             return inner, k * kk
-    f = f.scale(lcm(*(c.denominator for c in f.terms.values())))
-    return f.scale(Fraction(1, gcd(*(c.numerator for c in f.terms.values())))), 1
+    return f, 1
+
+
+def fraction_route(f: LaurentPolynomial) -> tuple[LaurentPolynomial, int]:
+    """The Fraction route that `_primitive` and `_perfect_power_root` replace:
+    the root over Q, then its denominators and its content cleared."""
+    g, k = _fraction_power_root(_q_terms(f))
+    g = _q_cleared(g)
+    content = gcd(*(c.numerator for c in g.values()))
+    return LaurentPolynomial({e: c.numerator // content for e, c in g.items()}), k
 
 
 def test_integer_power_route_matches_fraction_route(monkeypatch):
@@ -774,7 +840,7 @@ def test_integer_power_route_matches_fraction_route(monkeypatch):
             kind = "perturbed"
         else:
             kind = f"power {k}"
-        scalar = Fraction(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        scalar = rng.choice([-1, 1]) * rng.randint(1, 9) * rng.randint(1, 9)
         f = f.scale(scalar).shift(rng.randint(-3, 3), rng.randint(-3, 3))
         before = len(tried)
         got = _power_root(_primitive(f))
@@ -782,7 +848,7 @@ def test_integer_power_route_matches_fraction_route(monkeypatch):
         if kind == "perturbed" and k > 1 and len(tried) > before and got[1] == 1:
             seen.add("rejected")
         seen.add(kind)
-        assert all(c.denominator == 1 for c in got[0].terms.values())
+        assert all(type(c) is int for c in got[0].terms.values())
     assert seen >= {"power 2", "power 3", "power 4", "perturbed", "rejected"}
 
 
@@ -796,5 +862,55 @@ def test_ord_profile():
 
 
 def test_json_roundtrip():
-    f = G.scale(Fraction(2, 3)).shift(-1, -2)
+    f = G.scale(-6).shift(-1, -2)
+    assert f.to_json()["terms"][0] == {"e": [-1, -2], "c": "-6/1"}
     assert LaurentPolynomial.from_json(f.to_json()) == f
+    # "a/b" coefficients are read times the lcm of their denominators
+    written = {"terms": [{"e": [0, 0], "c": "1/2"}, {"e": [1, -1], "c": "-2/3"},
+                         {"e": [0, 1], "c": "5"}]}
+    assert LaurentPolynomial.from_json(written) == \
+        LaurentPolynomial({(0, 0): 3, (1, -1): -4, (0, 1): 30})
+
+
+def test_integer_ring_matches_the_fraction_reference():
+    # random integer polynomials, shifted and scaled, some with factors that
+    # vanish at (1, 1), against the dict-of-Fraction reference: equal JSON,
+    # equal factorization verdicts with the factors written as rational
+    # multiples "a/b", and equal multiplicities at (1, 1)
+    rng = random.Random(2121)
+    seen = set()
+
+    def factor():
+        g = _random_laurent(rng) or ONE
+        for _ in range(rng.choice([0, 0, 1, 2])):
+            g = g * _vanishing_factor(rng)
+        return g
+
+    for _ in range(300):
+        factors = [factor() for _ in range(rng.randint(1, 3))]
+        f = ONE
+        for g in factors:
+            f = f * g
+        f = f.scale(rng.choice([-1, 1]) * rng.randint(1, 30))
+        f = f.shift(rng.randint(-3, 3), rng.randint(-3, 3))
+        if rng.random() < 0.3:  # most often no longer the product
+            f = f + LaurentPolynomial.monomial(rng.randint(-3, 3), rng.randint(-3, 3),
+                                               rng.choice([-1, 1]))
+        assert f.to_json() == _q_to_json(_q_terms(f))
+        written = [_q_to_json({e: c * Fraction(rng.choice([-1, 1]) * rng.randint(1, 9),
+                                                rng.randint(1, 9))
+                               for e, c in _q_terms(g).items()}) for g in factors]
+        read = [LaurentPolynomial.from_json(w) for w in written]
+        assert [g.to_json() for g in read] == \
+            [_q_to_json(_q_cleared(_q_from_json(w))) for w in written]
+        verdict = verify_factorization(f, read)
+        assert verdict == _q_verify(_q_terms(f), [_q_from_json(w) for w in written])
+        seen.add(f"verdict {verdict}")
+        if f:
+            k = f.multiplicity_at_identity()
+            assert k == _fraction_multiplicity(_q_terms(f))
+            seen.add(f"multiplicity {min(k, 3)}")
+        if any(c.denominator > 1 for w in written for c in _q_from_json(w).values()):
+            seen.add("denominators")
+    assert seen == {"verdict True", "verdict False", "denominators", "multiplicity 0",
+                    "multiplicity 1", "multiplicity 2", "multiplicity 3"}
