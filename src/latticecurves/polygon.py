@@ -330,7 +330,9 @@ def canonical_form(poly: LatticePolygon) -> LatticePolygon:
 
 
 def equivalent(a: LatticePolygon, b: LatticePolygon) -> bool:
-    return canonical_form(a) == canonical_form(b)
+    """Whether a unimodular affine map sends a onto b; equal vertex
+    cycles need no canonical form."""
+    return a == b or canonical_form(a) == canonical_form(b)
 
 
 def _edge_multiset(poly: LatticePolygon) -> list[tuple[Point, int]]:

@@ -100,7 +100,8 @@ def component_minimum(components) -> Fraction:
 
 
 def _is_family_i(poly: LatticePolygon, m: int) -> bool:
-    if m < 2:
+    # unimodular invariants of the triangle; volume m² − 1 ≥ 1 rules out m = 1
+    if len(poly.vertices) != 3 or poly.volume != m * m - 1:
         return False
     return equivalent(poly, polygon((0, 0), (m, 1), (1, m)))
 
@@ -108,27 +109,37 @@ def _is_family_i(poly: LatticePolygon, m: int) -> bool:
 def estimate(poly: LatticePolygon, m: int, irreducible: bool = False) -> SeshadriEstimate:
     """Bound the constant using a curve of multiplicity m on the polygon.
 
-    Requires vol ≤ m², m ≤ lw and a nonempty system; the upper bound is
-    vol/m, exact when the system member is irreducible or when one of the
+    Requires m ≥ 1, vol ≤ m², m ≤ lw and a nonempty system; the upper bound
+    is vol/m, exact when the system member is irreducible or when one of the
     instantiated lower bounds meets it.  The system is nonempty when
     |poly ∩ Z²| > m(m+1)/2 (`expected_dimension` > 0: more coefficients than
     conditions); only otherwise is the exact kernel solved.
+
+    Each lower bound is computed only where it can enter, so skipping it
+    never changes the result, and an estimate costs O(#vertices) plus at
+    most one kernel outside these two cases:
+    - SegmentEquality gives lw, which enters only when lw ≤ vol/m.  With
+      vol ≤ m² ≤ lw·m that means vol = m² and lw = m, and only then are
+      the lattice points walked.
+    - ItoFamilyI needs Δ unimodularly equivalent to the triangle
+      (0,0),(m,1),(1,m), so Δ must have 3 vertices and volume m² − 1; only
+      then are canonical forms built.
     """
     vol = poly.volume
     lw = width_upper_bound(poly)
+    nonempty_by_count = expected_dimension(poly, m) > 0  # raises if m < 1
     if vol > m * m:
         raise PreconditionFailure("needs vol <= m^2")
     if m > lw:
         raise PreconditionFailure("needs m <= lattice width")
-    if expected_dimension(poly, m) <= 0 and compute_system(poly, m).is_empty():
+    if not nonempty_by_count and compute_system(poly, m).is_empty():
         raise PreconditionFailure("needs a nonempty system at order m")
     upper = Fraction(vol, m)
     certs = ["VolOverM"]
     lower = Fraction(0)
     exact = None
-    seg = segment_equality(poly)
-    if seg is not None and seg <= upper:
-        lower = max(lower, seg)
+    if lw <= upper and segment_equality(poly) is not None:
+        lower = Fraction(lw)
         certs.append("SegmentEquality")
     if _is_family_i(poly, m):
         ito = ito_family_i_lower(m)

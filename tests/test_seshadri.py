@@ -1,4 +1,5 @@
 import random
+import sys
 from fractions import Fraction
 from math import gcd
 
@@ -14,7 +15,13 @@ from latticecurves.errors import (
 )
 from latticecurves.families import FamilySpec, family_invariants, family_polygon
 from latticecurves.linsys import compute_system, expected_dimension
-from latticecurves.polygon import convex_hull, equivalent, polygon
+from latticecurves.polygon import (
+    LatticePolygon,
+    UnimodularMap,
+    convex_hull,
+    equivalent,
+    polygon,
+)
 from latticecurves.seshadri import (
     SeshadriEstimate,
     component_minimum,
@@ -134,8 +141,9 @@ def test_quadrilateral_segment_family():
 
 def test_order_below_one_raises_range_error():
     tri = polygon((0, 0), (20, 1), (1, 20))
-    with pytest.raises(RangeError, match="vanishing order must be at least 1"):
-        estimate(tri, -20)
+    for m in (0, -1, -19, -20):  # vol 399 <= m^2 from m = -20 down
+        with pytest.raises(RangeError, match="vanishing order must be at least 1"):
+            estimate(tri, m)
     with pytest.raises(RangeError, match="vanishing order must be at least 1"):
         rationality_certificates(tri, 0)
 
@@ -163,9 +171,12 @@ def kernel_certificates(poly, m):
 
 
 def kernel_estimate(poly, m, irreducible):
-    """Reference for `estimate`: L(Δ, m) ≠ 0 from the kernel."""
+    """Reference for `estimate`: L(Δ, m) ≠ 0 from the kernel, and every
+    lower bound computed whether or not it can enter."""
     vol = poly.volume
     lw = width_upper_bound(poly)
+    if m < 1:
+        raise RangeError("vanishing order must be at least 1")
     if vol > m * m or m > lw:
         raise PreconditionFailure("vol > m^2 or m > lattice width")
     if compute_system(poly, m).is_empty():
@@ -193,7 +204,18 @@ def _outcome(fn, *args):
         return type(exc)
 
 
-def test_count_route_matches_kernel_route():
+# the module, which the package's `polygon` function shadows as an attribute
+polygon_module = sys.modules[LatticePolygon.__module__]
+
+
+def _random_unimodular_map(rng):
+    while True:
+        a, b, c, d = (rng.randint(-2, 2) for _ in range(4))
+        if abs(a * d - b * c) == 1:
+            return UnimodularMap(((a, b), (c, d)), (rng.randint(-5, 5), rng.randint(-5, 5)))
+
+
+def test_count_route_matches_kernel_route(monkeypatch):
     rng = random.Random(1213)
     cases = []
     for _ in range(150):
@@ -203,13 +225,66 @@ def test_count_route_matches_kernel_route():
     cases += [(polygon((0, 0), (m, 1), (1, m)), m) for m in range(1, 9)]
     cases += [(polygon((0, 0), (1, 4), (2, 4), (4, 3)), 4),  # count 0, empty
               (family_polygon(FamilySpec("III", 8)), 8)]  # count 0, one curve
-    seen = set()
+    # vol = m² and lw = m: the only cases where SegmentEquality can enter
+    cases += [(polygon((0, 0), (m, 0), (0, m)), m) for m in range(1, 7)]
+    cases += [(family_polygon(FamilySpec(fam, m)), m) for fam, m in (("IV", 6), ("V", 8))]
+    # vol = m² − 1: images of the family I triangle, family II (5 vertices),
+    # and a triangle with lw = 5 that is not equivalent to the family I one
+    for m in range(2, 9):
+        tri = polygon((0, 0), (m, 1), (1, m))
+        image = _random_unimodular_map(rng).apply(tri)
+        while image == tri:
+            image = _random_unimodular_map(rng).apply(tri)
+        cases.append((image, m))
+    cases += [(family_polygon(FamilySpec("II", 6)), 6), (polygon((0, 0), (6, 3), (2, 5)), 5)]
+
+    forms = []  # the polygons whose canonical form the count route builds
+    canonical_form = polygon_module.canonical_form
+    monkeypatch.setattr(polygon_module, "canonical_form",
+                        lambda p: forms.append(p) or canonical_form(p))
+    seen, certs = set(), set()
     for poly, m in cases:
         for irr in (False, True):
+            forms.clear()
             est = _outcome(estimate, poly, m, irr)
+            if forms:
+                assert len(poly.vertices) == 3 and poly.volume == m * m - 1, poly.vertices
             assert est == _outcome(kernel_estimate, poly, m, irr), (poly.vertices, m, irr)
             if not poly.is_degenerate:
                 seen.add((expected_dimension(poly, m) > 0, isinstance(est, type)))
+            if not isinstance(est, type):
+                certs.add(tuple(c in est.certificates for c in ("SegmentEquality", "ItoFamilyI")))
         assert (_outcome(rationality_certificates, poly, m)
                 == _outcome(kernel_certificates, poly, m)), (poly.vertices, m)
     assert seen == {(True, True), (True, False), (False, True), (False, False)}
+    # each certificate both appears and stays out
+    assert {seg for seg, _ in certs} == {True, False} == {ito for _, ito in certs}
+
+
+def test_estimate_walks_points_and_builds_forms_only_where_they_can_enter(monkeypatch):
+    calls = {"points": 0, "forms": 0}
+    lattice_points, canonical_form = LatticePolygon.lattice_points, polygon_module.canonical_form
+
+    def counted_points(self):
+        calls["points"] += 1
+        return lattice_points(self)
+
+    def counted_form(poly):
+        calls["forms"] += 1
+        return canonical_form(poly)
+
+    monkeypatch.setattr(LatticePolygon, "lattice_points", counted_points)
+    monkeypatch.setattr(polygon_module, "canonical_form", counted_form)
+    # T_400: lw·m > vol, and the triangle is its own family I reference
+    est = estimate(polygon((0, 0), (400, 1), (1, 400)), 400, irreducible=True)
+    assert est.exact == Fraction(159999, 400) and "ItoFamilyI" in est.certificates
+    assert calls == {"points": 0, "forms": 0}
+    # family II at m = 6 has volume m² − 1 = 35 but five vertices
+    fam_ii = family_polygon(FamilySpec("II", 6))
+    assert fam_ii.volume == 35
+    estimate(fam_ii, 6)
+    assert calls["forms"] == 0
+    # vol = m² and lw = m: one walk over the lattice points
+    calls["points"] = 0
+    est = estimate(polygon((0, 0), (2, 0), (0, 2)), 2)
+    assert calls["points"] == 1 and "SegmentEquality" in est.certificates
