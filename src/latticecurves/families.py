@@ -9,6 +9,7 @@ generates the data and verifies it end to end through implicitization.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import index
 
 from .classify import numeric_invariants
 from .errors import HypothesisFailure, NoParametrization, RangeError
@@ -35,7 +36,7 @@ class FamilySpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise RangeError(f"unknown family {self.family!r}")
-        m = self.m
+        m = index(self.m)
         ok = {
             "I": m >= 2,
             "II": m >= 4,
@@ -98,12 +99,12 @@ def family_parametrization(spec: FamilySpec) -> Parametrization:
         inner = t(m - 3) + UniPoly([m - 2 - i for i in range(m - 3)])
         f3 = -1 * (t1 * t1 * t1 * inner)
     elif fam == "III":
-        # the paper's map at a = n/d, each f times d^(2k-2) n^2
+        # the paper's map at t = a·s, a = n/d, times the constant d/a^(2k-2)
         k = m // 2
-        n2, d, d2 = (k - 1) ** 2, k - 2, (k - 2) ** 2
-        f1 = n2 ** k * t1
-        f2 = d ** (2 * k - 4) * (t(2 * k - 3) * UniPoly([-n2, d2]) * UniPoly([-n2, 0, d2]))
-        f3 = d ** (2 * k - 2) * (t(2 * k - 1) * UniPoly([-n2, d2]))
+        n, d = k - 1, k - 2
+        f1 = UniPoly([-d, n])
+        f2 = t(2 * k - 3) * UniPoly([-n, d]) * UniPoly([-1, 0, 1])
+        f3 = t(2 * k - 1) * UniPoly([-n, d])
     else:  # IV
         f1 = UniPoly([-1, 2])
         f2 = (UniPoly([1, -1])) * t(m - 1)

@@ -29,7 +29,7 @@ def _cross(o: Point, a: Point, b: Point) -> int:
 def _hull_vertices(points) -> tuple[Point, ...]:
     """Monotone-chain hull; strict turns only, so output is the exact vertex set,
     counterclockwise from the least vertex (the lower chain starts there)."""
-    pts = sorted(set((int(x), int(y)) for x, y in points))
+    pts = sorted(set((index(x), index(y)) for x, y in points))
     if not pts:
         raise ValueError("empty point list")
     if len(pts) == 1:

@@ -120,11 +120,14 @@ def test_family_verify_stdout_is_golden(capsys, family):
 
 
 # family --verify at the largest m that CI runs, recorded before the
-# parametrizations became integer; family III's map carries a^14 at m = 16
+# parametrizations became integer; the ("III", 20) digest was recorded while
+# family III's map was still written in the paper's t, where its resultant
+# needed 83 word primes (6 in s = t/a)
 FAMILY_VERIFY_LARGE_M_SHA256 = {
     ("I", 20): "e718564104916ce5c9e99a2283aaaf6486b173342e7f70e301b9fe45e4b2fdf3",
     ("II", 16): "ef77c1bc1e65ef2de3e9ad0ee0ffb91f94ee07cd53da03633b820211d914b0d8",
     ("III", 16): "de67af0fe7b01710563cb43beaadea9348709296ff095256c44b00d2bf08df57",
+    ("III", 20): "f7013929b75c428bdecb34e258783dbe254539dc156127c6904974ef3e934f2c",
     ("IV", 16): "94ec7eb6b00c74a70eff35caea3804645be46e057e1f1c30c739a69fb5b5fc8e",
 }
 

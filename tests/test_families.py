@@ -12,7 +12,7 @@ from latticecurves.families import (
     verify_family_end_to_end,
     verify_multiplicity_lemma,
 )
-from latticecurves.laurent import UniPoly
+from latticecurves.laurent import UniPoly, implicitize
 from latticecurves.polygon import polygon
 
 TABLE = {"I": (-1, 0), "II": (-1, 0), "III": (-2, 0), "IV": (0, 0), "V": (0, 1)}
@@ -40,6 +40,13 @@ def test_family_ranges_enforced():
             FamilySpec(fam, bad)
     with pytest.raises(RangeError):
         FamilySpec("VI", 5)
+
+
+def test_family_m_must_be_an_integer():
+    # int() would read m = 2 and m = 8 here
+    for fam, m in (("I", 2.5), ("III", 8.0)):
+        with pytest.raises(TypeError):
+            FamilySpec(fam, m)
 
 
 def test_family_invariants_match_table():
@@ -72,21 +79,63 @@ def test_family_parametrization_structure():
     p = family_parametrization(FamilySpec("I", 5))
     assert p.f1 == UniPoly([-1])
     assert p.f4 == p.f1 - p.f2 + p.f3
-    # family III is the paper's map times one constant, so the same map
+    # family III at s is the paper's map at t = a·s times one constant,
+    # d/a^(2k-2) with d = k - 2, so it is the same map in the parameter s
     for m in (8, 12, 20, 40):
+        k = m // 2
+        a = Fraction(k - 1, k - 2)
         p3 = family_parametrization(FamilySpec("III", m))
         assert p3.f4 == p3.f1 - p3.f2 + p3.f3
         scales = set()
-        for t in (Fraction(n, d) for n in range(-4, 6) for d in (1, 2, 3)):
-            ours = [f.evaluate(t) for f in (p3.f1, p3.f2, p3.f3, p3.f4)]
-            for f, g in zip(ours, paper_family_iii(m // 2, t)):
+        for s in (Fraction(n, d) for n in range(-4, 6) for d in (1, 2, 3)):
+            ours = [f.evaluate(s) for f in (p3.f1, p3.f2, p3.f3, p3.f4)]
+            for f, g in zip(ours, paper_family_iii(k, a * s)):
                 if g:
                     scales.add(f / g)
                 else:
                     assert f == 0
-        assert len(scales) == 1 and 0 not in scales, m
+        assert scales == {(k - 2) / a ** (2 * k - 2)}, m
     with pytest.raises(NoParametrization):
         family_parametrization(FamilySpec("V", 6))
+
+
+def t_form_family_iii(m: int) -> Parametrization:
+    """Family III in the paper's parameter t, a = n/d, each f times d^(2k-2) n^2."""
+    k = m // 2
+    n2, d, d2 = (k - 1) ** 2, k - 2, (k - 2) ** 2
+    t = UniPoly.t_power
+    f1 = n2 ** k * UniPoly([-1, 1])
+    f2 = d ** (2 * k - 4) * (t(2 * k - 3) * UniPoly([-n2, d2]) * UniPoly([-n2, 0, d2]))
+    f3 = d ** (2 * k - 2) * (t(2 * k - 1) * UniPoly([-n2, d2]))
+    return Parametrization(f1, f2, f3, f1 - f2 + f3)
+
+
+def test_family_iii_s_form_has_the_image_of_the_t_form():
+    # t = a·s changes the parameter, not the curve: the same implicit equation
+    keys = ("power", "newton_polygon", "normalized")
+    for m in range(8, 17, 2):
+        p, ref = family_parametrization(FamilySpec("III", m)), t_form_family_iii(m)
+        ours, theirs = {}, {}
+        assert implicitize(p.f1, p.f2, p.f3, p.f4, ours) == \
+            implicitize(ref.f1, ref.f2, ref.f3, ref.f4, theirs), m
+        assert [ours[k] for k in keys] == [theirs[k] for k in keys], m
+
+
+def test_family_iii_resultant_needs_few_word_primes(monkeypatch):
+    # coefficients at most k - 1 keep the Goldstein-Graham bound small; the
+    # t-form, with ((k-1)^2)^k in f1, needs 83 word primes at m = 20
+    from latticecurves import laurent
+
+    res_mod_batch, primes = laurent._res_mod_batch, set()
+
+    def counting(a, b, p):
+        primes.update(p.tolist())
+        return res_mod_batch(a, b, p)
+
+    monkeypatch.setattr(laurent, "_res_mod_batch", counting)
+    p = family_parametrization(FamilySpec("III", 20))
+    implicitize(p.f1, p.f2, p.f3, p.f4)
+    assert 0 < len(primes) <= 6
 
 
 def test_multiplicity_lemma():

@@ -26,6 +26,14 @@ from latticecurves.polygon import (
 )
 
 
+def test_vertices_must_be_integers():
+    # int() would truncate this to the triangle (0,0),(2,1),(1,2)
+    with pytest.raises(TypeError):
+        polygon((0, 0), (2.5, 1), (1, 2.5))
+    with pytest.raises(TypeError):
+        LatticePolygon.hull([(0, 0), (1, 0), (0, Fraction(1))])
+
+
 def test_hull_strips_interior_and_collinear_points():
     p = convex_hull([(0, 0), (2, 0), (1, 0), (0, 2), (1, 1), (0, 1)])
     assert p.vertices == ((0, 0), (2, 0), (0, 2))
