@@ -1,4 +1,4 @@
-"""Command-line front end: JSON-first reports over all toolkit modules.
+"""Command-line front end: one JSON report per run, over all toolkit modules.
 
 Exit codes: 0 success, 1 a verification failed, 2 bad input, 141 the reader
 closed standard output early (as a process killed by SIGPIPE).
@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import operator
 import os
 import sys
 from fractions import Fraction
@@ -19,7 +18,7 @@ from .errors import LatticeCurveError, ParseError
 from .families import FAMILIES, FamilySpec, family_invariants, verify_family_end_to_end
 from .laurent import IrreducibilityCertificate, LaurentPolynomial, irreducibility_certificate
 from .linsys import compute_system
-from .polygon import LatticePolygon, canonical_form, enumerate_polygons, polygon
+from .polygon import LatticePolygon, canonical_form, enumerate_polygons, json_int, polygon
 from .seshadri import estimate, rationality_certificates, width_upper_bound
 from .surface import rr_polygon, verify_ek, verify_ek_symbolic, verify_ledger
 from .wpp import WppContext, best_approximation, ingest_table, intrinsic_minus_one
@@ -61,7 +60,7 @@ def load_oracle(path):
     for index, item in enumerate(raw):
         try:
             poly = LatticePolygon.from_json(item["polygon"])
-            m = operator.index(item["m"])
+            m = json_int(item["m"])
             if item["verdict"] != "reducible":
                 continue
             factors = tuple(LaurentPolynomial.from_json(f) for f in item["factors"])
@@ -81,11 +80,7 @@ def load_oracle(path):
     return oracle
 
 
-def _emit(obj, pretty: bool) -> None:
-    print(json.dumps(obj, indent=2 if pretty else None, default=str), flush=True)
-
-
-def cmd_polygon_info(args) -> int:
+def cmd_polygon_info(args) -> tuple[dict, int]:
     poly = parse_vertices(args.vertices)
     total, b, i = poly.lattice_counts()
     out = {
@@ -106,47 +101,40 @@ def cmd_polygon_info(args) -> int:
         out["m"] = args.m
         out["self_intersection"] = pair.self_intersection
         out["arithmetic_genus"] = str(pair.arithmetic_genus)
-    _emit(out, args.pretty)
-    return 0
+    return out, 0
 
 
-def cmd_linsys(args) -> int:
+def cmd_linsys(args) -> tuple[dict, int]:
     poly = parse_vertices(args.vertices)
     system = compute_system(poly, args.m)
-    out = {
+    return {
         "m": args.m,
         "total_points": system.total,
         "conditions": system.conditions,
         "dimension": system.dimension,
         "members": [f.to_json() for f in system.members()],
-    }
-    _emit(out, args.pretty)
-    return 0
+    }, 0
 
 
-def cmd_classify(args) -> int:
+def cmd_classify(args) -> tuple[dict, int]:
     polys = list(ingest_polygon_dataset(args.dataset))
     if args.enumerate:
         polys += enumerate_polygons()
     oracle = load_oracle(args.oracle) if args.oracle else None
     hits = classify_dataset(polys, args.m_max, args.volume_max, oracle, jobs=args.jobs)
-    _emit({"hits": [h.to_json() for h in hits], "count": len(hits)}, args.pretty)
-    return 0
+    return {"hits": [h.to_json() for h in hits], "count": len(hits)}, 0
 
 
-def cmd_family(args) -> int:
+def cmd_family(args) -> tuple[dict, int]:
     spec = FamilySpec(args.id, args.m)
     if args.verify:
         report = verify_family_end_to_end(spec, budget=args.budget)
-        _emit(report, args.pretty)
-        return 0 if report["passed"] else 1
+        return report, 0 if report["passed"] else 1
     c2, g, lw = family_invariants(spec)
-    _emit({"family": args.id, "m": args.m, "C2": c2, "genus": g,
-           "lattice_width": lw}, args.pretty)
-    return 0
+    return {"family": args.id, "m": args.m, "C2": c2, "genus": g, "lattice_width": lw}, 0
 
 
-def cmd_surface(args) -> int:
+def cmd_surface(args) -> tuple[dict, int]:
     out = {"ledger": verify_ledger(), "symbolic": verify_ek_symbolic()}
     ek = {}
     for k in range(-args.k_range, args.k_range + 1):
@@ -160,38 +148,31 @@ def cmd_surface(args) -> int:
     out["riemann_roch"] = rr
     ok = (out["ledger"]["passed"] and out["symbolic"]["passed"]
           and all(ek.values()) and all(r["passed"] for r in rr.values()))
-    _emit(out, args.pretty)
-    return 0 if ok else 1
+    return out, 0 if ok else 1
 
 
-def cmd_seshadri(args) -> int:
+def cmd_seshadri(args) -> tuple[dict, int]:
     poly = parse_vertices(args.vertices)
-    out = {"width_upper_bound": width_upper_bound(poly)}
+    out = {"width_upper_bound": width_upper_bound(poly),
+           "certificates": rationality_certificates(poly, args.m)}
     if args.m is not None:
-        out["certificates"] = rationality_certificates(poly, args.m)
-        est = estimate(poly, args.m, irreducible=args.irreducible)
-        out["estimate"] = est.to_json()
-    else:
-        out["certificates"] = rationality_certificates(poly)
-    _emit(out, args.pretty)
-    return 0
+        out["estimate"] = estimate(poly, args.m, irreducible=args.irreducible).to_json()
+    return out, 0
 
 
-def cmd_wpp(args) -> int:
+def cmd_wpp(args) -> tuple[dict, int]:
     ctx = WppContext(args.a, args.b, args.c)
     entries = ingest_table(args.table)
     out = {"weights": [args.a, args.b, args.c], "entries": len(entries)}
     if args.best:
-        e = best_approximation(ctx, entries)
-        out["best"] = {"d": e.d, "m": e.m, "slope": str(Fraction(e.d, e.m))}
-        e1 = best_approximation(ctx, entries, intrinsic_minus_one)
-        out["best_intrinsic_minus_one"] = {
-            "d": e1.d, "m": e1.m, "slope": str(Fraction(e1.d, e1.m))}
-    _emit(out, args.pretty)
-    return 0
+        for key, predicate in (("best", None), ("best_intrinsic_minus_one", intrinsic_minus_one)):
+            e = best_approximation(ctx, entries, predicate)
+            out[key] = {"d": e.d, "m": e.m, "slope": str(Fraction(e.d, e.m))}
+    return out, 0
 
 
-# name -> (handler, options); each option is (flag, add_argument keywords)
+# name -> (handler, options); each option is (flag, add_argument keywords).
+# A handler returns (report, exit code) and writes nothing: `main` prints.
 COMMANDS = {
     "polygon-info": (cmd_polygon_info, (("--vertices", {"required": True}),
                                         ("--m", {"type": int}))),
@@ -243,9 +224,11 @@ def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
     args = build_parser(argv[0] if argv else None).parse_args(argv)
     try:
-        return args.fn(args)
+        report, code = args.fn(args)
+        print(json.dumps(report, indent=2 if args.pretty else None), flush=True)
+        return code
     except BrokenPipeError:
-        # the reader closed stdout (`_emit` flushes, so it shows here): send the
+        # the reader closed stdout (the print flushes, so it shows here): send the
         # rest to devnull, so the flush at exit cannot raise, and exit as SIGPIPE would
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141

@@ -25,7 +25,7 @@ from .errors import (
     ZeroPolynomial,
 )
 from .modular import _word_primes, crt_step
-from .polygon import LatticePolygon, is_decomposable
+from .polygon import LatticePolygon, is_decomposable, json_int
 
 Exponent = tuple[int, int]
 
@@ -143,10 +143,12 @@ class LaurentPolynomial:
 
     @staticmethod
     def from_json(obj: dict) -> "LaurentPolynomial":
-        """Read "a/b" coefficients and clear their denominators: the result
-        is the polynomial written times the lcm of its denominators.
-        Exponents must be JSON integers."""
-        terms = [(t["e"], Fraction(t["c"])) for t in obj["terms"]]
+        """Read coefficients, each an "a/b" string or a JSON integer, and clear
+        their denominators: the result is the polynomial written times the
+        lcm of its denominators.  Exponents must be JSON integers."""
+        terms = [([json_int(k) for k in t["e"]],
+                  Fraction(t["c"] if isinstance(t["c"], str) else json_int(t["c"])))
+                 for t in obj["terms"]]
         den = lcm(*(c.denominator for _, c in terms))
         return LaurentPolynomial((e, c.numerator * (den // c.denominator)) for e, c in terms)
 

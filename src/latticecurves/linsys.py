@@ -31,7 +31,6 @@ dim L(poly, m) columns, checked over Z as above, or none at all.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm, prod
 from operator import mul
@@ -140,8 +139,9 @@ def _reduce_mod(ints: np.ndarray, p: int) -> tuple[list[int], np.ndarray]:
     return pivots, block
 
 
-def _rational_reconstruct(a: int, mod: int) -> Fraction | None:
-    """Lift a mod `mod` to n/d with |n|, d <= sqrt(mod / 2)."""
+def _rational_reconstruct(a: int, mod: int) -> tuple[int, int] | None:
+    """Lift a mod `mod` to n/d in lowest terms, returned as (n, d) with d > 0
+    and |n|, d <= sqrt(mod / 2)."""
     bound = isqrt(mod // 2)
     r0, r1 = mod, a % mod
     s0, s1 = 0, 1
@@ -151,7 +151,7 @@ def _rational_reconstruct(a: int, mod: int) -> Fraction | None:
         s0, s1 = s1, s0 - q * s1
     if s1 == 0 or abs(s1) > bound or gcd(r1, abs(s1)) != 1:
         return None
-    return Fraction(r1, s1)
+    return (r1, s1) if s1 > 0 else (-r1, -s1)
 
 
 def _lift(residues: np.ndarray, mod: int, pivots: list[int],
@@ -166,11 +166,11 @@ def _lift(residues: np.ndarray, mod: int, pivots: list[int],
             if q is None:
                 return None
             col.append(q)
-        den = lcm(*(q.denominator for q in col))
+        den = lcm(*(d for _, d in col))
         vec = [0] * (len(pivots) + len(free))
         vec[f] = den
-        for c, q in zip(pivots, col):
-            vec[c] = -q.numerator * (den // q.denominator)
+        for c, (n, d) in zip(pivots, col):
+            vec[c] = -n * (den // d)
         basis.append(vec)
     return basis
 

@@ -22,6 +22,14 @@ from .errors import DegeneratePolygon, RangeError
 Point = tuple[int, int]
 
 
+def json_int(x) -> int:
+    """x as an int, where x was read from JSON: a float raises TypeError, and
+    so does true or false, which `index` alone would take as 1 or 0."""
+    if isinstance(x, bool):
+        raise TypeError("'bool' object is not a JSON integer")
+    return index(x)
+
+
 def _cross(o: Point, a: Point, b: Point) -> int:
     return (a[0] - o[0]) * (b[1] - o[1]) - (a[1] - o[1]) * (b[0] - o[0])
 
@@ -242,7 +250,7 @@ class LatticePolygon:
 
     @staticmethod
     def from_json(obj: dict) -> "LatticePolygon":
-        return LatticePolygon.hull((index(x), index(y)) for x, y in obj["vertices"])
+        return LatticePolygon.hull((json_int(x), json_int(y)) for x, y in obj["vertices"])
 
 
 def convex_hull(points) -> LatticePolygon:

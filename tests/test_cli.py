@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 import latticecurves
+from latticecurves import cli
 from latticecurves.cli import (
     COMMANDS,
     build_parser,
@@ -276,9 +277,14 @@ def test_bad_oracle_entry_names_its_index(tmp_path, capsys):
 
 
 def test_oracle_numbers_must_be_integers(tmp_path, capsys):
-    # each entry loads once its float is written as the integer int() made of it
+    # each entry loads once its float or boolean is written as the integer (or,
+    # for a coefficient, the "a/b" string) that int() or Fraction() made of it
     for case, old, new in (("oracle-float-m", "2.5", "2"), ("oracle-float-exponent", "0.9", "0"),
-                           ("oracle-float-vertex", "1.5", "1")):
+                           ("oracle-float-vertex", "1.5", "1"), ("oracle-bool-m", "true", "2"),
+                           ("oracle-bool-exponent", "true", "1"),
+                           ("oracle-bool-vertex", "true", "1"),
+                           ("oracle-float-coefficient", "0.5", '"1/2"'),
+                           ("oracle-bool-coefficient", "true", "1")):
         argv = MALFORMED_INPUTS[case](tmp_path)
         assert main(argv) == 2
         assert "oracle entry 0: TypeError" in capsys.readouterr().err
@@ -327,6 +333,22 @@ MALFORMED_INPUTS = {
     "oracle-float-vertex": _oracle_case(
         '[{"polygon": {"vertices": [[0, 0], [1, 0], [1, 1], [0, 1.5]]}, "verdict": "reducible", '
         '"m": 2, "factors": [' + U_MINUS_ONE + ', ' + V_MINUS_ONE + ']}]'),
+    # JSON true is an int to Python: index() reads it as 1, and Fraction() as 1/1
+    "oracle-bool-m": _oracle_case(
+        '[{' + SQUARE + ', "m": true, "factors": [' + U_MINUS_ONE + ', ' + V_MINUS_ONE + ']}]'),
+    "oracle-bool-exponent": _oracle_case(
+        '[{' + SQUARE + ', "m": 2, "factors": [' + U_MINUS_ONE + ', '
+        '{"terms": [{"e": [0, true], "c": "1"}, {"e": [0, 0], "c": "-1"}]}]}]'),
+    "oracle-bool-vertex": _oracle_case(
+        '[{"polygon": {"vertices": [[0, 0], [true, 0], [1, 1], [0, 1]]}, "verdict": "reducible", '
+        '"m": 2, "factors": [' + U_MINUS_ONE + ', ' + V_MINUS_ONE + ']}]'),
+    # a float coefficient is read exactly, so 0.1 would be 3602879701896397/2**55
+    "oracle-float-coefficient": _oracle_case(
+        '[{' + SQUARE + ', "m": 2, "factors": [' + V_MINUS_ONE + ', '
+        '{"terms": [{"e": [1, 0], "c": 0.5}, {"e": [0, 0], "c": "-1/2"}]}]}]'),
+    "oracle-bool-coefficient": _oracle_case(
+        '[{' + SQUARE + ', "m": 2, "factors": [' + V_MINUS_ONE + ', '
+        '{"terms": [{"e": [1, 0], "c": true}, {"e": [0, 0], "c": -1}]}]}]'),
     "oracle-not-unique": _oracle_case(
         '[{"polygon": {"vertices": [[0, 0], [2, 0], [0, 2]]}, "verdict": "reducible", '
         '"m": 2, "factors": [' + U_MINUS_ONE + ', ' + U_MINUS_ONE + ']}]'),
@@ -350,6 +372,47 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: ") and "Traceback" not in captured.err
+
+
+# one small command per subcommand
+GUARD_ARGVS = {
+    "polygon-info": ["polygon-info", "--vertices", "0,0 2,1 1,2", "--m", "2", "--pretty"],
+    "linsys": ["linsys", "--vertices", "0,0 2,5 4,4 5,2", "--m", "5"],
+    "classify": ["classify", "--dataset", data_path("polygons.txt"),
+                 "--oracle", data_path("oracle_vol6.json"), "--m-max", "2"],
+    "family": ["family", "--id", "I", "--m", "3", "--verify"],
+    "surface": ["surface", "--k-range", "3", "--rr-range", "2"],
+    "seshadri": ["seshadri", "--vertices", "0,0 4,1 1,4", "--m", "4", "--irreducible", "--pretty"],
+    "wpp": ["wpp", "--a", "9", "--b", "10", "--c", "13", "--best"],
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_main_alone_writes_one_json_document(capsys, command):
+    # the handler returns a JSON-native report and writes nothing
+    argv = GUARD_ARGVS[command]
+    args = build_parser(command).parse_args(argv)
+    report, code = args.fn(args)
+    assert capsys.readouterr() == ("", "")
+    assert code == 0
+    document = json.dumps(report, indent=2 if "--pretty" in argv else None)
+    # main prints exactly that document, once
+    assert main(argv) == code
+    assert capsys.readouterr() == (document + "\n", "")
+
+
+@pytest.mark.parametrize("argv, target", [
+    (["family", "--id", "I", "--m", "3", "--verify"], "verify_family_end_to_end"),
+    (["surface", "--k-range", "1", "--rr-range", "1"], "verify_ledger"),
+])
+def test_a_failed_verification_exits_1_after_its_report(monkeypatch, capsys, argv, target):
+    failed = {"passed": False, "why": "stubbed"}
+    monkeypatch.setattr(cli, target, lambda *args, **kwargs: failed)
+    assert main(argv) == 1
+    out, err = capsys.readouterr()
+    assert err == "" and out.count("\n") == 1
+    report = json.loads(out)
+    assert (report if argv[0] == "family" else report["ledger"]) == failed
 
 
 def test_load_oracle_verifies():
