@@ -39,9 +39,10 @@ class LaurentPolynomial:
         clean = {}
         if terms:
             for e, c in (terms.items() if isinstance(terms, dict) else terms):
+                p, q = e  # an exponent of another length raises ValueError
                 c = index(c)
                 if c:
-                    key = (index(e[0]), index(e[1]))
+                    key = (index(p), index(q))
                     if key in clean:
                         c += clean[key]
                         if not c:

@@ -63,7 +63,9 @@ def _slice(halfplanes, t: int) -> tuple[int, int] | None:
     A nonempty slice may hold no integer, and then ceil lo > floor hi.  The
     real bounds are kept as fractions (num, den) with den > 0 and compared
     by cross-multiplication.  The half-planes must cut out a bounded region,
-    so every nonempty slice has both a lower and an upper bound.
+    so every nonempty slice has both a lower and an upper bound: the CCW edge
+    half-planes of a two-dimensional polygon (`lattice_points`) and the
+    vertex-pair half-planes of its width directions (`_directions`) both do.
     """
     lo = hi = None
     for n0, n1, c in halfplanes:
@@ -159,8 +161,10 @@ class LatticePolygon:
             (dx, dy), g = _edge_multiset(self)[0]
             return sorted((x0 + k * dx, y0 + k * dy) for k in range(g + 1))
         xs = [x for x, _ in self.vertices]
-        # n . p >= -a for each inward normal n with ample coefficient a
-        halfplanes = [(nx, ny, -a) for (nx, ny), a in self.ample_coefficients()]
+        # n . p >= n . u for each CCW edge u -> w, n = (u_y - w_y, w_x - u_x)
+        # its inward normal; the edges of a two-dimensional polygon bound it
+        halfplanes = [(uy - wy, wx - ux, (uy - wy) * ux + (wx - ux) * uy)
+                      for (ux, uy), (wx, wy) in self.edges()]
         pts = []
         for x in range(min(xs), max(xs) + 1):
             bounds = _slice(halfplanes, x)
@@ -222,21 +226,19 @@ class LatticePolygon:
             (dx, dy), _ = _edge_multiset(self)[0]
             # width 0 along either normal; return the normalized one
             return 0, ((-dy, dx) if dy < 0 or (dy == 0 and dx > 0) else (dy, -dx))
-        seed = [(0, 1), (1, 0)] + [r for r, _ in self.normal_fan()]
+        seed = [(0, 1), (1, 0)] + [(-dy, dx) for (dx, dy), _ in _edge_multiset(self)]
         w, _, a, b = min(self._directions(min(self.width_in_direction(v) for v in seed)))
         return w, (a, b)
 
     def _directions(self, bound: int):
         """(width, |a|+|b|, a, b) for each primitive (a, b) with a > 0 or
-        a = 0 < b along which a two-dimensional polygon is at most bound wide."""
-        # difference body K = polygon - polygon; width_v = max over K of w.v
-        diff = _hull_vertices(
-            (p[0] - q[0], p[1] - q[1])
-            for p in self.vertices
-            for q in self.vertices
-        )
-        # a*wx + b*wy <= bound for every w in K; the slice a = 0 holds b = 0
-        halfplanes = [(-wx, -wy, -bound) for wx, wy in diff]
+        a = 0 < b along which a two-dimensional polygon is at most bound wide:
+        |(a, b) . d| <= bound for each vertex pair difference d, the region of
+        the difference body, bounded as the differences span the plane."""
+        v = self.vertices
+        # s*(a*dx + b*dy) >= -bound for s = +-1; the slice a = 0 holds b = 0
+        halfplanes = [(s * (qx - px), s * (qy - py), -bound) for i, (px, py) in enumerate(v)
+                      for qx, qy in v[i + 1:] for s in (1, -1)]
         for a in count():
             bounds = _slice(halfplanes, a)
             if bounds is None:

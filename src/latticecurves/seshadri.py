@@ -19,7 +19,7 @@ from .errors import (
     RangeError,
 )
 from .linsys import compute_system, expected_dimension
-from .polygon import LatticePolygon, equivalent, polygon
+from .polygon import LatticePolygon, equivalent
 
 
 @dataclass(frozen=True)
@@ -103,7 +103,8 @@ def _is_family_i(poly: LatticePolygon, m: int) -> bool:
     # unimodular invariants of the triangle; volume m² − 1 ≥ 1 rules out m = 1
     if len(poly.vertices) != 3 or poly.volume != m * m - 1:
         return False
-    return equivalent(poly, polygon((0, 0), (m, 1), (1, m)))
+    # canonical order for m ≥ 2, so `equivalent` can match it by a == b
+    return equivalent(poly, LatticePolygon(((0, 0), (m, 1), (1, m))))
 
 
 def estimate(poly: LatticePolygon, m: int, irreducible: bool = False) -> SeshadriEstimate:

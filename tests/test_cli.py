@@ -319,6 +319,13 @@ MALFORMED_INPUTS = {
     "oracle-not-a-list": _oracle_case("5"),
     "oracle-short-exponent": _oracle_case(
         '[{' + SQUARE + ', "m": 2, "factors": [{"terms": [{"e": [0], "c": "1"}]}]}]'),
+    # exponents of three entries and of one (on a zero term): u - 1 to a reader of e[0], e[1]
+    "oracle-long-exponent": _oracle_case(
+        '[{' + SQUARE + ', "m": 2, "factors": [' + V_MINUS_ONE + ', '
+        '{"terms": [{"e": [1, 0, 5], "c": "1"}, {"e": [0, 0], "c": "-1"}]}]}]'),
+    "oracle-short-exponent-zero-term": _oracle_case(
+        '[{' + SQUARE + ', "m": 2, "factors": [' + V_MINUS_ONE + ', '
+        '{"terms": [{"e": [1, 0], "c": "1"}, {"e": [0, 0], "c": "-1"}, {"e": [1], "c": "0"}]}]}]'),
     "oracle-infinite-m": _oracle_case('[{' + SQUARE + ', "m": 1e400, "factors": []}]'),
     "oracle-monomial-factor": _oracle_case(
         '[{' + SQUARE + ', "m": 2, "factors": [' + SQUARE_MEMBER + ', ' + ONE + ']}]'),

@@ -137,6 +137,14 @@ def test_ring_operations():
     assert f.shift(-1, 2).terms[(0, 3)] == 1
 
 
+def test_exponents_of_another_length_raise():
+    # a reader of e[0], e[1] took (1, 0, 7) as u; a zero term is checked too
+    for e in ((1, 0, 7), (1,)):
+        for c in (3, 0):
+            with pytest.raises(ValueError):
+                LaurentPolynomial({e: c})
+
+
 def test_newton_polygon():
     assert G.newton_polygon() == polygon((0, 0), (2, 1), (1, 2))
     with pytest.raises(ZeroPolynomial):

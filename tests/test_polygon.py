@@ -22,6 +22,7 @@ from latticecurves.polygon import (
     minkowski_decompositions,
     minkowski_sum,
     mixed_volume,
+    multiplicity_cap,
     polygon,
 )
 
@@ -373,6 +374,32 @@ def test_square_images_keep_canonical_form_and_box():
         for g in images:
             assert canonical_form(LatticePolygon(g)) == key
             assert sorted(max(axis) - min(axis) for axis in zip(*g)) == spans
+
+
+def test_width_cap_and_points_build_no_hull_or_fan(monkeypatch):
+    """The direction walk takes its half-planes from vertex pairs and the
+    point walk from the CCW edges: no hull of the vertex differences, and no
+    normal fan or ample coefficients."""
+    module = sys.modules[LatticePolygon.__module__]
+    polys = [polygon((0, 0), (1, 0), (2, -2), (1, -2)), polygon((0, 0), (1, 0), (50, 51)),
+             polygon((-3, 2), (4, -1), (6, 5), (0, 7), (-2, 6))]
+    calls = []
+
+    def counted(owner, name):
+        fn = getattr(owner, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return fn(*args)
+        monkeypatch.setattr(owner, name, wrapper)
+
+    counted(module, "_hull_vertices")
+    counted(LatticePolygon, "normal_fan")
+    counted(LatticePolygon, "ample_coefficients")
+    assert [p.lattice_width() for p in polys] == [(2, (0, 1)), (2, (1, -1)), (8, (0, 1))]
+    assert [multiplicity_cap(p) for p in polys] == [2, 2, 8]
+    assert [len(p.lattice_points()) for p in polys] == [p.lattice_counts()[0] for p in polys]
+    assert calls == []
 
 
 def test_lattice_points_match_contains_scan():

@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from itertools import combinations, islice
 from math import gcd
 
 from latticecurves.laurent import LaurentPolynomial
@@ -11,6 +12,7 @@ from latticecurves.polygon import (
     canonical_form,
     convex_hull,
     minkowski_sum,
+    multiplicity_cap,
     mixed_volume,
     polygon,
 )
@@ -92,19 +94,56 @@ def test_canonical_form_invariant_1000():
         assert canonical_form(p) == canonical_form(mp.apply(p))
 
 
-def brute_force_width(p):
-    # every primitive direction up to twice the found bound
-    found = p.lattice_width()[0]
-    bound = 2 * max(found, 1)
-    best = None
-    for a in range(0, bound + 1):
-        for b in range(-bound, bound + 1):
-            if (a, b) == (0, 0) or gcd(a, abs(b)) != 1:
-                continue
-            w = p.width_in_direction((a, b))
-            if best is None or w < best:
-                best = w
-    return best
+def _dots(p, a, b):
+    return [a * x + b * y for x, y in p.vertices]
+
+
+def _paired(p, a, b):
+    """Whether both level lines of (a, b) that bound p hold an edge, that is,
+    p has edges along both (-b, a) and (b, -a)."""
+    dots = _dots(p, a, b)
+    return dots.count(min(dots)) > 1 and dots.count(max(dots)) > 1
+
+
+def vertex_box_reference(p):
+    """(W, keys) for a two-dimensional polygon, by brute force over a box of
+    directions that three of its vertices give: keys are the sorted
+    (width, |a|+|b|, a, b) of every primitive (a, b), a > 0 or a = 0 < b,
+    along which p is at most W wide.
+
+    W is the least width along an unpaired one of (0, 1), (1, 0), ..., (1, n),
+    so W >= cap >= lw.  A direction (a, b) with width <= W has
+    |(a, b) . d1|, |(a, b) . d2| <= W for the sides d1, d2 at a vertex of a
+    triangle of vertices, so by Cramer's rule |a| <= W (|d1y| + |d2y|) / |det|
+    and |b| <= W (|d1x| + |d2x|) / |det|; the largest triangle keeps it small.
+    """
+    vs = p.vertices
+    W = min(max(_dots(p, a, b)) - min(_dots(p, a, b))
+            for a, b in [(0, 1)] + [(1, k) for k in range(len(vs) + 1)]
+            if not _paired(p, a, b))
+    det, (d1x, d1y), (d2x, d2y) = max(
+        (abs(ux * wy - uy * wx), (ux, uy), (wx, wy))
+        for (ox, oy), (ux, uy), (wx, wy) in (
+            (o, (u[0] - o[0], u[1] - o[1]), (w[0] - o[0], w[1] - o[1]))
+            for o, u, w in combinations(vs, 3)))
+    assert det > 0
+    box_a = W * (abs(d1y) + abs(d2y)) // det
+    box_b = W * (abs(d1x) + abs(d2x)) // det
+    keys = []
+    for a in range(box_a + 1):
+        for b in range(-box_b, box_b + 1):
+            if (a > 0 or b > 0) and gcd(a, b) == 1:
+                width = max(_dots(p, a, b)) - min(_dots(p, a, b))
+                if width <= W:
+                    keys.append((width, abs(a) + abs(b), a, b))
+    return W, sorted(keys)
+
+
+def reference_width_and_cap(p):
+    """(lattice width, its tie-broken direction, multiplicity cap)."""
+    _, keys = vertex_box_reference(p)
+    width, _, a, b = keys[0]
+    return width, (a, b), min(w for w, _, a, b in keys if not _paired(p, a, b))
 
 
 def test_lattice_width_vs_brute_force_200():
@@ -117,4 +156,36 @@ def test_lattice_width_vs_brute_force_200():
                   polygon((0, 0), (1, 0), (k + 1, k)),
                   polygon((0, 0), (0, 1), (k, 2 * k + 1))]
     for p in polys:
-        assert p.lattice_width()[0] == brute_force_width(p)
+        assert p.lattice_width() == reference_width_and_cap(p)[:2]
+
+
+def _scan(p):
+    xs, ys = zip(*p.vertices)
+    return [(x, y) for x in range(min(xs), max(xs) + 1)
+            for y in range(min(ys), max(ys) + 1) if p.contains((x, y))]
+
+
+def test_walk_matches_vertex_box_reference():
+    """Two routes to the walk's answers: `lattice_width` (value and tie-broken
+    direction), `multiplicity_cap` and the directions `_directions` yields
+    against `vertex_box_reference`, and `lattice_points` against a `contains`
+    scan and Pick's count."""
+    r = rng(2525)
+    polys = [polygon((0, 0), (s, 0), (s, s), (0, s)) for s in (1, 2, 7)]
+    # four directions of width 2: (0, 1), (1, 0), (1, 1) and (2, 1)
+    polys.append(polygon((0, 0), (1, 0), (2, -2), (1, -2)))
+    polys += [polygon((0, 0), (1, 0), (k, k + 1)) for k in range(1, 51)]
+    polys += [random_polygon(r, span=6, npts=r.randint(3, 8)) for _ in range(100)]
+    far = [p.translate(r.choice((-1, 1)) * 10 ** r.randint(3, 12),
+                       r.choice((-1, 1)) * 10 ** r.randint(3, 12)) for p in polys]
+    large = [random_polygon(r, span=10 ** 6, npts=r.randint(3, 6)) for _ in range(30)]
+    for p in polys + far + large:
+        # first the walk itself, cut off: exactly the directions at most W wide
+        W, keys = vertex_box_reference(p)
+        assert sorted(islice(p._directions(W), len(keys) + 1)) == keys, p.vertices
+        assert (*p.lattice_width(), multiplicity_cap(p)) == reference_width_and_cap(p), p.vertices
+    assert polys[3].lattice_width() == (2, (0, 1))
+    assert polys[4 + 49].lattice_width() == (2, (1, -1))
+    for p in polys:
+        pts = p.lattice_points()
+        assert pts == _scan(p) and len(pts) == p.lattice_counts()[0], p.vertices

@@ -262,8 +262,9 @@ def test_count_route_matches_kernel_route(monkeypatch):
 
 
 def test_estimate_walks_points_and_builds_forms_only_where_they_can_enter(monkeypatch):
-    calls = {"points": 0, "forms": 0}
+    calls = {"points": 0, "forms": 0, "hulls": 0}
     lattice_points, canonical_form = LatticePolygon.lattice_points, polygon_module.canonical_form
+    hull = LatticePolygon.hull
 
     def counted_points(self):
         calls["points"] += 1
@@ -273,12 +274,18 @@ def test_estimate_walks_points_and_builds_forms_only_where_they_can_enter(monkey
         calls["forms"] += 1
         return canonical_form(poly)
 
+    def counted_hull(points):
+        calls["hulls"] += 1
+        return hull(points)
+
+    t_400 = polygon((0, 0), (400, 1), (1, 400))
     monkeypatch.setattr(LatticePolygon, "lattice_points", counted_points)
     monkeypatch.setattr(polygon_module, "canonical_form", counted_form)
-    # T_400: lw·m > vol, and the triangle is its own family I reference
-    est = estimate(polygon((0, 0), (400, 1), (1, 400)), 400, irreducible=True)
+    monkeypatch.setattr(LatticePolygon, "hull", staticmethod(counted_hull))
+    # T_400: lw·m > vol, and the triangle is its own family I reference, no hull built
+    est = estimate(t_400, 400, irreducible=True)
     assert est.exact == Fraction(159999, 400) and "ItoFamilyI" in est.certificates
-    assert calls == {"points": 0, "forms": 0}
+    assert calls == {"points": 0, "forms": 0, "hulls": 0}
     # family II at m = 6 has volume m² − 1 = 35 but five vertices
     fam_ii = family_polygon(FamilySpec("II", 6))
     assert fam_ii.volume == 35
