@@ -167,7 +167,7 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
         first = isqrt(max(vol - 1, 0)) + 1  # the least m >= 1 with m² >= vol
         if vol > volume_max or first > m_max:
             continue
-        cap = multiplicity_cap(poly, first)
+        cap = multiplicity_cap(poly)
         last = m_max if cap is None else min(m_max, cap)
         if last < first:
             continue
@@ -178,7 +178,8 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
         from concurrent.futures import ProcessPoolExecutor
 
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            found = list(pool.map(_examine, tasks.values()))
+            found = list(pool.map(_examine, tasks.values(),
+                                  chunksize=max(1, len(tasks) // (4 * jobs))))
     else:
         found = map(_examine, tasks.values())
     results = {(key, m): hit for key, hits in zip(tasks, found) for m, hit in hits}

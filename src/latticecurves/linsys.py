@@ -42,6 +42,8 @@ from .laurent import LaurentPolynomial
 from .modular import _word_primes, crt_step
 from .polygon import LatticePolygon
 
+_POINT_LIMIT = 5_000  # most lattice points a system is solved on: m = 1 takes 0.4 GB there
+
 
 def condition_matrix(points, m: int) -> list[list[int]]:
     """Rows indexed by (a, b), a + b <= m - 1, a <= x-span and b <= y-span;
@@ -216,9 +218,11 @@ def _kernel(mat: list[list[int]], primes=None) -> list[list[int]]:
 
 @lru_cache(maxsize=256)
 def compute_system(poly: LatticePolygon, m: int) -> LinearSystem:
-    """Exact basis of L(poly, m); m >= 1."""
+    """Exact basis of L(poly, m); m >= 1, on at most _POINT_LIMIT lattice points."""
     if m < 1:
         raise RangeError("vanishing order must be at least 1")
+    if poly.lattice_counts()[0] > _POINT_LIMIT:
+        raise RangeError(f"{poly.lattice_counts()[0]} lattice points pass the limit {_POINT_LIMIT}")
     points = tuple(poly.lattice_points())
     basis = _kernel(condition_matrix(points, m))
     return LinearSystem(poly, m, points, tuple(map(tuple, basis)))

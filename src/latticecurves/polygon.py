@@ -153,24 +153,28 @@ class LatticePolygon:
         return b + i, b, i
 
     def lattice_points(self) -> list[Point]:
-        """All lattice points, sorted lexicographically."""
+        """All lattice points, sorted lexicographically, sliced in the reduced basis."""
         if self.is_point:
             return [self.vertices[0]]
         if self.is_segment:
             x0, y0 = self.vertices[0]
             (dx, dy), g = _edge_multiset(self)[0]
             return sorted((x0 + k * dx, y0 + k * dy) for k in range(g + 1))
-        xs = [x for x, _ in self.vertices]
-        # n . p >= n . u for each CCW edge u -> w, n = (u_y - w_y, w_x - u_x)
+        (p, q), (r, s), img = self._reduced
+        xs = [x for x, _ in img.vertices]
+        # n . v >= n . u for each CCW edge u -> w, n = (u_y - w_y, w_x - u_x)
         # its inward normal; the edges of a two-dimensional polygon bound it
         halfplanes = [(uy - wy, wx - ux, (uy - wy) * ux + (wx - ux) * uy)
-                      for (ux, uy), (wx, wy) in self.edges()]
+                      for (ux, uy), (wx, wy) in img.edges()]
         pts = []
         for x in range(min(xs), max(xs) + 1):
             bounds = _slice(halfplanes, x)
             if bounds is not None:
                 pts.extend((x, y) for y in range(bounds[0], bounds[1] + 1))
-        return pts
+        if img is self:
+            return pts
+        det = p * s - q * r  # the inverse of ((p, q), (r, s)) is det * ((s, -q), (-r, p))
+        return sorted((det * (s * x - q * y), det * (p * y - r * x)) for x, y in pts)
 
     def contains(self, p: Point) -> bool:
         if self.is_point:
@@ -190,21 +194,12 @@ class LatticePolygon:
         x0, y0 = min(self.vertices)
         return self.translate(-x0, -y0)
 
-    def normal_fan(self) -> list[tuple[Point, int]]:
-        """One (inward primitive normal, edge lattice length) pair per edge."""
-        if self.is_degenerate:
-            raise DegeneratePolygon("normal fan needs a two-dimensional polygon")
-        return [((-dy, dx), g) for (dx, dy), g in _edge_multiset(self)]
-
     def ample_coefficients(self) -> list[tuple[Point, int]]:
-        """Coefficients a_i = -min over the polygon of w . v_i, in fan order."""
+        """(inward primitive normal w, -min over the polygon of w . v) per CCW edge."""
         if self.is_degenerate:
             raise DegeneratePolygon("ample coefficients need a two-dimensional polygon")
-        out = []
-        for ray, _length in self.normal_fan():
-            m = min(x * ray[0] + y * ray[1] for x, y in self.vertices)
-            out.append((ray, -m))
-        return out
+        return [((-dy, dx), -min(dx * y - dy * x for x, y in self.vertices))
+                for (dx, dy), _ in _edge_multiset(self)]
 
     def width_in_direction(self, v: Point) -> int:
         vals = [x * v[0] + y * v[1] for x, y in self.vertices]
@@ -226,9 +221,39 @@ class LatticePolygon:
             (dx, dy), _ = _edge_multiset(self)[0]
             # width 0 along either normal; return the normalized one
             return 0, ((-dy, dx) if dy < 0 or (dy == 0 and dx > 0) else (dy, -dx))
-        seed = [(0, 1), (1, 0)] + [(-dy, dx) for (dx, dy), _ in _edge_multiset(self)]
-        w, _, a, b = min(self._directions(min(self.width_in_direction(v) for v in seed)))
-        return w, (a, b)
+        (p, q), (r, s), img = self._reduced
+        lw = img.width_in_direction((1, 0))
+        signed = [(x * p + y * r, x * q + y * s) for _, _, x, y in img._directions(lw)]
+        _, a, b = min((abs(a) + abs(b), a, b) for a, b in (max(d, (-d[0], -d[1])) for d in signed))
+        return lw, (a, b)
+
+    @cached_property
+    def _reduced(self) -> tuple[Point, Point, "LatticePolygon"]:
+        """(b1, b2, image v -> (b1 . v, b2 . v)) with N(b1) <= N(b2) <= N(b2 +- b1), N the
+        width_in_direction norm (generalized Gauss reduction, Kaib and Schnorr, J. Algorithms
+        21, 1996): N(b1) is the lattice width, and ties keep the standard basis."""
+        N = self.width_in_direction
+        b1, b2, n1, n2 = (1, 0), (0, 1), N((1, 0)), N((0, 1))
+        while True:  # rounds logarithmic in the coordinates
+            if n2 < n1:
+                b1, b2, n1, n2 = b2, b1, n2, n1
+            # k -> N(b2 - k b1) is convex: gallop from 0 the way it falls, bisect
+            f = lambda k: N((b2[0] - k * b1[0], b2[1] - k * b1[1]))
+            s = 1 if f(1) < n2 else -1 if f(-1) < n2 else 0
+            lo, hi = 0, 1  # f falls on the step from s * lo and not on the one from s * hi
+            while s and f(s * hi + s) < f(s * hi):
+                lo, hi = hi, 2 * hi
+            while hi - lo > 1:
+                mid = (lo + hi) // 2
+                lo, hi = (mid, hi) if f(s * mid + s) < f(s * mid) else (lo, mid)
+            b2, n2 = (b2[0] - s * hi * b1[0], b2[1] - s * hi * b1[1]), f(s * hi)
+            if n2 >= n1:
+                break
+        if (b1, b2) == ((1, 0), (0, 1)):
+            return b1, b2, self
+        img = [(b1[0] * x + b1[1] * y, b2[0] * x + b2[1] * y) for x, y in self.vertices]
+        det = b1[0] * b2[1] - b1[1] * b2[0]  # -1 reverses the CCW cycle
+        return b1, b2, LatticePolygon(_canonical_order(tuple(img[::det])))
 
     def _directions(self, bound: int):
         """(width, |a|+|b|, a, b) for each primitive (a, b) with a > 0 or
@@ -395,7 +420,7 @@ def is_decomposable(poly: LatticePolygon) -> bool:
     return (0, 0, True, True) in states
 
 
-def multiplicity_cap(poly: LatticePolygon, first: int | None = None) -> int | None:
+def multiplicity_cap(poly: LatticePolygon) -> int | None:
     """The least width of Δ along a primitive (a, b) unless Δ has edges along
     both (-b, a) and (b, -a), or None for degenerate Δ: a unimodular
     invariant that bounds m for every f in L(Δ, m) with NP(f) = Δ.
@@ -403,21 +428,21 @@ def multiplicity_cap(poly: LatticePolygon, first: int | None = None) -> int | No
     f restricted to t -> (t^a, t^b) has exponent spread at most that width
     and order >= m at t = 1, so for a larger m it is zero and x^(-b) y^a - 1
     divides f; NP(f) then has the summand [0, (-b, a)], hence both edges.
-    The widths along (0, 1), the edge normals and (1, k), k = 0..#edges (one
-    of which lacks an edge pair), bound the cap: given first, their least free
-    one is returned when it is below first, which proves the cap below first
-    without a direction walk; otherwise it bounds the walk.
+    On Δ's image in its reduced basis (`_reduced`), no direction is narrower
+    than (1, 0), and none but (1, 0) narrower than (0, 1): the first of them
+    without an edge pair gives the cap.  Else the first free (1, k) bounds a walk.
     """
     if poly.is_degenerate:
         return None
-    edges = {e for e, _ in _edge_multiset(poly)}
+    img = poly._reduced[2]
+    edges = {e for e, _ in _edge_multiset(img)}
     # the normals whose level lines run along a pair of opposite edges
     paired = {(dy, -dx) for dx, dy in edges if (-dx, -dy) in edges}
-    seeds = [(0, 1)] + [(1, k) for k in range(len(edges) + 1)] + [(-dy, dx) for dx, dy in edges]
-    bound = min(poly.width_in_direction(v) for v in seeds if v not in paired)
-    if first is not None and bound < first:
-        return bound
-    return min(width for width, _, a, b in poly._directions(bound) if (a, b) not in paired)
+    for v in ((1, 0), (0, 1)):
+        if v not in paired:
+            return img.width_in_direction(v)
+    bound = next(img.width_in_direction((1, k)) for k in count(1) if (1, k) not in paired)
+    return min(width for width, _, a, b in img._directions(bound) if (a, b) not in paired)
 
 
 _DECOMPOSITION_LIMIT = 1_000_000  # largest edge sub-multiset search

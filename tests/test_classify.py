@@ -426,35 +426,20 @@ def test_multiplicity_cap_matches_brute_force_and_is_invariant():
     assert exempt > 100 and degenerate > 0
 
 
-def test_multiplicity_cap_seed_exit_matches_the_exact_cap(monkeypatch):
-    """Two routes to "is the cap below first": the seed-direction exit and
-    the exact cap, on hulls of 1-6 points in [-4, 4]^2 (degenerate ones
-    too) for every first in 0..8; at or above first the two values agree."""
-    rng = random.Random(1818)
-    exits = degenerate = 0
-    for _ in range(300):
-        poly = convex_hull([(rng.randint(-4, 4), rng.randint(-4, 4))
-                            for _ in range(rng.randint(1, 6))])
-        exact = multiplicity_cap(poly)
-        degenerate += exact is None
-        for first in range(9):
-            cap = multiplicity_cap(poly, first)
-            if exact is None:
-                assert cap is None
-                continue
-            assert (cap < first) == (exact < first), (poly.vertices, first)
-            if exact >= first:
-                assert cap == exact
-            else:
-                assert exact <= cap < first
-                exits += cap > exact
-    assert degenerate > 0 and exits > 0
-    # a narrow seed direction decides without a direction walk
+def test_multiplicity_cap_walks_only_when_both_reduced_directions_are_paired(monkeypatch):
+    """In the reduced basis the narrowest direction, or else the next one,
+    gives the cap when it has no edge pair; only a polygon with edge pairs
+    along both walks directions."""
     def no_walk(self, bound):
         raise AssertionError("direction walk")
 
     monkeypatch.setattr(LatticePolygon, "_directions", no_walk)
-    assert multiplicity_cap(polygon((0, 0), (4, 0), (0, 1)), 2) == 1
+    assert multiplicity_cap(polygon((0, 0), (4, 0), (0, 1))) == 1
+    # (0, 1) is 4 wide along a pair of edges, and the next direction is free
+    assert multiplicity_cap(polygon((-1, -3), (0, -3), (1000003, -2), (1000002, 1),
+                                    (999999, 1), (0, -2))) == 1000003
+    with pytest.raises(AssertionError, match="direction walk"):
+        multiplicity_cap(polygon((0, 0), (1, 0), (1, 1), (0, 1)))
 
 
 def test_classify_width_cap_matches_kernel_route_on_zonotopes():

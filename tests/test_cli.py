@@ -2,6 +2,8 @@ import argparse
 import hashlib
 import json
 import os
+import random
+import signal
 import subprocess
 import sys
 from importlib import resources
@@ -370,6 +372,16 @@ MALFORMED_INPUTS = {
     "headerless-table": lambda d: ["wpp", "--a", "9", "--b", "10", "--c", "13", "--table",
                                    _file(d, "table.csv", "36,1,0,0\n39,1,0,0\n")],
     "family-out-of-range": lambda d: ["family", "--id", "III", "--m", "7"],
+    # Pick's count passes the point limit before any point is listed
+    "linsys-huge-triangle": lambda d: ["linsys", "--vertices", "0,0 10000000000,0 0,1",
+                                       "--m", "1"],
+    "linsys-huge-segment": lambda d: ["linsys", "--vertices", "3,1 10000000000,1", "--m", "2"],
+    # 3 lattice points, and lattice width 1 < m
+    "seshadri-huge-thin-triangle": lambda d: ["seshadri", "--vertices",
+                                              "1,0 10000000000,1 0,0", "--m", "3"],
+    "oracle-huge-vertex": _oracle_case(
+        '[{"polygon": {"vertices": [[0, 0], [1000000000000000000000000000000, 0], [0, 1]]}, '
+        '"verdict": "reducible", "m": 2, "factors": [' + U_MINUS_ONE + ', ' + V_MINUS_ONE + ']}]'),
 }
 
 
@@ -379,6 +391,101 @@ def test_malformed_input_exits_2_without_traceback(tmp_path, capsys, case):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("input error: ") and "Traceback" not in captured.err
+
+
+class _Stuck(Exception):
+    """Raised by the fuzz alarm; `main` catches no such error."""
+
+
+def _stop(signum, frame):
+    raise _Stuck("no answer within the alarm")
+
+
+INTS = (0, 1, -1, 2, 10 ** 10, -10 ** 10, 10 ** 30, -10 ** 30, 10 ** 100)
+ODD_VALUES = INTS + (2.5, True, None, "x", "", [], {})
+
+
+def _mutate_json(rng, node):
+    """node with one random leaf replaced, nudged by one or dropped."""
+    if isinstance(node, dict) and node:
+        key = rng.choice(sorted(node))
+        if rng.random() < 0.1:
+            return {k: v for k, v in node.items() if k != key}
+        return {**node, key: _mutate_json(rng, node[key])}
+    if isinstance(node, list) and node:
+        i = rng.randrange(len(node))
+        if rng.random() < 0.1:
+            return node[:i] + node[i + 1:]
+        return node[:i] + [_mutate_json(rng, node[i])] + node[i + 1:]
+    if isinstance(node, int) and not isinstance(node, bool) and rng.random() < 0.5:
+        return node + rng.choice((-1, 1))
+    return rng.choice(ODD_VALUES)
+
+
+def _mutate_line(rng, line):
+    """A polygon line with one coordinate replaced, nudged or dropped."""
+    tokens = line.replace(",", " , ").split()
+    i = rng.choice([j for j, t in enumerate(tokens) if t != ","])
+    kind = rng.randrange(4)
+    if kind == 0:
+        tokens[i] = str(int(tokens[i]) + rng.choice((-1, 1)))
+    elif kind == 1:
+        tokens[i] = str(rng.choice(INTS))
+    elif kind == 2:
+        tokens[i] = rng.choice(("", "x", "1.5", "--1"))
+    else:
+        del tokens[i]
+    return " ".join(tokens).replace(" , ", ",")
+
+
+def test_fuzzed_inputs_exit_0_1_or_2_without_traceback(tmp_path, capsys):
+    """Seeded mutations of the shipped oracle entries, the shipped dataset
+    lines and --vertices/--m values, each run through `main` in process under
+    an alarm: every one ends with exit code 0, 1 or 2 and no traceback."""
+    rng = random.Random(2727)
+    oracle = json.loads(Path(data_path("oracle_vol6.json")).read_text())
+    lines = [ln for ln in Path(data_path("polygons.txt")).read_text().splitlines()
+             if ln and not ln.startswith("#")]
+    dataset = _file(tmp_path, "polys.txt", "0,0 1,0 0,1\n")
+    argvs = []
+    for _ in range(100):
+        text = json.dumps(_mutate_json(rng, rng.sample(oracle, 2)))
+        if rng.random() < 0.2:
+            i = rng.randrange(len(text))
+            text = text[:i] + text[i + 1:]
+        argvs.append(["classify", "--dataset", dataset, "--m-max", "2",
+                      "--oracle", _file(tmp_path, "oracle.json", text)])
+    for _ in range(100):
+        first, *rest = rng.sample(lines, 3)
+        text = "\n".join([_mutate_line(rng, first)] + rest)
+        argvs.append(["classify", "--dataset", _file(tmp_path, "polys.txt", text),
+                      "--m-max", "3", "--volume-max", "16"])
+    for _ in range(400):
+        vertices = _mutate_line(rng, rng.choice(lines))
+        m = str(rng.choice((-1, 0, 1, 2, 3, 4, 20, 10 ** 6, 10 ** 30, "x")))
+        argvs.append(rng.choice((["polygon-info", "--vertices", vertices],
+                                 ["polygon-info", "--vertices", vertices, "--m", m],
+                                 ["linsys", "--vertices", vertices, "--m", m],
+                                 ["seshadri", "--vertices", vertices],
+                                 ["seshadri", "--vertices", vertices, "--m", m],
+                                 ["seshadri", "--vertices", vertices, "--m", m, "--irreducible"])))
+    codes = []
+    handler = signal.signal(signal.SIGALRM, _stop)
+    try:
+        for argv in argvs:
+            signal.setitimer(signal.ITIMER_REAL, 5)
+            try:
+                code = main(argv)
+            except SystemExit as exc:  # argparse rejects the value
+                code = exc.code
+            finally:
+                signal.setitimer(signal.ITIMER_REAL, 0)
+            err = capsys.readouterr().err
+            assert code in (0, 1, 2) and "Traceback" not in err, (argv, code, err)
+            codes.append(code)
+    finally:
+        signal.signal(signal.SIGALRM, handler)
+    assert codes.count(0) > 100 and codes.count(2) > 100
 
 
 # one small command per subcommand

@@ -1,6 +1,8 @@
 import hashlib
 import random
+import signal
 import sys
+import time
 from fractions import Fraction
 from itertools import product
 from math import ceil, floor, gcd
@@ -102,7 +104,7 @@ def test_width_in_direction():
 
 def test_normal_fan_and_ample_coefficients():
     hexagon = polygon((0, 0), (2, 1), (5, 3), (6, 4), (1, 6), (0, 1))
-    rays = [r for r, _ in hexagon.normal_fan()]
+    rays = [r for r, _ in hexagon.ample_coefficients()]
     assert set(rays) == {(-1, 2), (-2, 3), (-1, 1), (-2, -5), (5, -1), (1, 0)}
     coeffs = dict(hexagon.ample_coefficients())
     assert [coeffs[r] for r in
@@ -378,8 +380,8 @@ def test_square_images_keep_canonical_form_and_box():
 
 def test_width_cap_and_points_build_no_hull_or_fan(monkeypatch):
     """The direction walk takes its half-planes from vertex pairs and the
-    point walk from the CCW edges: no hull of the vertex differences, and no
-    normal fan or ample coefficients."""
+    point walk from the CCW edges: no hull of the vertex differences or of
+    the reduced image, and no ample coefficients."""
     module = sys.modules[LatticePolygon.__module__]
     polys = [polygon((0, 0), (1, 0), (2, -2), (1, -2)), polygon((0, 0), (1, 0), (50, 51)),
              polygon((-3, 2), (4, -1), (6, 5), (0, 7), (-2, 6))]
@@ -394,12 +396,51 @@ def test_width_cap_and_points_build_no_hull_or_fan(monkeypatch):
         monkeypatch.setattr(owner, name, wrapper)
 
     counted(module, "_hull_vertices")
-    counted(LatticePolygon, "normal_fan")
     counted(LatticePolygon, "ample_coefficients")
     assert [p.lattice_width() for p in polys] == [(2, (0, 1)), (2, (1, -1)), (8, (0, 1))]
     assert [multiplicity_cap(p) for p in polys] == [2, 2, 8]
     assert [len(p.lattice_points()) for p in polys] == [p.lattice_counts()[0] for p in polys]
     assert calls == []
+
+
+class _Stuck(Exception):
+    pass
+
+
+def _stop(signum, frame):
+    raise _Stuck("no answer within the alarm")
+
+
+def test_width_cap_and_points_cost_polynomial_time_in_the_bit_size():
+    """A direction walk or an x-slice scan costs time linear in k on the thin
+    triangle (0,0),(1,1),(k,k+1); the reduced basis costs time polynomial in
+    log k.  Each answer is timed on a fresh polygon, as the basis is cached,
+    best of three, under an alarm that stops a reduction that never ends.
+    The hexagon's narrowest direction (0, 1) has an edge pair."""
+    hexagon = ((-1, -3), (0, -3), (1000003, -2), (1000002, 1), (999999, 1), (0, -2))
+    cases = [(((0, 0), (1, 1), (k, k + 1)), answer, expected)
+             for k in (10 ** 10, 10 ** 100)
+             for answer, expected in ((LatticePolygon.lattice_width, (1, (1, -1))),
+                                      (multiplicity_cap, 1),
+                                      (lambda p: len(p.lattice_points()), 3))]
+    cases.append((hexagon, multiplicity_cap, 1000003))
+    handler = signal.signal(signal.SIGALRM, _stop)
+    try:
+        for verts, answer, expected in cases:
+            best = None
+            for _ in range(3):
+                p = polygon(*verts)
+                signal.setitimer(signal.ITIMER_REAL, 2)
+                start = time.perf_counter()
+                got = answer(p)
+                took = time.perf_counter() - start
+                signal.setitimer(signal.ITIMER_REAL, 0)
+                assert got == expected, verts
+                best = took if best is None else min(best, took)
+            assert best < 0.010, (verts, answer, best)
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, handler)
 
 
 def test_lattice_points_match_contains_scan():

@@ -169,13 +169,17 @@ def test_walk_matches_vertex_box_reference():
     """Two routes to the walk's answers: `lattice_width` (value and tie-broken
     direction), `multiplicity_cap` and the directions `_directions` yields
     against `vertex_box_reference`, and `lattice_points` against a `contains`
-    scan and Pick's count."""
+    scan and Pick's count.  The walks run in a reduced basis, so the inputs
+    include sheared hulls and thin triangles whose basis is far from the
+    standard one."""
     r = rng(2525)
     polys = [polygon((0, 0), (s, 0), (s, s), (0, s)) for s in (1, 2, 7)]
     # four directions of width 2: (0, 1), (1, 0), (1, 1) and (2, 1)
     polys.append(polygon((0, 0), (1, 0), (2, -2), (1, -2)))
     polys += [polygon((0, 0), (1, 0), (k, k + 1)) for k in range(1, 51)]
-    polys += [random_polygon(r, span=6, npts=r.randint(3, 8)) for _ in range(100)]
+    hulls = [random_polygon(r, span=6, npts=r.randint(3, 8)) for _ in range(100)]
+    polys += hulls + [random_unimodular(r, span=3).apply(p) for p in hulls]
+    polys += [polygon((0, 0), (1, 1), (k, k + 1)) for k in range(2, 9)]
     far = [p.translate(r.choice((-1, 1)) * 10 ** r.randint(3, 12),
                        r.choice((-1, 1)) * 10 ** r.randint(3, 12)) for p in polys]
     large = [random_polygon(r, span=10 ** 6, npts=r.randint(3, 6)) for _ in range(30)]
@@ -189,3 +193,9 @@ def test_walk_matches_vertex_box_reference():
     for p in polys:
         pts = p.lattice_points()
         assert pts == _scan(p) and len(pts) == p.lattice_counts()[0], p.vertices
+    # volume 1, so the three edge normals are the width-1 directions, all free;
+    # the box of the reference grows as k^4, so these are checked directly
+    for k in range(2, 1001):
+        p = polygon((0, 0), (1, 1), (k, k + 1))
+        assert (*p.lattice_width(), multiplicity_cap(p)) == (1, (1, -1), 1), k
+        assert p.lattice_points() == [(0, 0), (1, 1), (k, k + 1)], k
