@@ -106,26 +106,20 @@ class ClassificationHit:
 
 
 def _examine(task):
-    """[(m, hit)] over one polygon's m = first..last, skipping the oracle's m's.
-    The rows for m are among those for m + 1, so the first empty system ends
-    the scan.  An `expected_dimension` of 2 or more proves the system
-    nonempty and not a unique curve, so that m is passed over without a
-    kernel.  Only the first system is solved; each later order is raised
-    from the one before it (`raise_order`), whose certificate is the check
-    G w = 0 on the new rows.  An m in `reducible` is dropped once its system
-    holds one curve: the oracle's witness was checked when it was loaded."""
-    poly, first, last, reducible = task
+    """[(m, hit)] over one polygon's m = first..last.  The rows for m are among
+    those for m + 1, so the first empty system ends the scan.  The m with an
+    `expected_dimension` of 2 or more (nonempty, not a unique curve) are a
+    prefix, as that count falls strictly in m, and get no kernel.  The first
+    system left is solved and each later order raised from the one before
+    (`raise_order`), whose certificate is the check G w = 0 on the new rows."""
+    poly, first, last = task
+    start = next((m for m in range(first, last + 1) if expected_dimension(poly, m) < 2), last + 1)
     hits, system = [], None
-    for m in range(first, last + 1):
-        if expected_dimension(poly, m) >= 2:
-            continue
-        if system is not None and system.order == m - 1:
-            system = raise_order(system)
-        else:
-            system = compute_system(poly, m)
+    for m in range(start, last + 1):
+        system = compute_system(poly, m) if system is None else raise_order(system)
         if system.is_empty():
             break
-        if system.dimension != 1 or m in reducible:
+        if system.dimension != 1:
             continue
         f = system.members()[0]
         newton = f.newton_polygon()
@@ -157,10 +151,7 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
         raise RangeError("m_max must be at least 1")
     if jobs is not None and jobs < 0:
         raise RangeError("jobs must be nonnegative")
-    reducible = {}
-    for key, m in oracle or ():
-        reducible.setdefault(key, set()).add(m)
-    tasks = {}  # canonical vertices -> (polygon, first, last, oracle m's)
+    tasks = {}  # canonical vertices -> (polygon, first, last)
     for poly in polygons:
         # volume and the width cap are unimodular invariants: skips keep the dedupe
         vol = poly.volume
@@ -173,7 +164,7 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
             continue
         key = canonical_form(poly).vertices
         if key not in tasks:
-            tasks[key] = (poly, first, last, reducible.get(key, ()))
+            tasks[key] = (poly, first, last)
     if jobs and jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
@@ -182,5 +173,6 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
                                   chunksize=max(1, len(tasks) // (4 * jobs))))
     else:
         found = map(_examine, tasks.values())
-    results = {(key, m): hit for key, hits in zip(tasks, found) for m, hit in hits}
+    results = {(key, m): hit for key, hits in zip(tasks, found) for m, hit in hits
+               if (key, m) not in (oracle or ())}
     return [results[k] for k in sorted(results, key=lambda k: (k[1], k[0]))]

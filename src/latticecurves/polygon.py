@@ -63,9 +63,8 @@ def _slice(halfplanes, t: int) -> tuple[int, int] | None:
     A nonempty slice may hold no integer, and then ceil lo > floor hi.  The
     real bounds are kept as fractions (num, den) with den > 0 and compared
     by cross-multiplication.  The half-planes must cut out a bounded region,
-    so every nonempty slice has both a lower and an upper bound: the CCW edge
-    half-planes of a two-dimensional polygon (`lattice_points`) and the
-    vertex-pair half-planes of its width directions (`_directions`) both do.
+    so every nonempty slice has both a lower and an upper bound, as the CCW
+    edge half-planes of a two-dimensional polygon do (`reduced_slices`).
     """
     lo = hi = None
     for n0, n1, c in halfplanes:
@@ -161,20 +160,25 @@ class LatticePolygon:
             (dx, dy), g = _edge_multiset(self)[0]
             return sorted((x0 + k * dx, y0 + k * dy) for k in range(g + 1))
         (p, q), (r, s), img = self._reduced
-        xs = [x for x, _ in img.vertices]
-        # n . v >= n . u for each CCW edge u -> w, n = (u_y - w_y, w_x - u_x)
-        # its inward normal; the edges of a two-dimensional polygon bound it
-        halfplanes = [(uy - wy, wx - ux, (uy - wy) * ux + (wx - ux) * uy)
-                      for (ux, uy), (wx, wy) in img.edges()]
-        pts = []
-        for x in range(min(xs), max(xs) + 1):
-            bounds = _slice(halfplanes, x)
-            if bounds is not None:
-                pts.extend((x, y) for y in range(bounds[0], bounds[1] + 1))
+        x0, lw = min(img.vertices)[0], img.width_in_direction((1, 0))
+        pts = [(x0 + t, y) for t, (lo, hi) in enumerate(self.reduced_slices(range(lw + 1)))
+               for y in range(lo, hi + 1)]
         if img is self:
             return pts
         det = p * s - q * r  # the inverse of ((p, q), (r, s)) is det * ((s, -q), (-r, p))
         return sorted((det * (s * x - q * y), det * (p * y - r * x)) for x, y in pts)
+
+    def reduced_slices(self, offsets):
+        """Lazily, for each 0 <= t <= lw in offsets, the integer bounds (lo, hi) of y on the
+        slice x = x0 + t of the reduced image (`_reduced`), x0 its least x; lo > hi when it
+        holds no lattice point.  The end slices t = 0 and t = lw hold a vertex each."""
+        img = self._reduced[2]
+        x0 = min(img.vertices)[0]
+        # n . v >= n . u for each CCW edge u -> w, n = (u_y - w_y, w_x - u_x)
+        # its inward normal; the edges of a two-dimensional polygon bound it
+        halfplanes = [(uy - wy, wx - ux, (uy - wy) * ux + (wx - ux) * uy)
+                      for (ux, uy), (wx, wy) in img.edges()]
+        return (_slice(halfplanes, x0 + t) for t in offsets)
 
     def contains(self, p: Point) -> bool:
         if self.is_point:
@@ -222,8 +226,14 @@ class LatticePolygon:
             # width 0 along either normal; return the normalized one
             return 0, ((-dy, dx) if dy < 0 or (dy == 0 and dx > 0) else (dy, -dx))
         (p, q), (r, s), img = self._reduced
-        lw = img.width_in_direction((1, 0))
-        signed = [(x * p + y * r, x * q + y * s) for _, _, x, y in img._directions(lw)]
+        lw, n2 = img.width_in_direction((1, 0)), img.width_in_direction((0, 1))
+        # w = (x, y) in the image is x b1 + y b2, and N(b2 + k b1) >= n2 >= lw for every k, so
+        # with k nearest x/y the triangle inequality gives N(w) >= |y| (n2 - lw/2) and
+        # N(w) >= |x| lw - |y| n2: if n2 > lw only (1, 0) is lw wide, else |y| <= 2, |x| <= 1 + |y|.
+        near = [(1, 0)] if n2 > lw else [(1, 0), *((x, 1) for x in range(-2, 3)),
+                                          *((x, 2) for x in (-3, -1, 1, 3))]
+        signed = [(x * p + y * r, x * q + y * s) for x, y in near
+                  if img.width_in_direction((x, y)) == lw]
         _, a, b = min((abs(a) + abs(b), a, b) for a, b in (max(d, (-d[0], -d[1])) for d in signed))
         return lw, (a, b)
 
@@ -254,23 +264,6 @@ class LatticePolygon:
         img = [(b1[0] * x + b1[1] * y, b2[0] * x + b2[1] * y) for x, y in self.vertices]
         det = b1[0] * b2[1] - b1[1] * b2[0]  # -1 reverses the CCW cycle
         return b1, b2, LatticePolygon(_canonical_order(tuple(img[::det])))
-
-    def _directions(self, bound: int):
-        """(width, |a|+|b|, a, b) for each primitive (a, b) with a > 0 or
-        a = 0 < b along which a two-dimensional polygon is at most bound wide:
-        |(a, b) . d| <= bound for each vertex pair difference d, the region of
-        the difference body, bounded as the differences span the plane."""
-        v = self.vertices
-        # s*(a*dx + b*dy) >= -bound for s = +-1; the slice a = 0 holds b = 0
-        halfplanes = [(s * (qx - px), s * (qy - py), -bound) for i, (px, py) in enumerate(v)
-                      for qx, qy in v[i + 1:] for s in (1, -1)]
-        for a in count():
-            bounds = _slice(halfplanes, a)
-            if bounds is None:
-                return
-            for b in range(bounds[0], bounds[1] + 1):
-                if (a > 0 or b > 0) and gcd(a, b) == 1:
-                    yield self.width_in_direction((a, b)), abs(a) + abs(b), a, b
 
     def to_json(self) -> dict:
         return {"vertices": [[x, y] for x, y in self.vertices]}
@@ -430,7 +423,10 @@ def multiplicity_cap(poly: LatticePolygon) -> int | None:
     divides f; NP(f) then has the summand [0, (-b, a)], hence both edges.
     On Δ's image in its reduced basis (`_reduced`), no direction is narrower
     than (1, 0), and none but (1, 0) narrower than (0, 1): the first of them
-    without an edge pair gives the cap.  Else the first free (1, k) bounds a walk.
+    without an edge pair gives the cap.  Else N(x, 1) is convex and least at
+    x = 0, so the first free x on each side gives a width `best`, and by the
+    bounds of `_lattice_width` only rows 2 <= y <= 2 best / (2 N(0, 1) - N(1, 0))
+    can be narrower: a box that the number of edge pairs bounds.
     """
     if poly.is_degenerate:
         return None
@@ -438,11 +434,15 @@ def multiplicity_cap(poly: LatticePolygon) -> int | None:
     edges = {e for e, _ in _edge_multiset(img)}
     # the normals whose level lines run along a pair of opposite edges
     paired = {(dy, -dx) for dx, dy in edges if (-dx, -dy) in edges}
+    N = img.width_in_direction
     for v in ((1, 0), (0, 1)):
         if v not in paired:
-            return img.width_in_direction(v)
-    bound = next(img.width_in_direction((1, k)) for k in count(1) if (1, k) not in paired)
-    return min(width for width, _, a, b in img._directions(bound) if (a, b) not in paired)
+            return N(v)
+    n1, n2 = N((1, 0)), N((0, 1))
+    best = min(N(next((x, 1) for x in count(s, s) if (x, 1) not in paired)) for s in (1, -1))
+    box = ((x, y) for y in range(2, 2 * best // (2 * n2 - n1) + 1)
+           for x in range(-((best + y * n2) // n1), (best + y * n2) // n1 + 1))
+    return min([best] + [N(v) for v in box if gcd(*v) == 1 and v not in paired])
 
 
 _DECOMPOSITION_LIMIT = 1_000_000  # largest edge sub-multiset search

@@ -63,15 +63,23 @@ def rationality_certificates(poly: LatticePolygon, m: int | None = None) -> list
 
 
 def segment_equality(poly: LatticePolygon) -> Fraction | None:
-    """lw(Δ) as the exact constant, when Δ contains a width-length segment."""
+    """lw(Δ) as the exact constant, when Δ contains a width-length segment.
+
+    Its endpoints are congruent mod lw, and two lattice points congruent mod
+    lw span k*lw steps, the first lw of them such a segment.  The reduced
+    image (`LatticePolygon.reduced_slices`) keeps congruence and spans
+    exactly lw in x, so two such points share a slice, of lw + 1 points, or
+    lie in the end slices, tested first.  Slices are read up to the first
+    hit, so linear in lw when there is none: the pentagon (0,1),(1,0),(3,0),
+    (4,4),(1,2) scaled by 10⁵ (lw = 4·10⁵) is read in full.
+    """
     if poly.volume <= 0:
         raise DegeneratePolygon("needs a two-dimensional polygon")
     lw = poly.lattice_width()[0]
-    pts = poly.lattice_points()
-    # Two lattice points congruent mod lw span a segment of lattice length
-    # k*lw, whose first lw steps are a width-length segment in the polygon;
-    # the endpoints of a width-length segment are congruent mod lw.
-    if len({(x % lw, y % lw) for x, y in pts}) < len(pts):
+    (lo0, hi0), (lo1, hi1) = poly.reduced_slices((0, lw))
+    # y' - y runs over [lo1 - hi0, hi1 - lo0]: does it hold a multiple of lw?
+    if (hi1 - lo0) // lw * lw >= lo1 - hi0 or any(
+            hi - lo >= lw for lo, hi in poly.reduced_slices(range(1, lw))):
         return Fraction(lw)
     return None
 
@@ -121,7 +129,7 @@ def estimate(poly: LatticePolygon, m: int, irreducible: bool = False) -> Seshadr
     most one kernel outside these two cases:
     - SegmentEquality gives lw, which enters only when lw ≤ vol/m.  With
       vol ≤ m² ≤ lw·m that means vol = m² and lw = m, and only then are
-      the lattice points walked.
+      slices of the reduced image read, never the lattice points.
     - ItoFamilyI needs Δ unimodularly equivalent to the triangle
       (0,0),(m,1),(1,m), so Δ must have 3 vertices and volume m² − 1; only
       then are canonical forms built.

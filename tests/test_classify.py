@@ -2,7 +2,7 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from importlib import resources
+from importlib import import_module, resources
 from math import gcd
 
 import pytest
@@ -276,7 +276,7 @@ def test_scan_solves_only_its_first_system():
     square = polygon((0, 0), (1, 0), (1, 1), (0, 1))
     assert multiplicity_cap(square) == 2
     compute_system.cache_clear()
-    hits = _examine((square, 2, 4, ()))
+    hits = _examine((square, 2, 4))
     assert [m for m, _ in hits] == [2]
     info = compute_system.cache_info()
     assert (info.misses, info.hits) == (1, 0)
@@ -429,11 +429,11 @@ def test_multiplicity_cap_matches_brute_force_and_is_invariant():
 def test_multiplicity_cap_walks_only_when_both_reduced_directions_are_paired(monkeypatch):
     """In the reduced basis the narrowest direction, or else the next one,
     gives the cap when it has no edge pair; only a polygon with edge pairs
-    along both walks directions."""
-    def no_walk(self, bound):
+    along both walks the row of directions (x, 1)."""
+    def no_walk(*args):
         raise AssertionError("direction walk")
 
-    monkeypatch.setattr(LatticePolygon, "_directions", no_walk)
+    monkeypatch.setattr(import_module("latticecurves.polygon"), "count", no_walk)
     assert multiplicity_cap(polygon((0, 0), (4, 0), (0, 1))) == 1
     # (0, 1) is 4 wide along a pair of edges, and the next direction is free
     assert multiplicity_cap(polygon((-1, -3), (0, -3), (1000003, -2), (1000002, 1),

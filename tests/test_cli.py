@@ -440,8 +440,10 @@ def _mutate_line(rng, line):
 
 def test_fuzzed_inputs_exit_0_1_or_2_without_traceback(tmp_path, capsys):
     """Seeded mutations of the shipped oracle entries, the shipped dataset
-    lines and --vertices/--m values, each run through `main` in process under
-    an alarm: every one ends with exit code 0, 1 or 2 and no traceback."""
+    lines, the shipped weighted-projective-plane table and the values of
+    --vertices/--m, of family's options, of surface's ranges and of wpp's
+    weights, each run through `main` in process under an alarm: every one
+    ends with exit code 0, 1 or 2 and no traceback."""
     rng = random.Random(2727)
     oracle = json.loads(Path(data_path("oracle_vol6.json")).read_text())
     lines = [ln for ln in Path(data_path("polygons.txt")).read_text().splitlines()
@@ -469,6 +471,27 @@ def test_fuzzed_inputs_exit_0_1_or_2_without_traceback(tmp_path, capsys):
                                  ["seshadri", "--vertices", vertices],
                                  ["seshadri", "--vertices", vertices, "--m", m],
                                  ["seshadri", "--vertices", vertices, "--m", m, "--irreducible"])))
+    small = (-3, -1, 0, 1, 2, 3)
+    for _ in range(100):
+        argv = ["family", "--id", rng.choice(("I", "II", "III", "IV", "V", "VI")),
+                "--m", str(rng.choice((-1, 0, 1, 2, 3, 4, 5, 8, 21, 10 ** 6, 10 ** 30, "x")))]
+        if rng.random() < 0.5:
+            argv += ["--verify", "--budget", str(rng.choice((-1, 0, 1, 3, 20, 10 ** 30, "x")))]
+        argvs.append(argv)
+    for _ in range(20):
+        argvs.append(["surface", "--k-range", str(rng.choice(small)),
+                      "--rr-range", str(rng.choice(small))])
+    rows = Path(data_path("x_9_10_13.csv")).read_text().splitlines()
+    for _ in range(100):
+        weights = ["9", "10", "13"]
+        if rng.random() < 0.5:
+            weights[rng.randrange(3)] = str(rng.choice((-1, 0, 1, 2, 9, 10 ** 30, "x")))
+        argv = ["wpp", "--a", weights[0], "--b", weights[1], "--c", weights[2], "--best"]
+        if rng.random() < 0.5:
+            i = rng.randrange(1, len(rows))
+            text = "\n".join(rows[:i] + [_mutate_line(rng, rows[i])] + rows[i + 1:])
+            argv += ["--table", _file(tmp_path, "table.csv", text)]
+        argvs.append(argv)
     codes = []
     handler = signal.signal(signal.SIGALRM, _stop)
     try:

@@ -27,6 +27,7 @@ from latticecurves.polygon import (
     multiplicity_cap,
     polygon,
 )
+from latticecurves.seshadri import estimate
 
 
 def test_vertices_must_be_integers():
@@ -416,7 +417,13 @@ def test_width_cap_and_points_cost_polynomial_time_in_the_bit_size():
     triangle (0,0),(1,1),(k,k+1); the reduced basis costs time polynomial in
     log k.  Each answer is timed on a fresh polygon, as the basis is cached,
     best of three, under an alarm that stops a reduction that never ends.
-    The hexagon's narrowest direction (0, 1) has an edge pair."""
+    The hexagon's narrowest direction (0, 1) has an edge pair.  Every edge
+    of the parallelograms and of the second hexagon has a pair, so neither
+    reduced direction gives the cap: a direction walk would cost time linear
+    in N(b2)/N(b1), the reduced rows only as many as the edge pairs allow.
+    The triangle (0,0),(n,0),(0,n) at m = n has vol = m², lw = m and about
+    n²/2 lattice points; its end slices hold a width-length segment, so
+    SegmentEquality reads a few slices and lists no point."""
     hexagon = ((-1, -3), (0, -3), (1000003, -2), (1000002, 1), (999999, 1), (0, -2))
     cases = [(((0, 0), (1, 1), (k, k + 1)), answer, expected)
              for k in (10 ** 10, 10 ** 100)
@@ -424,6 +431,15 @@ def test_width_cap_and_points_cost_polynomial_time_in_the_bit_size():
                                       (multiplicity_cap, 1),
                                       (lambda p: len(p.lattice_points()), 3))]
     cases.append((hexagon, multiplicity_cap, 1000003))
+    cases += [(((0, 0), (L, 0), (L + 3, 1), (3, 1)), multiplicity_cap, L + 1)
+              for L in (10 ** 6, 10 ** 12)]
+    M = 10 ** 6
+    cases.append((((0, 0), (2, 0), (4, 2 * M - 1), (4, 2 * M), (2, 2 * M), (0, 1)),
+                  multiplicity_cap, 2 * M))
+    cases += [(((0, 0), (n, 0), (0, n)), lambda p, n=n: estimate(p, n).to_json(),
+               {"lower": str(n), "upper": str(n), "exact": str(n),
+                "certificates": ["VolOverM", "SegmentEquality", "WidthBound"]})
+              for n in (10 ** 5, 10 ** 10)]
     handler = signal.signal(signal.SIGALRM, _stop)
     try:
         for verts, answer, expected in cases:

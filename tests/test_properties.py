@@ -2,7 +2,7 @@
 
 import random
 from fractions import Fraction
-from itertools import combinations, islice
+from itertools import combinations
 from math import gcd
 
 from latticecurves.laurent import LaurentPolynomial
@@ -165,13 +165,30 @@ def _scan(p):
             for y in range(min(ys), max(ys) + 1) if p.contains((x, y))]
 
 
+def _zonotope(r, k, span):
+    pts = [(0, 0)]
+    for _ in range(k):
+        v = (r.randint(-span, span), r.randint(-span, span))
+        pts = [q for p in pts for q in (p, (p[0] + v[0], p[1] + v[1]))]
+    return convex_hull(pts)
+
+
+def _both_reduced_directions_paired(p):
+    """Whether both reduced directions have edge pairs, so neither gives the cap."""
+    return not p.is_degenerate and all(_paired(p, *b) for b in p._reduced[:2])
+
+
 def test_walk_matches_vertex_box_reference():
-    """Two routes to the walk's answers: `lattice_width` (value and tie-broken
-    direction), `multiplicity_cap` and the directions `_directions` yields
-    against `vertex_box_reference`, and `lattice_points` against a `contains`
-    scan and Pick's count.  The walks run in a reduced basis, so the inputs
+    """Two routes to the reduced basis's answers: `lattice_width` (value and
+    tie-broken direction) and `multiplicity_cap` against
+    `vertex_box_reference`, and `lattice_points` against a `contains` scan
+    and Pick's count.  The answers are read in a reduced basis, so the inputs
     include sheared hulls and thin triangles whose basis is far from the
-    standard one."""
+    standard one; sheared images of the four-direction parallelogram and the
+    diamond, whose narrowest directions tie; and parallelograms and
+    zonotopes with edge pairs along both reduced directions, where the cap
+    reads the rows past the first, among them zonotopes whose cap lies in
+    those rows."""
     r = rng(2525)
     polys = [polygon((0, 0), (s, 0), (s, s), (0, s)) for s in (1, 2, 7)]
     # four directions of width 2: (0, 1), (1, 0), (1, 1) and (2, 1)
@@ -180,13 +197,22 @@ def test_walk_matches_vertex_box_reference():
     hulls = [random_polygon(r, span=6, npts=r.randint(3, 8)) for _ in range(100)]
     polys += hulls + [random_unimodular(r, span=3).apply(p) for p in hulls]
     polys += [polygon((0, 0), (1, 1), (k, k + 1)) for k in range(2, 9)]
+    ties = [polys[3], polygon((1, 0), (0, 1), (-1, 0), (0, -1))]
+    polys += [random_unimodular(r, span=4).apply(p) for _ in range(100) for p in ties]
+    # rows 2 and up of the reduced image hold the cap
+    polys += [polygon((-2, -1), (-1, -2), (1, -2), (3, -1), (4, 0), (4, 2), (3, 3), (1, 3),
+                      (-1, 2), (-2, 1)),
+              polygon((-3, -2), (-2, -3), (0, -3), (1, -2), (2, 0), (2, 1), (1, 2), (-1, 2),
+                      (-2, 1), (-3, -1))]
+    paired = []
+    while len(paired) < 60:
+        p = _zonotope(r, r.randint(2, 4), r.choice((3, 30, 1000)))
+        if _both_reduced_directions_paired(p):
+            paired.append(p)
     far = [p.translate(r.choice((-1, 1)) * 10 ** r.randint(3, 12),
                        r.choice((-1, 1)) * 10 ** r.randint(3, 12)) for p in polys]
     large = [random_polygon(r, span=10 ** 6, npts=r.randint(3, 6)) for _ in range(30)]
-    for p in polys + far + large:
-        # first the walk itself, cut off: exactly the directions at most W wide
-        W, keys = vertex_box_reference(p)
-        assert sorted(islice(p._directions(W), len(keys) + 1)) == keys, p.vertices
+    for p in polys + paired + far + large:
         assert (*p.lattice_width(), multiplicity_cap(p)) == reference_width_and_cap(p), p.vertices
     assert polys[3].lattice_width() == (2, (0, 1))
     assert polys[4 + 49].lattice_width() == (2, (1, -1))

@@ -71,18 +71,36 @@ def pair_segment_equality(poly):
     return None
 
 
+PENTAGON = ((0, 1), (1, 0), (3, 0), (4, 4), (1, 2))  # vol = lw² = 16, no width-length segment
+
+
 def test_segment_equality_matches_pair_search():
+    """The slices of the reduced image against a search over all point pairs,
+    on hulls, their sheared images (whose reduced basis is far from the
+    standard one) and the pentagon, scaled, which has no such segment, so
+    every slice is read."""
     rng = random.Random(1729)
     outcomes = set()
+    polys = []
     for _ in range(400):
         poly = convex_hull([(rng.randint(-6, 4), rng.randint(-5, 5))
                             for _ in range(rng.randint(3, 6))])
         if poly.volume == 0:
             continue
+        polys.append(poly)
+        while True:
+            a, b, c, d = (rng.randint(-4, 4) for _ in range(4))
+            if abs(a * d - b * c) == 1:
+                break
+        polys.append(UnimodularMap(((a, b), (c, d)), (0, 0)).apply(poly))
+    polys += [polygon(*((k * x, k * y) for x, y in PENTAGON)) for k in (1, 2, 3)]
+    for poly in polys:
         got = segment_equality(poly)
         assert got == pair_segment_equality(poly), poly.vertices
         outcomes.add((got is None, poly.lattice_width()[0] >= 2))
     assert {(True, True), (False, True)} <= outcomes
+    assert all(segment_equality(p) is None and p.volume == p.lattice_width()[0] ** 2
+               for p in polys[-3:])
 
 
 def test_ito_lower_bound():
@@ -291,7 +309,6 @@ def test_estimate_walks_points_and_builds_forms_only_where_they_can_enter(monkey
     assert fam_ii.volume == 35
     estimate(fam_ii, 6)
     assert calls["forms"] == 0
-    # vol = m² and lw = m: one walk over the lattice points
-    calls["points"] = 0
+    # vol = m² and lw = m: SegmentEquality reads slices of the reduced image, no points
     est = estimate(polygon((0, 0), (2, 0), (0, 2)), 2)
-    assert calls["points"] == 1 and "SegmentEquality" in est.certificates
+    assert calls["points"] == 0 and "SegmentEquality" in est.certificates
