@@ -293,10 +293,10 @@ TPoly = list[LaurentPolynomial]  # polynomial in t with Laurent coefficients,
 
 def _res_mod(a, b, p: int, seen: set | None = None) -> int:
     """Res(a, b) mod p at formal degrees n = len(a) - 1 and m = len(b) - 1,
-    by Euclid on one pair, coefficients lowest first: the scalar twin of
-    `_res_mod_batch`, with the same pop and swap steps, but a reduction by
-    the whole remainder r of a by b, Res_{n,m}(a, b) = (-1)^(nm)
-    b_m^(n-m+1) Res_{m,m-1}(b, r).  `seen` collects the branches taken."""
+    by Euclid on one pair, coefficients lowest first, one step at a time: pop
+    a vanishing b-lead, swap, or reduce by the whole remainder r of a by b,
+    Res_{n,m}(a, b) = (-1)^(nm) b_m^(n-m+1) Res_{m,m-1}(b, r).  The route the
+    tests hold `_res_mod_batch` to.  `seen` collects the branches taken."""
     a, b, res = [c % p for c in a], [c % p for c in b], 1
     seen = set() if seen is None else seen
     while True:
@@ -316,7 +316,7 @@ def _res_mod(a, b, p: int, seen: set | None = None) -> int:
             seen.add("swap")
             a, b, res = b, a, res * (-1) ** (n * m)
         else:
-            # the lockstep batch reduces n - m + 1 times at the exponent m
+            # the lockstep batch reduces n - m + 1 times against this b
             seen.add("reduce" if n == m else "reduce, exponent repeated")
             inv = pow(b[-1], -1, p)
             for i in range(n, m - 1, -1):
@@ -378,62 +378,70 @@ def _res_mod_batch(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     formal degrees one less than the widths of a and b; primes below 2**31.
 
     One Euclid runs on all rows in lockstep, coefficients highest first and a
-    formal degree per side and row, with one step per row and pass: finish,
-    Res_{0,m}(c, b) = c^m; pop a vanishing b_m, Res_{n,m}(a, b) = a_n
-    Res_{n,m-1}(a, b); swap a vanishing a_n or n < m, Res_{n,m}(a, b) =
-    (-1)^(nm) Res_{m,n}(b, a); else reduce, Res_{n,m}(a, b) = (-1)^(nm)
-    b_m^(1-m) Res_{m,n-1}(b, r) with r = b_m a - a_n t^(n-m) b, whose lead
-    vanishes.  Entries stay below p, so products stay below 2**62.  No power
-    is taken on the way: the parities nm gather in one sign per row, and a
-    reducing row multiplies b_m into acc[row, m - 1], indexed by the
-    exponent, so the denominator prod_e acc[:, e]^e is at the end
-    prod_{k>=1} prod_{e>=k} acc[:, e], a product of suffix products.  The
-    same loop over e takes a finished row's c^k, as c for each e <= k, and
-    one batch inversion (`_inverse_mod`) inverts every row's denominator.
+    formal degree per side and row.  A vanishing formal lead goes by
+    Res_{n,m}(a, b) = (-1)^m b_m Res_{n-1,m}(a, b), a whole run at once and
+    down to degree 0 at most, where Res_{0,m}(c, b) = c^m finishes the row;
+    b's run goes the same way after a swap, Res_{n,m}(a, b) = (-1)^(nm)
+    Res_{m,n}(b, a).  Then both leads of a live row are nonzero at the top of
+    a pass, which makes one elimination per row: swap if n < m, replace a by
+    r = b_m a - a_n t^(n-m) b, Res_{n,m}(a, b) = b_m^-m Res_{n,m}(r, b), and
+    strip the run of vanishing leads of r.  Entries stay below p, so products
+    stay below 2**62.  No power is taken on the way: the parities gather in
+    one sign per row, each factor x^e goes into acc[row, width + e], and the
+    numerator and denominator are at the end prod_{k>=1} prod_{e>=k}
+    acc[:, width +- e], products of suffix products; one batch inversion
+    (`_inverse_mod`) inverts every row's denominator.
     """
     (rows, n1), m1 = a.shape, b.shape[1]
     width = max(n1, m1)
-    A, B, T = np.zeros((3, rows, width + 1), np.int64)  # last column stays 0
+    A, B = np.zeros((2, rows, width + 1), np.int64)  # last column stays 0
     A[:, :n1], B[:, :m1] = a[:, ::-1], b[:, ::-1]
-    da, db = np.full(rows, n1 - 1), np.full(rows, m1 - 1)
-    num, res = np.ones((2, rows), np.int64)
-    odd, fin, k = np.zeros((3, rows), np.int64)
-    acc = np.ones((rows, width), np.int64)  # column 0 takes what no row reads
-    flat, base, pc = acc.reshape(-1), np.arange(0, rows * width, width), p[:, None]
-    left = rows
-    while True:
-        done = da * db == 0
-        if done.any():
-            fin[done], k[done] = np.where(da == 0, A[:, 0], B[:, 0])[done], (da + db)[done]
-            res[done] = num[done]
-            # a finished row runs on, popping a zero b for ever
-            B[done], da[done], db[done] = 0, -1, -1
-            left -= np.count_nonzero(done)
-            if not left:
+    da, db, odd = np.full(rows, n1 - 1), np.full(rows, m1 - 1), np.zeros(rows, np.int64)
+    cols, pc, tb = np.arange(width + 1), p[:, None], np.arange(rows)[:, None] * (width + 1)
+    shift = np.minimum(cols + cols[:, None], width)  # row j reads columns j, j + 1, ...
+    acc = np.ones((rows, 2 * width), np.int64)  # column width, e = 0, takes what no row reads
+    flat, base = acc.reshape(-1), np.arange(width, acc.size, 2 * width)
+
+    def times(e, x):  # acc[:, width + e] *= x
+        i = base + e
+        flat[i] = flat[i] * x % p
+
+    def strip(T, e):  # a <- T without its run of vanishing leads; b_m^(e + run)
+        nonlocal A, odd, da
+        nz = T != 0
+        nz[:, -1] = True  # a zero row runs into the pad column, cut at degree 0
+        j = np.minimum(nz.argmax(1), np.maximum(da, 0))
+        A, odd, da = T.ravel()[tb + shift[j]], odd ^ db * j, da - j
+        times(e + j, B[:, 0])
+
+    strip(A, 0)  # (-1)^m b_m per vanishing a-lead: 0 if b_m vanishes too
+    A, B, da, db, odd = B, A, db, da, odd ^ da * db
+    strip(A, 0)  # then b's run, on the a side
+    for _ in range(n1 + m1 - 1):  # each pass lowers every live row's n + m
+        dd = da * db
+        if not dd.all():
+            done = dd == 0
+            times(np.where(done, da + db, 0), np.where(da == 0, A[:, 0], B[:, 0]))
+            # a finished row runs on as b = 1 at degree -1: it multiplies acc[:, width + 1] by 1
+            B[done], da[done], db[done] = cols == 0, -1, -1
+            if (db < 0).all():
                 break
-        an, bm = A[:, 0], B[:, 0]
-        pop = bm == 0
-        keep = ~pop
-        swap = keep & ((an == 0) | (da < db))
-        red = keep ^ swap
-        odd ^= da & db & keep
-        num = num * np.where(pop, an, 1) % p
-        i = base + np.where(red, db - 1, 0)
-        flat[i] = flat[i] * bm % p
-        np.multiply(A, bm[:, None], out=T)  # r, whose tail is the next b
-        T -= B * an[:, None]
+        swap = da < db
+        if swap.any():
+            A, B = np.where(swap[:, None], B, A), np.where(swap[:, None], A, B)
+            odd, da, db = odd ^ dd * swap, np.maximum(da, db), np.minimum(da, db)
+        T = A * B[:, :1]
+        T -= B * A[:, :1]
         T %= pc
-        np.copyto(T, B, where=pop[:, None])
-        np.copyto(T[:, 1:], A[:, :-1], where=swap[:, None])
-        np.copyto(A, B, where=keep[:, None])
-        B[:, :-1] = T[:, 1:]
-        da, db = np.where(pop, da, db), np.where(pop, db, da) - ~swap
-    suffix, den = np.ones((2, rows), np.int64)
+        strip(T, -db)
+    else:
+        raise ArithmeticError("lockstep resultant passed its degree bound")
+    chains = np.stack([acc[:, width:], acc[:, width:0:-1]])  # exponents +e and -e
+    suffix, out = np.ones((2, 2, rows), np.int64)
     for e in range(width - 1, 0, -1):
-        suffix = suffix * acc[:, e] % p
-        den = den * suffix % p
-        res = res * np.where(k >= e, fin, 1) % p
-    res = res * _inverse_mod(den, p) % p
+        suffix = suffix * chains[:, :, e] % p
+        out = out * suffix % p
+    res = out[0] * _inverse_mod(out[1], p) % p
     return np.where(odd & 1, (p - res) % p, res)
 
 

@@ -168,16 +168,23 @@ class LatticePolygon:
         det = p * s - q * r  # the inverse of ((p, q), (r, s)) is det * ((s, -q), (-r, p))
         return sorted((det * (s * x - q * y), det * (p * y - r * x)) for x, y in pts)
 
-    def reduced_slices(self, offsets):
+    def reduced_slices(self, offsets=None, length=0):
         """Lazily, for each 0 <= t <= lw in offsets, the integer bounds (lo, hi) of y on the
         slice x = x0 + t of the reduced image (`_reduced`), x0 its least x; lo > hi when it
-        holds no lattice point.  The end slices t = 0 and t = lw hold a vertex each."""
+        holds no lattice point.  The end slices t = 0 and t = lw hold a vertex each.  With no
+        offsets, every t whose real slice is at least `length` long: one range, as the real
+        length is concave in t, which a half-line in t per pair of edges cuts out."""
         img = self._reduced[2]
-        x0 = min(img.vertices)[0]
+        x0, x1 = min(x for x, _ in img.vertices), max(x for x, _ in img.vertices)
         # n . v >= n . u for each CCW edge u -> w, n = (u_y - w_y, w_x - u_x)
         # its inward normal; the edges of a two-dimensional polygon bound it
         halfplanes = [(uy - wy, wx - ux, (uy - wy) * ux + (wx - ux) * uy)
                       for (ux, uy), (wx, wy) in img.edges()]
+        if offsets is None:  # upper minus lower bound, (c - n0 x)/n1 - (d - m0 x)/m1 >= length
+            ts = [(0, a, c * m1 - d * n1 - length * n1 * m1 - a * x0) for n0, n1, c in halfplanes
+                  if n1 < 0 for m0, m1, d in halfplanes if m1 > 0 for a in [n0 * m1 - m0 * n1]]
+            lo, hi = _slice(ts + [(0, 1, 0), (0, -1, x0 - x1)], 0) or (0, -1)
+            offsets = range(lo, hi + 1)
         return (_slice(halfplanes, x0 + t) for t in offsets)
 
     def contains(self, p: Point) -> bool:

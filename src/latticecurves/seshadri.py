@@ -69,9 +69,10 @@ def segment_equality(poly: LatticePolygon) -> Fraction | None:
     lw span k*lw steps, the first lw of them such a segment.  The reduced
     image (`LatticePolygon.reduced_slices`) keeps congruence and spans
     exactly lw in x, so two such points share a slice, of lw + 1 points, or
-    lie in the end slices, tested first.  Slices are read up to the first
-    hit, so linear in lw when there is none: the pentagon (0,1),(1,0),(3,0),
-    (4,4),(1,2) scaled by 10⁵ (lw = 4·10⁵) is read in full.
+    lie in the end slices, tested first.  Then only the slices whose real
+    length reaches lw are read, up to the first hit; a real length of lw + 1
+    holds lw + 1 points, so the cost stays linear only where that length
+    stays between lw and lw + 1 over a long stretch.
     """
     if poly.volume <= 0:
         raise DegeneratePolygon("needs a two-dimensional polygon")
@@ -79,7 +80,7 @@ def segment_equality(poly: LatticePolygon) -> Fraction | None:
     (lo0, hi0), (lo1, hi1) = poly.reduced_slices((0, lw))
     # y' - y runs over [lo1 - hi0, hi1 - lo0]: does it hold a multiple of lw?
     if (hi1 - lo0) // lw * lw >= lo1 - hi0 or any(
-            hi - lo >= lw for lo, hi in poly.reduced_slices(range(1, lw))):
+            hi - lo >= lw for lo, hi in poly.reduced_slices(length=lw)):
         return Fraction(lw)
     return None
 

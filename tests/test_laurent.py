@@ -484,6 +484,86 @@ def test_res_mod_batch_takes_every_branch_like_scalar_euclid():
                     "pop run", "swap", "reduce", "reduce, exponent repeated"}
 
 
+def _lead_run_rows(rng, n1, m1, primes):
+    """(kind, a, b, p) rows of widths n1 and m1, lowest first, built to make
+    each step of the lockstep batch happen: runs of vanishing leads at entry,
+    in a and in b; both leads vanishing; a remainder whose next leads vanish;
+    a remainder that is zero; and degrees that differ from row to row, so
+    that rows finish on different passes."""
+    def rand(width, q):  # a nonzero lead mod q
+        return [rng.randrange(q) for _ in range(width - 1)] + [rng.randrange(1, q)]
+
+    def times(f, g, q):
+        out = [0] * (len(f) + len(g) - 1)
+        for i, x in enumerate(f):
+            for j, y in enumerate(g):
+                out[i + j] = (out[i + j] + x * y) % q
+        return out
+
+    def pad(f, width):
+        return f + [0] * (width - len(f))
+
+    rows = []
+    for _ in range(40):
+        q = rng.choice(primes)
+        a, b = rand(n1, q), rand(m1, q)
+        kinds = ["full"]
+        if n1 >= 3:
+            kinds.append("a-lead run at entry")
+        if m1 >= 3:
+            kinds.append("b-lead run at entry")
+        if n1 >= 2 and m1 >= 2:
+            kinds += ["both leads vanish", "remainder is zero"]
+        if n1 - m1 >= 0 and m1 >= 4:
+            kinds.append("remainder leads vanish")
+        if min(n1, m1) >= 3:
+            kinds.append("shared factor")
+        kind = rng.choice(kinds)
+        if kind == "a-lead run at entry":
+            a = pad(rand(rng.randint(1, n1 - 2), q), n1)
+        elif kind == "b-lead run at entry":
+            b = pad(rand(rng.randint(1, m1 - 2), q), m1)
+        elif kind == "both leads vanish":
+            a[-1] = b[-1] = 0
+        elif kind == "remainder is zero":  # a = t^k b c: b reduces a to 0
+            b = pad(rand(rng.randint(2, min(n1, m1)), q), m1)
+            k = rng.randint(0, n1 - len(_trim(b)))
+            a = pad(times([0] * k + [1], _trim(b), q), n1)
+        elif kind == "remainder leads vanish":  # a = t^(n-m) b + s, deg s <= n - 3
+            s = rand(rng.randint(1, m1 - 2), q)
+            a = [(x + y) % q for x, y in zip_longest([0] * (n1 - m1) + b, s, fillvalue=0)]
+        elif kind == "shared factor":  # Euclid ends on a zero remainder past its first step
+            g = rand(2, q)
+            a = pad(times(g, rand(rng.randint(2, n1 - 1), q), q), n1)
+            b = pad(times(g, rand(rng.randint(2, m1 - 1), q), q), m1)
+        rows.append((kind, a, b, q))
+    return rows
+
+
+def test_res_mod_batch_strips_lead_runs_and_finishes_rows_apart():
+    # every row against the scalar Euclid and the Sylvester determinant
+    rng = random.Random(29)
+    primes = [2, 3, 5, 7, 101, *islice(_word_primes(), 3)]
+    kinds, shapes = set(), set()
+    for n1, m1 in [(1, 1), (1, 5), (6, 1), (3, 3), (4, 6), (8, 4), (7, 7), (9, 5), (5, 9)]:
+        for _ in range(3):
+            rows = _lead_run_rows(rng, n1, m1, primes)
+            kind, a, b, p = zip(*rows)
+            got = _res_mod_batch(np.array(a, np.int64), np.array(b, np.int64),
+                                 np.array(p, np.int64)).tolist()
+            for row, res in zip(rows, got):
+                kind, x, y, q = row
+                assert res == _res_mod(x, y, q), row
+                assert res == _fraction_elimination_det(sylvester_matrix(x, y)) % q, row
+                kinds.add(kind)
+            shapes.add(len({len(_trim(x)) + len(_trim(y)) for _, x, y, _ in rows}) > 1)
+            kinds.add("mixed primes" if len(set(p)) > 1 else "one prime")
+    assert kinds >= {"full", "a-lead run at entry", "b-lead run at entry", "both leads vanish",
+                     "remainder is zero", "remainder leads vanish", "shared factor",
+                     "mixed primes"}
+    assert True in shapes  # rows of one batch finish on different passes
+
+
 def test_shares_factor_matches_fraction_euclid(monkeypatch):
     # the resultant certificate against Euclid over Q: shared factors, leads
     # divisible by the first word prime, resultants that vanish modulo it

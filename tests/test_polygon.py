@@ -27,7 +27,7 @@ from latticecurves.polygon import (
     multiplicity_cap,
     polygon,
 )
-from latticecurves.seshadri import estimate
+from latticecurves.seshadri import estimate, segment_equality
 
 
 def test_vertices_must_be_integers():
@@ -440,6 +440,10 @@ def test_width_cap_and_points_cost_polynomial_time_in_the_bit_size():
                {"lower": str(n), "upper": str(n), "exact": str(n),
                 "certificates": ["VolOverM", "SegmentEquality", "WidthBound"]})
               for n in (10 ** 5, 10 ** 10)]
+    # vol = lw² and no width-length segment: only the slices that the real length
+    # reaches are read, and here none is, where all lw + 1 = 4·10⁹ + 1 once were
+    cases += [(tuple((k * x, k * y) for x, y in ((0, 1), (1, 0), (3, 0), (4, 4), (1, 2))),
+               segment_equality, None) for k in (10 ** 5, 10 ** 9)]
     handler = signal.signal(signal.SIGALRM, _stop)
     try:
         for verts, answer, expected in cases:
@@ -508,6 +512,42 @@ def test_slice_matches_fraction_reference():
         assert got == (ceil(want[0]), floor(want[1])), (planes, t)
         seen.add("integer-free" if got[0] > got[1] else "integers")
     assert seen == {"empty", "integer-free", "integers"}
+
+
+def real_slice(poly, x):
+    """The real bounds of y on the slice at x of a two-dimensional polygon,
+    over Fraction, from the edges that meet it."""
+    ys = []
+    for (ux, uy), (wx, wy) in poly.edges():
+        if ux == wx == x:
+            ys += [uy, wy]
+        elif min(ux, wx) <= x <= max(ux, wx) and ux != wx:
+            ys.append(Fraction(uy * (wx - x) + wy * (x - ux), wx - ux))
+    return min(ys), max(ys)
+
+
+def test_reduced_slices_by_length_match_fraction_lengths():
+    # the slices whose real length reaches a length, against each slice's
+    # Fraction bounds, on hulls and their sheared images
+    r = random.Random(1996)
+    seen = set()
+    for _ in range(300):
+        p = convex_hull([(r.randint(-6, 6), r.randint(-6, 6)) for _ in range(r.randint(3, 6))])
+        if p.volume == 0:
+            continue
+        if r.random() < 0.5:
+            k = r.randint(-9, 9)
+            p = polygon(*((x + k * y, y) for x, y in p.vertices))
+        img, lw = p._reduced[2], p.lattice_width()[0]
+        x0 = min(img.vertices)[0]
+        for length in range(2 * lw + 3):
+            want = [t for t in range(lw + 1)
+                    if (lambda lo, hi: hi - lo >= length)(*real_slice(img, x0 + t))]
+            assert list(p.reduced_slices(length=length)) == list(p.reduced_slices(want)), \
+                (p.vertices, length)
+            seen.add("none" if not want else "inside" if 0 < want[0] and want[-1] < lw
+                     else "to an end")
+    assert seen == {"none", "inside", "to an end"}
 
 
 def test_minkowski_decompositions_sum_back():

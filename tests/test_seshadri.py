@@ -77,8 +77,8 @@ PENTAGON = ((0, 1), (1, 0), (3, 0), (4, 4), (1, 2))  # vol = lw² = 16, no width
 def test_segment_equality_matches_pair_search():
     """The slices of the reduced image against a search over all point pairs,
     on hulls, their sheared images (whose reduced basis is far from the
-    standard one) and the pentagon, scaled, which has no such segment, so
-    every slice is read."""
+    standard one) and the pentagon, scaled, which has no such segment and
+    no slice whose real length reaches lw."""
     rng = random.Random(1729)
     outcomes = set()
     polys = []
@@ -93,14 +93,14 @@ def test_segment_equality_matches_pair_search():
             if abs(a * d - b * c) == 1:
                 break
         polys.append(UnimodularMap(((a, b), (c, d)), (0, 0)).apply(poly))
-    polys += [polygon(*((k * x, k * y) for x, y in PENTAGON)) for k in (1, 2, 3)]
+    polys += [polygon(*((k * x, k * y) for x, y in PENTAGON)) for k in (1, 2, 3, 4, 5)]
     for poly in polys:
         got = segment_equality(poly)
         assert got == pair_segment_equality(poly), poly.vertices
         outcomes.add((got is None, poly.lattice_width()[0] >= 2))
     assert {(True, True), (False, True)} <= outcomes
     assert all(segment_equality(p) is None and p.volume == p.lattice_width()[0] ** 2
-               for p in polys[-3:])
+               for p in polys[-5:])
 
 
 def test_ito_lower_bound():

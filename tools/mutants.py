@@ -1,0 +1,121 @@
+"""Mutation checks: each entry breaks the library on purpose, and the tests
+it names must fail on the broken copy.
+
+    python3 tools/mutants.py            # every entry
+    python3 tools/mutants.py NAME ...   # the named entries
+
+For each entry the runner copies `src/`, `tests/` and `pyproject.toml` to a
+temporary directory, checks that the old snippet occurs exactly once in the
+file, replaces it with the new one and runs the named tests there under a
+timeout.  The named tests are first run once on an unbroken copy, where they
+must pass.  An entry fails the run when a named test still passes (the
+mutant survived), when the run times out, or when its snippet no longer
+matches, which means the table needs updating, not that the mutant was
+caught.  The file name keeps it out of the default test collection.
+"""
+
+from __future__ import annotations
+
+import os
+import re
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+TIMEOUT_S = 120
+
+LAURENT = "src/latticecurves/laurent.py"
+BATCH_TESTS = [
+    "tests/test_laurent.py::test_res_mod_batch_strips_lead_runs_and_finishes_rows_apart",
+    "tests/test_laurent.py::test_res_mod_matches_sylvester_determinant",
+    "tests/test_laurent.py::test_res_mod_batch_matches_scalar_euclid",
+    "tests/test_laurent.py::test_res_mod_batch_takes_every_branch_like_scalar_euclid",
+]
+
+# (name, file, old snippet, new snippet, test node ids that must fail)
+MUTANTS = [
+    ("strip drops the sign (-1)^m of each vanishing a-lead", LAURENT,
+     "odd ^ db * j, da - j", "odd, da - j", BATCH_TESTS),
+    ("strip credits a run of k vanishing leads once", LAURENT,
+     "times(e + j, B[:, 0])", "times(e + np.minimum(j, 1), B[:, 0])", BATCH_TESTS),
+    ("lockstep swap drops its sign (-1)^(nm)", LAURENT,
+     "odd ^ dd * swap, np.maximum(da, db)", "odd, np.maximum(da, db)", BATCH_TESTS),
+    ("entry swap drops its sign (-1)^(nm)", LAURENT,
+     "A, B, da, db, odd = B, A, db, da, odd ^ da * db", "A, B, da, db = B, A, db, da",
+     BATCH_TESTS),
+    ("strip never lowers the degree: the pass bound raises ArithmeticError", LAURENT,
+     "odd ^ db * j, da - j", "odd ^ db * j, da", BATCH_TESTS),
+    ("SegmentEquality reads the slices one offset to the right", "src/latticecurves/polygon.py",
+     "offsets = range(lo, hi + 1)", "offsets = range(lo + 1, hi + 2)",
+     ["tests/test_polygon.py::test_reduced_slices_by_length_match_fraction_lengths",
+      "tests/test_seshadri.py::test_segment_equality_matches_pair_search"]),
+]
+
+
+def copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.pyc")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def run_tests(tree: Path, node_ids: list[str]) -> tuple[int, set[str]]:
+    """pytest's exit code on the node ids in `tree`, and the ids that failed."""
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONDONTWRITEBYTECODE="1")
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rf",
+         *node_ids],
+        cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
+    failed = set(re.findall(r"^FAILED (\S+)", proc.stdout, re.MULTILINE))
+    return proc.returncode, failed
+
+
+def check(entry) -> str | None:
+    """None when the mutant is caught, else why not."""
+    _, file, old, new, node_ids = entry
+    with tempfile.TemporaryDirectory() as tmp:
+        tree = Path(tmp)
+        copy_tree(tree)
+        path = tree / file
+        text = path.read_text()
+        if text.count(old) != 1:
+            return f"the old snippet occurs {text.count(old)} times in {file}"
+        path.write_text(text.replace(old, new))
+        try:
+            code, failed = run_tests(tree, node_ids)
+        except subprocess.TimeoutExpired:
+            return f"no result within {TIMEOUT_S} s"
+        if code != 1:
+            return f"pytest exited {code}, not with failed tests"
+        survived = [n for n in node_ids if n not in failed]
+        return f"still passing: {', '.join(survived)}" if survived else None
+
+
+def main(argv: list[str]) -> int:
+    entries = [e for e in MUTANTS if not argv or e[0] in argv]
+    unknown = set(argv) - {e[0] for e in MUTANTS}
+    if unknown:
+        print(f"unknown entries: {sorted(unknown)}", file=sys.stderr)
+        return 2
+    with tempfile.TemporaryDirectory() as tmp:
+        copy_tree(Path(tmp))
+        ids = sorted({n for e in entries for n in e[4]})
+        code, failed = run_tests(Path(tmp), ids)
+    if code != 0:
+        print(f"the named tests do not pass unbroken (exit {code}): {sorted(failed)}")
+        return 1
+    bad = 0
+    for entry in entries:
+        why = check(entry)
+        bad += why is not None
+        print(f"{'caught  ' if why is None else 'MISSED  '}{entry[0]}"
+              + ("" if why is None else f": {why}"), flush=True)
+    print(f"{len(entries) - bad} of {len(entries)} mutants caught")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
