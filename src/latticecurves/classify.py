@@ -140,7 +140,7 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
     witnesses; those pairs are dropped, in every coordinate system, since a
     unimodular change of coordinates fixes (1, 1) and carries the member and
     its factors along.  jobs above 1 runs the tasks in a process pool, None,
-    0 or 1 serially; a negative jobs raises RangeError.
+    0 or 1 serially; a negative jobs or volume_max raises RangeError.
     Each task scans its polygon from the least m with vol(Δ) - m² <= 0 up to
     m_max or `multiplicity_cap`, lazily, so m_max costs nothing past where
     the scan ends.  Above the cap every member is divisible by a binomial
@@ -151,6 +151,8 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
         raise RangeError("m_max must be at least 1")
     if jobs is not None and jobs < 0:
         raise RangeError("jobs must be nonnegative")
+    if volume_max < 0:
+        raise RangeError("volume_max must be nonnegative")
     tasks = {}  # canonical vertices -> (polygon, first, last)
     for poly in polygons:
         # volume and the width cap are unimodular invariants: skips keep the dedupe

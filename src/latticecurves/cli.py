@@ -14,7 +14,7 @@ from fractions import Fraction
 
 from . import __version__
 from .classify import classify_dataset, numeric_invariants
-from .errors import LatticeCurveError, ParseError
+from .errors import LatticeCurveError, ParseError, RangeError
 from .families import FAMILIES, FamilySpec, family_invariants, verify_family_end_to_end
 from .laurent import IrreducibilityCertificate, LaurentPolynomial, irreducibility_certificate
 from .linsys import compute_system
@@ -135,6 +135,8 @@ def cmd_family(args) -> tuple[dict, int]:
 
 
 def cmd_surface(args) -> tuple[dict, int]:
+    if min(args.k_range, args.rr_range) < 0:
+        raise RangeError("--k-range and --rr-range must be nonnegative")
     out = {"ledger": verify_ledger(), "symbolic": verify_ek_symbolic()}
     ek = {}
     for k in range(-args.k_range, args.k_range + 1):

@@ -349,33 +349,26 @@ def shares_factor(f: UniPoly, g: UniPoly) -> bool:
 
 
 def _inverse_mod(x: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """x^-1 mod p for every row, 0 < x < p and primes p < 2**31, by
-    Montgomery's batch inversion (Math. Comp. 1987): x_i^-1 is the product
-    of the other x_j of its prime over the product of all of them.  Sorted
-    by prime, the rows form runs; one segmented scan in log2(rows) doubling
-    steps takes the products along each run from the left and from the
-    right, and one Python inverse per run inverts the run's total."""
-    order = np.argsort(p, kind="stable")
-    q, v = np.stack([p[order], p[order][::-1]]), np.stack([x[order], x[order][::-1]])
+    """x^-1 mod p for every entry of x, shaped (primes, rows), with row i of
+    block j taken mod p[j], 0 < x < p < 2**31, by Montgomery's batch
+    inversion (Math. Comp. 1987): x_i^-1 is the product of the other x of
+    its block over the product of all of them.  One doubling scan of
+    log2(rows) steps takes the products along every block from the left and
+    from the right, and one Python inverse per prime inverts its total."""
+    q, v = p[:, None], np.ones((2, len(p), x.shape[1] + 1), np.int64)
+    v[0, :, 1:], v[1, :, 1:] = x, x[:, ::-1]
     s = 1
-    while s < len(p):  # v[:, i] <- product of the run of i up to i, each way
-        v[:, s:] = np.where(q[:, s:] == q[:, :-s], v[:, s:] * v[:, :-s] % q[:, s:], v[:, s:])
+    while s < v.shape[2]:  # v[:, :, i] <- product of the first i entries, each way
+        v[:, :, s:] = v[:, :, s:] * v[:, :, :-s] % q
         s *= 2
-    q, before, after = q[0], v[0], v[1, ::-1]
-    same = q[1:] == q[:-1]  # row i + 1 continues the run of row i
-    ends = np.flatnonzero(np.append(~same, True))
-    inv = np.repeat([pow(t, -1, r) for t, r in zip(before[ends].tolist(), q[ends].tolist())],
-                    np.diff(ends, prepend=-1))
-    inv[1:] = np.where(same, inv[1:] * before[:-1] % q[1:], inv[1:])
-    inv[:-1] = np.where(same, inv[:-1] * after[1:] % q[:-1], inv[:-1])
-    out = np.empty_like(inv)
-    out[order] = inv
-    return out
+    inv = np.array([pow(t, -1, r) for t, r in zip(v[0, :, -1].tolist(), p.tolist())], np.int64)
+    return inv[:, None] * v[0, :, :-1] % q * v[1, :, -2::-1] % q
 
 
 def _res_mod_batch(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
-    """Res(a[i], b[i]) mod p[i] for every row i: residues, lowest first, at
-    formal degrees one less than the widths of a and b; primes below 2**31.
+    """Res(a[j, i], b[j, i]) mod p[j] for every block j and row i, shaped
+    (primes, rows): a and b are shaped (primes, rows, width), residues lowest
+    first, at formal degrees one less than their widths; primes below 2**31.
 
     One Euclid runs on all rows in lockstep, coefficients highest first and a
     formal degree per side and row.  A vanishing formal lead goes by
@@ -390,12 +383,12 @@ def _res_mod_batch(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     one sign per row, each factor x^e goes into acc[row, width + e], and the
     numerator and denominator are at the end prod_{k>=1} prod_{e>=k}
     acc[:, width +- e], products of suffix products; one batch inversion
-    (`_inverse_mod`) inverts every row's denominator.
+    per prime block (`_inverse_mod`) inverts every row's denominator.
     """
-    (rows, n1), m1 = a.shape, b.shape[1]
-    width = max(n1, m1)
+    (blocks, per, n1), m1 = a.shape, b.shape[2]
+    rows, width, p = blocks * per, max(n1, m1), np.repeat(p, per)
     A, B = np.zeros((2, rows, width + 1), np.int64)  # last column stays 0
-    A[:, :n1], B[:, :m1] = a[:, ::-1], b[:, ::-1]
+    A[:, :n1], B[:, :m1] = a.reshape(rows, n1)[:, ::-1], b.reshape(rows, m1)[:, ::-1]
     da, db, odd = np.full(rows, n1 - 1), np.full(rows, m1 - 1), np.zeros(rows, np.int64)
     cols, pc, tb = np.arange(width + 1), p[:, None], np.arange(rows)[:, None] * (width + 1)
     shift = np.minimum(cols + cols[:, None], width)  # row j reads columns j, j + 1, ...
@@ -441,27 +434,28 @@ def _res_mod_batch(a: np.ndarray, b: np.ndarray, p: np.ndarray) -> np.ndarray:
     for e in range(width - 1, 0, -1):
         suffix = suffix * chains[:, :, e] % p
         out = out * suffix % p
-    res = out[0] * _inverse_mod(out[1], p) % p
-    return np.where(odd & 1, (p - res) % p, res)
+    res = out[0] * _inverse_mod(out[1].reshape(blocks, per), p[::per]).ravel() % p
+    return np.where(odd & 1, (p - res) % p, res).reshape(blocks, per)
 
 
 def _interpolate_mod(values, p) -> np.ndarray:
     """Coefficients mod p (lowest first) of the interpolant through the
     residues `values` at the nodes 1, 2, ..., n < p, by Newton's divided
-    differences along the first axis.  p is a prime or an array of primes
-    that broadcasts against values[0], one per interpolant.  Entries stay
-    below p, so each product stays below 2**62."""
+    differences along the first axis, then Horner's rule from the Newton
+    basis to the monomial one, one slice update a step.  p is a prime or an
+    array of primes that broadcasts against values[0], one per interpolant.
+    Entries stay below p, so each product stays below 2**62."""
     c = np.array(values, dtype=np.int64)
     n, p = len(c), np.asarray(p, dtype=np.int64)
     inv = np.array([[pow(k, -1, q) for q in p.ravel().tolist()] for k in range(1, n)],
                    dtype=np.int64).reshape(-1, *p.shape)
     for k in range(1, n):  # at the nodes x_i = i + 1, x_i - x_(i-k) = k
         c[k:] = (c[k:] - c[k - 1:-1]) * inv[k - 1] % p
-    out = np.zeros_like(c)
+    buf = np.zeros((n + 1, *c.shape[1:]), np.int64)  # buf[0] holds c[k], buf[1:] is out
     for k in range(n - 1, -1, -1):  # out <- out * (x - k - 1) + c[k]
-        out[1:] = (out[:-1] - (k + 1) * out[1:]) % p
-        out[0] = (c[k] - (k + 1) * out[0]) % p
-    return out
+        buf[0] = c[k]
+        buf[1:] = (buf[:-1] - (k + 1) * buf[1:]) % p
+    return buf[1:]
 
 
 def _integer_side(side: TPoly):
@@ -501,11 +495,12 @@ def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
 
     Coefficients live in the Laurent ring; leading t-coefficients must be
     nonzero (raise DegenerateInput otherwise; trimming is the caller's job).
-    Each side is shifted to nonnegative exponents, and each t-coefficient
-    is evaluated once on a (u, v) grid sized by the degree bound, straight
-    to int64 residues mod every word prime (`_grid_residues`).  One
-    lockstep Euclid takes the resultant at every grid point mod every
-    prime, then one Newton interpolation over every prime in u, then in v.
+    Each side is shifted to nonnegative exponents, and the t-coefficients
+    of both sides are evaluated in one call on a (u, v) grid sized by the
+    degree bound, straight to int64 residues mod every word prime
+    (`_grid_residues`).  One lockstep Euclid takes the resultant at every
+    grid point mod every prime, a block of grid points per prime, then one
+    Newton interpolation over every prime in u, then in v.
     The primes, fixed up front, multiply past twice the Goldstein-Graham
     bound (SIAM Review 1974) (sum_i ||a_i||_1^2)^(deg B/2) (sum_j
     ||b_j||_1^2)^(deg A/2): Hadamard's inequality on the Sylvester matrix
@@ -531,13 +526,12 @@ def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
     primes, stream = [], _word_primes()
     while prod(primes) <= bound:
         primes.append(next(stream))
-    rows = len(primes) * (du + 1) * (dv + 1)  # prime-major, then lines v = y
-    vals = _res_mod_batch(*(_grid_residues(side, du + 1, dv + 1, primes).reshape(rows, -1)
-                            for side in (ia, ib)), np.repeat(primes, rows // len(primes)))
+    grid = _grid_residues(ia + ib, du + 1, dv + 1, primes)  # (prime, y, x, t-degree)
+    grid, ps = grid.reshape(len(primes), -1, grid.shape[-1]), np.array(primes)
+    vals = _res_mod_batch(grid[..., :len(ia)], grid[..., len(ia):], ps)  # rows by lines v = y
     vals = vals.reshape(len(primes), dv + 1, du + 1)
-    ps = np.array(primes)[:, None]
-    in_u = _interpolate_mod(vals.transpose(2, 0, 1), ps)  # (u, prime, v)
-    coeffs = _interpolate_mod(in_u.transpose(2, 1, 0), ps)  # (v, prime, u)
+    in_u = _interpolate_mod(vals.transpose(2, 0, 1), ps[:, None])  # (u, prime, v)
+    coeffs = _interpolate_mod(in_u.transpose(2, 1, 0), ps[:, None])  # (v, prime, u)
     qs, us = np.nonzero(coeffs.any(axis=1))
     crt, mod = 0, 1
     for p, r in zip(primes, coeffs[qs, :, us].T):

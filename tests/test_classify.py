@@ -139,6 +139,17 @@ def test_classify_excludes_positive_and_empty():
     assert all(h.pair.m != 4 for h in hits)
 
 
+def test_classify_rejects_negative_limits():
+    # a negative volume_max used to skip every polygon and return no hits
+    square = polygon((0, 0), (1, 0), (1, 1), (0, 1))
+    for args in ((0, 16), (2, -1)):
+        with pytest.raises(RangeError):
+            classify_dataset([square], *args)
+    with pytest.raises(RangeError):
+        classify_dataset([square], 2, 16, jobs=-1)
+    assert classify_dataset([square], 2, 0) == []
+
+
 def test_classify_with_oracle_drops_reducible():
     square = polygon((0, 0), (1, 0), (1, 1), (0, 1))
     without = classify_dataset([square], 2, 16)

@@ -74,6 +74,28 @@ def test_surface_command(capsys):
     assert out["ledger"]["passed"] and out["symbolic"]["passed"]
 
 
+@pytest.mark.parametrize("argv", [
+    ["surface", "--k-range", "-1"],
+    ["surface", "--rr-range", "-3"],
+    ["surface", "--k-range", "-2", "--rr-range", "-1"],
+    ["classify", "--dataset", data_path("polygons.txt"), "--volume-max", "-1"],
+    ["classify", "--dataset", data_path("polygons.txt"), "--enumerate", "--volume-max", "-1"],
+])
+def test_negative_ranges_are_input_errors(capsys, argv):
+    # a negative range is bad input, not an empty check that passes or finds nothing
+    assert main(argv) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and "must be nonnegative" in err
+
+
+def test_zero_ranges_check_nothing_and_pass(capsys):
+    code, out = run(capsys, "surface", "--k-range", "0", "--rr-range", "0")
+    assert code == 0 and out["e_k"] == {} and out["riemann_roch"] == {}
+    code, out = run(capsys, "classify", "--dataset", data_path("polygons.txt"),
+                    "--volume-max", "0")  # the one segment of the dataset has volume 0
+    assert code == 0 and [h["polygon"]["vertices"] for h in out["hits"]] == [[[0, 0], [1, 0]]]
+
+
 def test_seshadri_command(capsys):
     code, out = run(capsys, "seshadri", "--vertices", "0,0 4,1 1,4",
                     "--m", "4", "--irreducible")

@@ -1,7 +1,7 @@
 import random
 from collections import Counter
 from fractions import Fraction
-from itertools import islice, zip_longest
+from itertools import cycle, islice, zip_longest
 from math import comb, gcd, isqrt, lcm
 
 import numpy as np
@@ -415,6 +415,23 @@ def _fraction_elimination_det(m):
     return sign * det
 
 
+def _prime_blocks(rows):
+    """Rows (p, a, b, ...) grouped into blocks by prime, for `_res_mod_batch`:
+    the primes in order of first use, and the blocks, each filled out to the
+    longest by repeating its own rows from the start."""
+    blocks = {}
+    for row in rows:
+        blocks.setdefault(row[0], []).append(row)
+    per = max(map(len, blocks.values()))
+    return list(blocks), [list(islice(cycle(block), per)) for block in blocks.values()]
+
+
+def _batch(primes, blocks):
+    """`_res_mod_batch` on blocks of (p, a, b, ...) rows, as nested lists."""
+    a, b = (np.array([[row[k] for row in rows] for rows in blocks], np.int64) for k in (1, 2))
+    return _res_mod_batch(a, b, np.array(primes, np.int64)).tolist()
+
+
 def test_res_mod_matches_sylvester_determinant():
     # small primes make leads vanish: every formal-degree branch is reached
     rng = random.Random(1971)
@@ -426,41 +443,48 @@ def test_res_mod_matches_sylvester_determinant():
             branches.add((a[-1] % p == 0, b[-1] % p == 0, len(a) == 1 or len(b) == 1))
             det = _fraction_elimination_det(sylvester_matrix(a, b)) % p
             assert _res_mod(a, b, p) == det, (p, a, b)
-            by_shape.setdefault((len(a), len(b)), []).append((a, b, p, det))
+            by_shape.setdefault((len(a), len(b)), []).append(
+                (p, [x % p for x in a], [y % p for y in b], det))
     assert branches == {(x, y, z) for x in (False, True) for y in (False, True)
                         for z in (False, True)}
-    for cases in by_shape.values():  # one call per shape, rows of every prime
-        a, b, p, det = (np.array(x, dtype=np.int64) for x in zip(*cases))
-        assert len(set(p.tolist())) > 1
-        assert _res_mod_batch(a % p[:, None], b % p[:, None], p).tolist() == det.tolist()
+    for cases in by_shape.values():  # one call per shape, a block of rows per prime
+        primes, blocks = _prime_blocks(cases)
+        assert len(primes) > 1
+        assert _batch(primes, blocks) == [[row[3] for row in rows] for rows in blocks]
 
 
 def test_res_mod_batch_matches_scalar_euclid():
-    # leads that vanish mod p, some everywhere in a column, and degree-0 sides
+    # leads that vanish mod p, some everywhere in a column, degree-0 sides,
+    # one to eight prime blocks of one row or more, primes down to 2 and 3
     rng = random.Random(20261018)
     primes = [2, 3, 5, 7, 101, *islice(_word_primes(), 3)]
     seen = set()
     for _ in range(100):
-        n1, m1, rows = rng.randint(1, 7), rng.randint(1, 7), rng.randint(1, 80)
-        p = np.array([rng.choice(primes) for _ in range(rows)], dtype=np.int64)
-        a, b = ([[rng.choice([0, rng.randrange(q)]) for _ in range(width)]
-                 for q in p.tolist()] for width in (n1, m1))
+        n1, m1 = rng.randint(1, 7), rng.randint(1, 7)
+        p = rng.sample(primes, rng.randint(1, len(primes)))
+        per = rng.choice([1, rng.randint(1, 20)])
+        a, b = ([[[rng.choice([0, rng.randrange(q)]) for _ in range(width)] for _ in range(per)]
+                 for q in p] for width in (n1, m1))
         for side, name in ((a, "a"), (b, "b")):
             if rng.random() < 0.3:
                 seen.add(f"zero lead column in {name}")
-                for row in side:
+                for row in (row for rows in side for row in rows):
                     row[-1] = 0
         seen.update(f"degree 0 in {name}" for name, w in (("a", n1), ("b", m1)) if w == 1)
-        want = [_res_mod(x, y, q) for x, y, q in zip(a, b, p.tolist())]
-        assert _res_mod_batch(np.array(a, dtype=np.int64), np.array(b, dtype=np.int64),
-                              p).tolist() == want
-    assert len(seen) == 4
+        seen.update(k for k, hit in (("block of one row", per == 1),
+                                     ("several primes", len(p) > 1),
+                                     ("2 and 3", {2, 3} <= set(p))) if hit)
+        want = [[_res_mod(x, y, q) for x, y in zip(xs, ys)] for xs, ys, q in zip(a, b, p)]
+        assert _res_mod_batch(np.array(a, np.int64), np.array(b, np.int64),
+                              np.array(p, np.int64)).tolist() == want
+    assert seen == {"zero lead column in a", "zero lead column in b", "degree 0 in a",
+                    "degree 0 in b", "block of one row", "several primes", "2 and 3"}
 
 
 def test_res_mod_batch_takes_every_branch_like_scalar_euclid():
-    # one batch mixes primes; long sides against short ones make the batch
-    # reduce at one exponent again and again; zeroed tops give runs of
-    # vanishing leads; width 1 gives degree-0 sides
+    # one batch holds a block per prime; long sides against short ones make
+    # the batch reduce at one exponent again and again; zeroed tops give
+    # runs of vanishing leads; width 1 gives degree-0 sides
     rng = random.Random(1407)
     primes = [2, 3, 5, 7, 101, *islice(_word_primes(), 4)]
     seen = set()
@@ -476,10 +500,9 @@ def test_res_mod_batch_takes_every_branch_like_scalar_euclid():
             seen.add("mixed primes")
         if min(n1, m1) == 1:
             seen.add("degree 0")
-        want = [_res_mod(x, y, q, seen) for x, y, q in zip(a, b, p)]
-        got = _res_mod_batch(np.array(a, np.int64), np.array(b, np.int64),
-                             np.array(p, np.int64))
-        assert got.tolist() == want
+        ps, blocks = _prime_blocks(list(zip(p, a, b)))
+        want = [[_res_mod(x, y, q, seen) for q, x, y in rows] for rows in blocks]
+        assert _batch(ps, blocks) == want
     assert seen == {"mixed primes", "degree 0", "finish", "both leads vanish", "pop",
                     "pop run", "swap", "reduce", "reduce, exponent repeated"}
 
@@ -547,17 +570,16 @@ def test_res_mod_batch_strips_lead_runs_and_finishes_rows_apart():
     kinds, shapes = set(), set()
     for n1, m1 in [(1, 1), (1, 5), (6, 1), (3, 3), (4, 6), (8, 4), (7, 7), (9, 5), (5, 9)]:
         for _ in range(3):
-            rows = _lead_run_rows(rng, n1, m1, primes)
-            kind, a, b, p = zip(*rows)
-            got = _res_mod_batch(np.array(a, np.int64), np.array(b, np.int64),
-                                 np.array(p, np.int64)).tolist()
-            for row, res in zip(rows, got):
-                kind, x, y, q = row
-                assert res == _res_mod(x, y, q), row
-                assert res == _fraction_elimination_det(sylvester_matrix(x, y)) % q, row
-                kinds.add(kind)
+            rows = [(q, a, b, kind) for kind, a, b, q in _lead_run_rows(rng, n1, m1, primes)]
+            ps, blocks = _prime_blocks(rows)
+            for block, got in zip(blocks, _batch(ps, blocks)):
+                for row, res in zip(block, got):
+                    q, x, y, kind = row
+                    assert res == _res_mod(x, y, q), row
+                    assert res == _fraction_elimination_det(sylvester_matrix(x, y)) % q, row
+                    kinds.add(kind)
             shapes.add(len({len(_trim(x)) + len(_trim(y)) for _, x, y, _ in rows}) > 1)
-            kinds.add("mixed primes" if len(set(p)) > 1 else "one prime")
+            kinds.add("mixed primes" if len(ps) > 1 else "one prime")
     assert kinds >= {"full", "a-lead run at entry", "b-lead run at entry", "both leads vanish",
                      "remainder is zero", "remainder leads vanish", "shared factor",
                      "mixed primes"}
@@ -622,21 +644,21 @@ def test_shares_factor_matches_fraction_euclid(monkeypatch):
 
 
 def test_inverse_mod_matches_pow():
-    # one batch mixes primes down to 2 and 3; runs of one row; a single row
+    # a block per prime, primes down to 2 and 3; blocks of one row; one entry
     rng = random.Random(1987)
     primes = [2, 3, 5, 101, *islice(_word_primes(), 3)]
     seen = set()
-    for rows in (1, 1, 2, 3, *(rng.randint(1, 300) for _ in range(60))):
-        p = [rng.choice(primes) for _ in range(rows)]
-        x = [rng.randrange(1, q) for q in p]
+    for blocks, per in ((1, 1), (2, 1), (1, 2), (3, 3),
+                        *((rng.randint(1, 7), rng.randint(1, 300)) for _ in range(60))):
+        p = rng.sample(primes, blocks)
+        x = [[rng.randrange(1, q) for _ in range(per)] for q in p]
         got = _inverse_mod(np.array(x, np.int64), np.array(p, np.int64))
-        assert got.tolist() == [pow(a, -1, q) for a, q in zip(x, p)]
-        runs = Counter(p)
-        seen.update(k for k, hit in (("single row", rows == 1),
-                                     ("run of one row", rows > 1 and 1 in runs.values()),
-                                     ("2 and 3", {2, 3} <= runs.keys()),
-                                     ("mixed primes", len(runs) > 1)) if hit)
-    assert seen == {"single row", "run of one row", "2 and 3", "mixed primes"}
+        assert got.tolist() == [[pow(a, -1, q) for a in row] for row, q in zip(x, p)]
+        seen.update(k for k, hit in (("one entry", blocks == per == 1),
+                                     ("blocks of one row", blocks > 1 and per == 1),
+                                     ("2 and 3", {2, 3} <= set(p)),
+                                     ("several primes", blocks > 1)) if hit)
+    assert seen == {"one entry", "blocks of one row", "2 and 3", "several primes"}
 
 
 def test_grid_residues_match_exact_evaluation():
@@ -664,6 +686,31 @@ def test_grid_residues_match_exact_evaluation():
                                      (f"{len(primes)} primes", len(primes) in (1, 14)))
                     if hit)
     assert seen >= {"zero coefficient", "past 2**64", "negative", "1 primes", "14 primes"}
+
+
+def test_uni_resultant_evaluates_the_grid_once_and_runs_one_batch(monkeypatch):
+    # both sides share one grid evaluation, split at len(ia), and every grid
+    # point and prime goes through a single lockstep batch of prime blocks
+    from latticecurves import laurent
+
+    calls = Counter()
+
+    def counting(name):
+        fn = getattr(laurent, name)
+
+        def wrapped(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(laurent, name, wrapped)
+
+    for name in ("_grid_residues", "_res_mod_batch"):
+        counting(name)
+    a = [U - ONE, U + V, U * V * 2 - _const_lp(3)]
+    b = [V * V + ONE, U - V, ONE + U, ONE]
+    for x, y in ((a, b), (b, a), (a[:2], b)):
+        calls.clear()
+        assert uni_resultant(x, y) == sylvester_det_direct(x, y)
+        assert calls == {"_grid_residues": 1, "_res_mod_batch": 1}
 
 
 def test_interpolate_mod_recovers_integer_polynomials():

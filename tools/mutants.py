@@ -34,6 +34,7 @@ BATCH_TESTS = [
     "tests/test_laurent.py::test_res_mod_batch_matches_scalar_euclid",
     "tests/test_laurent.py::test_res_mod_batch_takes_every_branch_like_scalar_euclid",
 ]
+RESULTANT_TEST = "tests/test_laurent.py::test_resultant_matches_direct_expansion"
 
 # (name, file, old snippet, new snippet, test node ids that must fail)
 MUTANTS = [
@@ -48,6 +49,32 @@ MUTANTS = [
      BATCH_TESTS),
     ("strip never lowers the degree: the pass bound raises ArithmeticError", LAURENT,
      "odd ^ db * j, da - j", "odd ^ db * j, da", BATCH_TESTS),
+    ("batch inverse takes the prefix product through its own entry, the wrong neighbour",
+     LAURENT, "* v[0, :, :-1] % q", "* v[0, :, 1:] % q",
+     ["tests/test_laurent.py::test_inverse_mod_matches_pow", *BATCH_TESTS]),
+    ("the one grid evaluation splits its sides one t-coefficient late", LAURENT,
+     "grid[..., :len(ia)], grid[..., len(ia):]",
+     "grid[..., :len(ia) + 1], grid[..., len(ia) + 1:]",
+     [RESULTANT_TEST, "tests/test_laurent.py::"
+      "test_uni_resultant_evaluates_the_grid_once_and_runs_one_batch"]),
+    ("Horner never refreshes buf[0] with the next divided difference", LAURENT,
+     "        buf[0] = c[k]\n", "",
+     ["tests/test_laurent.py::test_interpolate_mod_recovers_integer_polynomials",
+      RESULTANT_TEST]),
+    ("uni_resultant keeps one prime fewer once it has taken two or more", LAURENT,
+     "        primes.append(next(stream))\n",
+     "        primes.append(next(stream))\n"
+     "    primes = primes[:-1] if len(primes) > 1 else primes\n",
+     ["tests/test_laurent.py::test_resultant_matches_direct_expansion_with_huge_coefficients",
+      "tests/test_laurent.py::test_implicitize_vanishes_on_random_parametrizations"]),
+    ("_reduce_mod skips the last back-substitution step", "src/latticecurves/linsys.py",
+     "for k in range(len(pivots) - 1, 0, -1):", "for k in range(len(pivots) - 1, 1, -1):",
+     ["tests/test_linsys.py::test_forward_elimination_matches_gauss_jordan"]),
+    ("estimate tries SegmentEquality only when lw < vol/m", "src/latticecurves/seshadri.py",
+     "if lw <= upper and", "if lw < upper and",
+     ["tests/test_seshadri.py::test_count_route_matches_kernel_route",
+      "tests/test_seshadri.py::"
+      "test_estimate_walks_points_and_builds_forms_only_where_they_can_enter"]),
     ("SegmentEquality reads the slices one offset to the right", "src/latticecurves/polygon.py",
      "offsets = range(lo, hi + 1)", "offsets = range(lo + 1, hi + 2)",
      ["tests/test_polygon.py::test_reduced_slices_by_length_match_fraction_lengths",
