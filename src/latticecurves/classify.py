@@ -18,7 +18,7 @@ from .laurent import (
     LaurentPolynomial,
     irreducibility_certificate,
 )
-from .linsys import compute_system, expected_dimension, raise_order
+from .linsys import compute_system, expected_dimension
 from .polygon import LatticePolygon, canonical_form, mixed_volume, multiplicity_cap
 
 
@@ -106,29 +106,33 @@ class ClassificationHit:
 
 
 def _examine(task):
-    """[(m, hit)] over one polygon's m = first..last.  The rows for m are among
-    those for m + 1, so the first empty system ends the scan.  The m with an
+    """The hit of one polygon over m = first..last, or None.  The m with an
     `expected_dimension` of 2 or more (nonempty, not a unique curve) are a
-    prefix, as that count falls strictly in m, and get no kernel.  The first
-    system left is solved and each later order raised from the one before
-    (`raise_order`), whose certificate is the check G w = 0 on the new rows."""
+    prefix, as that count falls strictly in m, and get no kernel; from there
+    each m is solved until a system of dimension at most 1, which ends the
+    scan.  An empty system stays empty, as the rows for m are among those
+    for m + 1.  One curve is the last: if L(Δ, m) = <f> with m >= 1 and f
+    lay in L(Δ, m + 1), then u ∂f/∂u, supported on Δ and of order m at
+    (1, 1), would lie in L(Δ, m), so be a multiple of f: every term of f
+    would share one u-exponent, and likewise one v-exponent, but a monomial
+    does not vanish at (1, 1).  So f has order exactly m and every later
+    system is empty."""
     poly, first, last = task
-    start = next((m for m in range(first, last + 1) if expected_dimension(poly, m) < 2), last + 1)
-    hits, system = [], None
-    for m in range(start, last + 1):
-        system = compute_system(poly, m) if system is None else raise_order(system)
-        if system.is_empty():
-            break
-        if system.dimension != 1:
-            continue
-        f = system.members()[0]
-        newton = f.newton_polygon()
-        if newton != poly.translated_to_origin():
-            continue
-        cert = irreducibility_certificate(f, newton=newton)
-        warning = cert.verdict == IrreducibilityCertificate.INCONCLUSIVE
-        hits.append((m, ClassificationHit(numeric_invariants(poly, m), f, cert, warning)))
-    return hits
+    system = None
+    for m in range(first, last + 1):
+        if expected_dimension(poly, m) < 2:
+            system = compute_system(poly, m)
+            if system.dimension < 2:
+                break
+    if system is None or system.dimension != 1:
+        return None
+    f = system.members()[0]
+    newton = f.newton_polygon()
+    if newton != poly.translated_to_origin():
+        return None
+    cert = irreducibility_certificate(f, newton=newton)
+    warning = cert.verdict == IrreducibilityCertificate.INCONCLUSIVE
+    return ClassificationHit(numeric_invariants(poly, system.order), f, cert, warning)
 
 
 def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
@@ -175,6 +179,6 @@ def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,
                                   chunksize=max(1, len(tasks) // (4 * jobs))))
     else:
         found = map(_examine, tasks.values())
-    results = {(key, m): hit for key, hits in zip(tasks, found) for m, hit in hits
-               if (key, m) not in (oracle or ())}
+    results = {(key, hit.pair.m): hit for key, hit in zip(tasks, found)
+               if hit is not None and (key, hit.pair.m) not in (oracle or ())}
     return [results[k] for k in sorted(results, key=lambda k: (k[1], k[0]))]

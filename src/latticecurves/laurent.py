@@ -123,15 +123,19 @@ class LaurentPolynomial:
         to least exponents (0, 0), the least k <= deg f with a nonzero
         T(a, k - a) = sum_p C(p, a) S_p(k - a), where each S_p(b) = sum_q
         c_pq C(q, b) is taken once (a truncated Taylor shift; von zur Gathen
-        and Gerhard, ISSAC 1997)."""
+        and Gerhard, ISSAC 1997).  The order is symmetric in u and v, so p
+        runs over whichever axis has fewer distinct exponents."""
         if not self.terms:
             raise ZeroPolynomial("zero polynomial has no multiplicity")
         dp, dq = self.min_exponents()  # a monomial unit leaves the order unchanged
+        terms = [(p - dp, q - dq, c) for (p, q), c in self.terms.items()]
+        if len({q for _, q, _ in terms}) < len({p for p, _, _ in terms}):
+            terms = [(q, p, c) for p, q, c in terms]
         cols = {}
-        for (p, q), c in self.terms.items():
-            cols.setdefault(p - dp, []).append((q - dq, c))
+        for p, q, c in terms:
+            cols.setdefault(p, []).append((q, c))
         sums = [(p, []) for p in cols]  # S_p(b) at index b
-        for k in range(max(p + q for p, q in self.terms) - dp - dq + 1):
+        for k in range(max(p + q for p, q, _ in terms) + 1):
             for p, s in sums:
                 s.append(sum(c * comb(q, k) for q, c in cols[p]))
             for a in range(k + 1):

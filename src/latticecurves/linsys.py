@@ -23,9 +23,7 @@ cleared, satisfy M x = 0 over the integers: there is one per free column,
 independent, as many as the nullity bound the rank mod p gives, so they
 span the kernel.  Since the columns are eliminated right to left, these
 vectors are already the RREF rows of the kernel, scaled to coprime
-integers.  `raise_order` gets L(poly, m + 1) from a solved L(poly, m): its
-new rows, applied to the basis, leave a kernel of at most m + 1 rows on
-dim L(poly, m) columns, checked over Z as above, or none at all.
+integers.
 """
 
 from __future__ import annotations
@@ -33,7 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import comb, gcd, isqrt, lcm, prod
-from operator import mul
 
 import numpy as np
 
@@ -227,22 +224,3 @@ def compute_system(poly: LatticePolygon, m: int) -> LinearSystem:
     basis = _kernel(condition_matrix(points, m))
     return LinearSystem(poly, m, points, tuple(map(tuple, basis)))
 
-
-def raise_order(system: LinearSystem) -> LinearSystem:
-    """L(poly, m + 1) from L(poly, m) = <K_1..K_d>: the combinations
-    sum w_j K_j on which the order-m conditions, G w = 0, vanish.  Each K_j
-    is zero at the other members' leads, so the primitive images of the
-    RREF rows of ker G are the RREF rows of the new kernel, with positive
-    leads.  Certificate: M_m K_j = 0 was checked, and `_kernel` checks
-    G w = 0 over Z; with d = 1, a nonzero row of G proves the system empty.
-    """
-    m, points, basis = system.order, system.points, system.basis
-    x0, y0 = min((p for p, _ in points), default=0), min((q for _, q in points), default=0)
-    rows = ([comb(p - x0, a) * comb(q - y0, m - a) for p, q in points] for a in range(m + 1))
-    g = [r for r in ([sum(map(mul, row, vec)) for vec in basis] for row in rows) if any(r)]
-    if g and len(basis) == 1:
-        basis = ()
-    elif g:
-        vecs = ([sum(map(mul, w, col)) for col in zip(*basis)] for w in _kernel(g))
-        basis = tuple(tuple(x // gcd(*vec) for x in vec) for vec in vecs)
-    return LinearSystem(system.polygon, m + 1, points, basis)

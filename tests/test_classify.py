@@ -281,14 +281,14 @@ def test_classify_count_route_matches_kernel_route():
 
 
 def test_scan_solves_only_its_first_system():
-    """At m = 2 the unit square's system holds one curve; m = 3 is raised
-    from it, empty, without a second kernel.  The task's last m is 4, past
-    the square's width cap of 2, so the empty system ends the scan."""
+    """At m = 2 the unit square's system holds one curve, which ends the
+    scan: no kernel is solved for m = 3, though the task's last m is 4, past
+    the square's width cap of 2."""
     square = polygon((0, 0), (1, 0), (1, 1), (0, 1))
     assert multiplicity_cap(square) == 2
     compute_system.cache_clear()
-    hits = _examine((square, 2, 4))
-    assert [m for m, _ in hits] == [2]
+    hit = _examine((square, 2, 4))
+    assert hit.pair.m == 2
     info = compute_system.cache_info()
     assert (info.misses, info.hits) == (1, 0)
 
@@ -466,11 +466,22 @@ def test_classify_width_cap_matches_kernel_route_on_zonotopes():
 
 
 def test_empty_system_stays_empty_at_higher_order():
+    """Walk each polygon to its first system of dimension at most 1.  An
+    empty one stays empty at m + 1, its rows being among those for m + 1; a
+    one-curve one holds a member of order exactly m, and L(Δ, m + 1) is
+    empty, which is why that system ends the classify scan."""
     rng = random.Random(11)
-    for poly in random_polygons(rng, 25):
+    seen = Counter()
+    for _ in range(60):
+        poly = convex_hull([(rng.randint(-4, 3), rng.randint(-3, 4))
+                            for _ in range(rng.randint(1, 6))])
         pts = tuple(poly.lattice_points())
         m = 1
-        while not compute_system(poly, m).is_empty():
+        while (system := compute_system(poly, m)).dimension > 1:
             m += 1
         assert all(row in condition_matrix(pts, m + 1) for row in condition_matrix(pts, m))
-        assert compute_system(poly, m + 1).is_empty()
+        if system.dimension == 1:
+            assert system.members()[0].multiplicity_at_identity() == m, (poly.vertices, m)
+        assert compute_system(poly, m + 1).is_empty(), (poly.vertices, m)
+        seen[poly.is_degenerate, system.dimension] += 1
+    assert set(seen) == {(False, 0), (False, 1), (True, 0), (True, 1)}, seen

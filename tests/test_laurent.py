@@ -35,6 +35,7 @@ from latticecurves.laurent import (
     uni_resultant,
     verify_factorization,
 )
+from latticecurves.linsys import compute_system
 from latticecurves.modular import _word_primes
 from latticecurves.polygon import polygon
 
@@ -244,12 +245,23 @@ def test_multiplicity_at_identity_matches_fraction_sum():
         k = f.multiplicity_at_identity()
         assert k == _fraction_multiplicity(_q_terms(f))
         seen.add(k)
+        # the order is symmetric in u and v, and a shear fixes (1, 1)
+        s = rng.choice((-3, 2, 10 ** 6))
+        for g in (LaurentPolynomial({(q, p): c for (p, q), c in f.terms.items()}),
+                  LaurentPolynomial({(p + s * q, q): c for (p, q), c in f.terms.items()})):
+            assert g.multiplicity_at_identity() == _fraction_multiplicity(_q_terms(g)) == k
     assert seen >= {0, 1, 2, 3}
     # the implicit equations of the largest family members the CLI verifies
     for fam, m in (("I", 20), ("III", 16), ("III", 20)):
         par = family_parametrization(FamilySpec(fam, m))
         f = implicitize(par.f1, par.f2, par.f3, par.f4)
         assert f.multiplicity_at_identity() == _fraction_multiplicity(_q_terms(f)) == m
+    # the unique member of (0,0),(m,1),(1,m) under (x, y) -> (x + 10^30 y, y), which has
+    # many more distinct u-exponents than v-exponents, and its transpose
+    f = compute_system(polygon((0, 0), (8, 1), (1, 8)), 8).members()[0]
+    for g in (f, LaurentPolynomial({(p + 10 ** 30 * q, q): c for (p, q), c in f.terms.items()})):
+        t = LaurentPolynomial({(q, p): c for (p, q), c in g.terms.items()})
+        assert g.multiplicity_at_identity() == t.multiplicity_at_identity() == 8
     with pytest.raises(ZeroPolynomial):
         LaurentPolynomial.zero().multiplicity_at_identity()
 

@@ -18,7 +18,6 @@ from latticecurves.linsys import (
     compute_system,
     condition_matrix,
     expected_dimension,
-    raise_order,
 )
 from latticecurves.modular import _word_primes
 from latticecurves.polygon import polygon
@@ -226,24 +225,6 @@ def test_expected_dimension_bounds_the_kernel():
         assert expected_dimension(poly, m) == len(poly.lattice_points()) - m * (m + 1) // 2
         assert expected_dimension(poly, m) <= compute_system(poly, m).dimension, (
             poly.vertices, m)
-
-
-def test_raise_order_matches_compute_system():
-    """Two routes to L(poly, m + 1): raised from L(poly, m), and solved."""
-    rng = random.Random(1313)
-    seen = set()
-    for _ in range(400):
-        poly = polygon(*{(rng.randint(-4, 3), rng.randint(-3, 4))
-                         for _ in range(rng.randint(1, 5))})
-        for m in range(1, 8):
-            system = compute_system(poly, m)
-            raised = raise_order(system)
-            assert raised == compute_system(poly, m + 1), (poly.vertices, m)
-            seen.add((poly.is_degenerate, min(system.dimension, 2), min(raised.dimension, 1)))
-            if raised.is_empty():
-                break
-    # degenerate polygons, an empty system, d = 1, and ker G both empty and not
-    assert {(True, 0, 0), (True, 1, 0), (False, 1, 0), (False, 2, 0), (False, 2, 1)} <= seen
 
 
 def test_modular_path_agrees_with_rational_path():

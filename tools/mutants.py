@@ -75,6 +75,9 @@ MUTANTS = [
      ["tests/test_seshadri.py::test_count_route_matches_kernel_route",
       "tests/test_seshadri.py::"
       "test_estimate_walks_points_and_builds_forms_only_where_they_can_enter"]),
+    ("the classify scan solves on past a one-curve system", "src/latticecurves/classify.py",
+     "if system.dimension < 2:", "if system.dimension < 1:",
+     ["tests/test_classify.py::test_scan_solves_only_its_first_system"]),
     ("SegmentEquality reads the slices one offset to the right", "src/latticecurves/polygon.py",
      "offsets = range(lo, hi + 1)", "offsets = range(lo + 1, hi + 2)",
      ["tests/test_polygon.py::test_reduced_slices_by_length_match_fraction_lengths",
