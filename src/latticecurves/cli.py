@@ -1,7 +1,8 @@
 """Command-line front end: one JSON report per run, over all toolkit modules.
 
-Exit codes: 0 success, 1 a verification failed, 2 bad input, 141 the reader
-closed standard output early (as a process killed by SIGPIPE).
+Each call builds one parser: the named command's own, or the full parser for any
+other argv. Exit codes: 0 success, 1 a verification failed, 2 bad input, 141 the
+reader closed standard output early (as a process killed by SIGPIPE).
 """
 
 from __future__ import annotations
@@ -27,8 +28,11 @@ from .wpp import WppContext, best_approximation, ingest_table, intrinsic_minus_o
 def parse_vertices(text: str) -> LatticePolygon:
     pts = []
     for tok in text.split():
-        x, y = tok.split(",")
-        pts.append((int(x), int(y)))
+        try:
+            x, y = map(int, tok.split(","))
+        except ValueError:
+            raise ParseError(f"bad vertex {tok!r}: expected x,y with integer x and y") from None
+        pts.append((x, y))
     return polygon(*pts)
 
 
@@ -83,14 +87,8 @@ def load_oracle(path):
 def cmd_polygon_info(args) -> tuple[dict, int]:
     poly = parse_vertices(args.vertices)
     total, b, i = poly.lattice_counts()
-    out = {
-        "vertices": [list(v) for v in poly.vertices],
-        "vol": poly.volume,
-        "boundary": b,
-        "interior": i,
-        "total": total,
-        "degenerate": poly.is_degenerate,
-    }
+    out = {"vertices": [list(v) for v in poly.vertices], "vol": poly.volume, "boundary": b,
+           "interior": i, "total": total, "degenerate": poly.is_degenerate}
     if not poly.is_degenerate:
         lw, direction = poly.lattice_width()
         out["lattice_width"] = lw
@@ -138,16 +136,9 @@ def cmd_surface(args) -> tuple[dict, int]:
     if min(args.k_range, args.rr_range) < 0:
         raise RangeError("--k-range and --rr-range must be nonnegative")
     out = {"ledger": verify_ledger(), "symbolic": verify_ek_symbolic()}
-    ek = {}
-    for k in range(-args.k_range, args.k_range + 1):
-        if k:
-            ek[str(k)] = verify_ek(k)["passed"]
-    out["e_k"] = ek
-    rr = {}
-    for k in range(1, args.rr_range + 1):
-        _, rep = rr_polygon(k)
-        rr[str(k)] = rep
-    out["riemann_roch"] = rr
+    out["e_k"] = ek = {str(k): verify_ek(k)["passed"]
+                       for k in range(-args.k_range, args.k_range + 1) if k}
+    out["riemann_roch"] = rr = {str(k): rr_polygon(k)[1] for k in range(1, args.rr_range + 1)}
     ok = (out["ledger"]["passed"] and out["symbolic"]["passed"]
           and all(ek.values()) and all(r["passed"] for r in rr.values()))
     return out, 0 if ok else 1
@@ -201,30 +192,39 @@ COMMANDS = {
 }
 
 
-def build_parser(command=None) -> argparse.ArgumentParser:
-    """The CLI parser; when `command` names a subcommand, only its subparser is built.
-    The root usage still lists every command, so all help and errors read the same."""
-    ap = argparse.ArgumentParser(
-        prog="latticecurves",
-        description="exact computations with curves on blown-up toric surfaces",
-    )
+def _fill(p: argparse.ArgumentParser, name: str) -> argparse.ArgumentParser:
+    fn, options = COMMANDS[name]
+    p.add_argument("--pretty", action="store_true")
+    for flag, kw in options:
+        p.add_argument(flag, **kw)
+    p.set_defaults(fn=fn, command=name)
+    return p
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The full parser: help, version, errors and argv no command's own parser takes."""
+    ap = argparse.ArgumentParser(prog="latticecurves", description="exact computations "
+                                 "with curves on blown-up toric surfaces")
     ap.add_argument("--version", action="version", version=__version__)
-    one = command in COMMANDS
-    sub = ap.add_subparsers(dest="command", required=True,
-                            metavar="{%s}" % ",".join(COMMANDS) if one else None)
-    for name in (command,) if one else COMMANDS:
-        fn, options = COMMANDS[name]
-        p = sub.add_parser(name)
-        p.add_argument("--pretty", action="store_true")
-        for flag, kw in options:
-            p.add_argument(flag, **kw)
-        p.set_defaults(fn=fn)
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name in COMMANDS:
+        _fill(sub.add_parser(name), name)
     return ap
 
 
+def parse_args(argv: list[str]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, from the command's own parser when it takes every
+    token; a leftover is the root parser's error, so the full parser reports it."""
+    if argv and argv[0] in COMMANDS:
+        one = argparse.ArgumentParser(prog=f"latticecurves {argv[0]}")
+        args, rest = _fill(one, argv[0]).parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv=None) -> int:
-    argv = sys.argv[1:] if argv is None else argv
-    args = build_parser(argv[0] if argv else None).parse_args(argv)
+    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
         report, code = args.fn(args)
         print(json.dumps(report, indent=2 if args.pretty else None), flush=True)

@@ -194,6 +194,17 @@ def run_child(*args):
                           env=child_env())
 
 
+@pytest.mark.parametrize("token", ["0,0,1", "0,", "7", "x,1"])
+def test_bad_vertex_names_its_token(tmp_path, capsys, token):
+    message = f"bad vertex {token!r}: expected x,y with integer x and y"
+    assert main(["seshadri", "--vertices", f"0,0 {token}"]) == 2
+    assert capsys.readouterr() == ("", f"input error: {message}\n")
+    f = tmp_path / "bad.txt"
+    f.write_text(f"0,0 1,0 0,1\n0,0 {token}\n")
+    assert main(["classify", "--dataset", str(f)]) == 2
+    assert capsys.readouterr() == ("", f"input error: line 2: bad polygon line: {message}\n")
+
+
 def test_parse_error_exit_code_names_line_once(tmp_path):
     f = tmp_path / "bad.txt"
     f.write_text("0,0 1,0 0,1\n0,0 oops\n")
@@ -247,12 +258,22 @@ PARSER_ARGVS = README_COMMANDS + [[name, "--help"] for name in COMMANDS] + [
     [],                                             # a missing command
     ["bogus"],                                      # an unknown command
     ["bogus", "--help"], ["--help"], ["--version"], ["--pretty", "classify"],
+    ["classify", "--dataset", "x", "--version"],    # a root option after the command
+    ["classify", "--dataset", "x", "--", "foo"],
+    ["classify", "--data", "x", "--m-max", "2"],    # an abbreviated option
+    ["family", "--id", "I", "--m", "x"],            # a bad integer
+    ["family", "--id", "I", "--m", "3", "--verify", "--budget"],  # a missing value
+    ["polygon-info", "--vertices", "-1,0"],         # a value that looks like an option
+    ["polygon-info", "--vertices", "-2,-1 3,0 0,3"],
+    ["polygon-info", "--vertices"],
+    ["classify", "--pretty", "--dataset", "/dev/null"],
+    ["seshadri", "--vertices", "0,0,1"],            # parses; the handler rejects it
 ]
 
 
-def _parse(parser, argv, capsys):
+def _parse(parse, argv, capsys):
     try:
-        return parser.parse_args(argv)
+        return parse(argv)
     except SystemExit as exc:
         captured = capsys.readouterr()
         return exc.code, captured.out, captured.err
@@ -260,9 +281,10 @@ def _parse(parser, argv, capsys):
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
 def test_one_subparser_parses_like_the_full_parser(monkeypatch, capsys, argv):
+    # the route main takes: a command's own parser, or the full one
     monkeypatch.setenv("COLUMNS", "80")
-    full = _parse(build_parser(), argv, capsys)
-    assert _parse(build_parser(argv[0] if argv else None), argv, capsys) == full
+    full = _parse(build_parser().parse_args, argv, capsys)
+    assert _parse(cli.parse_args, argv, capsys) == full
     if not isinstance(full, argparse.Namespace):
         assert full[0] in (0, 2) and (full[1] or full[2])
 
@@ -277,7 +299,7 @@ def test_main_builds_only_the_parser_it_runs(monkeypatch, capsys):
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
     assert main(["polygon-info", "--vertices", "0,0 1,0 0,1"]) == 0
-    assert built == ["latticecurves", "latticecurves polygon-info"]
+    assert built == ["latticecurves polygon-info"]
     capsys.readouterr()
 
 
@@ -550,7 +572,7 @@ GUARD_ARGVS = {
 def test_main_alone_writes_one_json_document(capsys, command):
     # the handler returns a JSON-native report and writes nothing
     argv = GUARD_ARGVS[command]
-    args = build_parser(command).parse_args(argv)
+    args = build_parser().parse_args(argv)
     report, code = args.fn(args)
     assert capsys.readouterr() == ("", "")
     assert code == 0

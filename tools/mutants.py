@@ -35,6 +35,8 @@ BATCH_TESTS = [
     "tests/test_laurent.py::test_res_mod_batch_takes_every_branch_like_scalar_euclid",
 ]
 RESULTANT_TEST = "tests/test_laurent.py::test_resultant_matches_direct_expansion"
+CLI = "src/latticecurves/cli.py"
+CLOSED_STDOUT = "tests/test_cli.py::test_closed_stdout_exits_141_without_a_message"
 
 # (name, file, old snippet, new snippet, test node ids that must fail)
 MUTANTS = [
@@ -82,6 +84,25 @@ MUTANTS = [
      "offsets = range(lo, hi + 1)", "offsets = range(lo + 1, hi + 2)",
      ["tests/test_polygon.py::test_reduced_slices_by_length_match_fraction_lengths",
       "tests/test_seshadri.py::test_segment_equality_matches_pair_search"]),
+    ("the command's own parser reports a leftover token itself, not the root parser", CLI,
+     "        args, rest = _fill(one, argv[0]).parse_known_args(argv[1:])\n"
+     "        if not rest:\n            return args\n",
+     "        return _fill(one, argv[0]).parse_args(argv[1:])\n",
+     ["tests/test_cli.py::test_one_subparser_parses_like_the_full_parser"
+      "[classify --dataset x --bogus]"]),
+    ("every call builds the full parser too", CLI,
+     "if argv and argv[0] in COMMANDS:", "if argv and argv[0] in COMMANDS and build_parser():",
+     ["tests/test_cli.py::test_main_builds_only_the_parser_it_runs"]),
+    ("a closed stdout exits 1, not 141", CLI, "return 141", "return 1",
+     [f"{CLOSED_STDOUT}[argv0-300]", f"{CLOSED_STDOUT}[argv1-0]"]),
+    ("a closed stdout is not pointed at devnull", CLI,
+     "        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())\n", "",
+     [f"{CLOSED_STDOUT}[argv1-0]"]),
+    ("main prints its report without a flush", CLI, ", flush=True)", ")",
+     [f"{CLOSED_STDOUT}[argv1-0]"]),
+    ("load_oracle accepts a system of several curves", CLI,
+     "if system.dimension != 1:", "if system.dimension < 1:",
+     ["tests/test_cli.py::test_bad_oracle_entry_names_its_index"]),
 ]
 
 
@@ -99,7 +120,8 @@ def run_tests(tree: Path, node_ids: list[str]) -> tuple[int, set[str]]:
         [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "--tb=no", "-rf",
          *node_ids],
         cwd=tree, env=env, capture_output=True, text=True, timeout=TIMEOUT_S)
-    failed = set(re.findall(r"^FAILED (\S+)", proc.stdout, re.MULTILINE))
+    # a parametrized id may hold spaces; -rf ends the id at " - " when it adds a message
+    failed = set(re.findall(r"^FAILED (.+?)(?: - .*)?$", proc.stdout, re.MULTILINE))
     return proc.returncode, failed
 
 
