@@ -145,6 +145,8 @@ def cmd_surface(args) -> tuple[dict, int]:
 
 
 def cmd_seshadri(args) -> tuple[dict, int]:
+    if args.irreducible and args.m is None:
+        raise RangeError("--irreducible needs --m")
     poly = parse_vertices(args.vertices)
     out = {"width_upper_bound": width_upper_bound(poly),
            "certificates": rationality_certificates(poly, args.m)}

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import count, product
-from math import gcd
+from math import gcd, prod
 from operator import index
 
 from .errors import DegeneratePolygon, RangeError
@@ -380,44 +380,50 @@ def _edge_multiset(poly: LatticePolygon) -> list[tuple[Point, int]]:
     return out
 
 
-def _polygon_from_edges(edges: list[tuple[Point, int]]) -> LatticePolygon:
-    """Rebuild the summand polygon from a sub-multiset of a CCW edge list.
+def _polygon_from_edges(edges: list[tuple[Point, int]], counts: list[int]) -> LatticePolygon:
+    """The summand that takes counts[i] of the segments of each CCW edge i.
 
-    The sub-multiset keeps the cyclic angle order of the edges, so walking
-    it traces the summand's boundary.
+    The taken segments keep the cyclic angle order of the edges, so their
+    partial sums trace the summand's boundary.
     """
     pts = [(0, 0)]
-    x = y = 0
-    for (dx, dy), mult in edges:
-        x += dx * mult
-        y += dy * mult
-        pts.append((x, y))
+    for ((dx, dy), _), c in zip(edges, counts):
+        x, y = pts[-1]
+        pts.append((x + c * dx, y + c * dy))
     assert pts[-1] == (0, 0)
     return LatticePolygon.hull(pts).translated_to_origin()
 
 
-def is_decomposable(poly: LatticePolygon) -> bool:
-    """True iff poly is a Minkowski sum of two lattice polygons that are not
-    points, by Gao and Lauder's pseudo-polynomial search (DCG 26, 2001).
-
-    A summand takes 0..g of the g primitive segments of each CCW edge and
-    closes up.  One walk over the edges keeps the set of reachable states
-    (partial sum, some segment taken, some segment left), pruned when the
-    |dx| or |dy| still to come cannot bring the sum back to (0, 0); poly is
-    decomposable iff (0, 0, True, True) is reached.
-    """
-    if poly.is_point:
-        return False
-    edges = _edge_multiset(poly)
+def _closed_walks(edges: list[tuple[Point, int]]) -> list[dict[Point, int]]:
+    """Gao and Lauder's pseudo-polynomial search (DCG 26, 2001) as one forward
+    walk over the edge segments: a summand takes 0..g of the g primitive
+    segments of each CCW edge and closes up.  Layer i maps each partial sum
+    over the first i edges to the number of choices that reach it, pruned
+    when the |dx| or |dy| still to come cannot bring it back to (0, 0).  So
+    the last layer is {(0, 0): the number of closing choices}, and every
+    state of a layer is reached from the start."""
     left_x = sum(abs(dx) * g for (dx, _), g in edges)
     left_y = sum(abs(dy) * g for (_, dy), g in edges)
-    states = {(0, 0, False, False)}
+    layers = [{(0, 0): 1}]
     for (dx, dy), g in edges:
         left_x, left_y = left_x - abs(dx) * g, left_y - abs(dy) * g
-        states = {(x + c * dx, y + c * dy, took or c > 0, kept or c < g)
-                  for x, y, took, kept in states for c in range(g + 1)
-                  if abs(x + c * dx) <= left_x and abs(y + c * dy) <= left_y}
-    return (0, 0, True, True) in states
+        layer = {}
+        for (x, y), n in layers[-1].items():
+            for c in range(g + 1):
+                sx, sy = x + c * dx, y + c * dy
+                if abs(sx) <= left_x and abs(sy) <= left_y:
+                    layer[sx, sy] = layer.get((sx, sy), 0) + n
+        layers.append(layer)
+    return layers
+
+
+def is_decomposable(poly: LatticePolygon) -> bool:
+    """True iff poly is a Minkowski sum of two lattice polygons that are not
+    points: iff `_closed_walks` closes up in more choices than the two
+    trivial ones, no segment and every segment.  `minkowski_decompositions`
+    lists the choices of the same walk.
+    """
+    return not poly.is_point and _closed_walks(_edge_multiset(poly))[-1][0, 0] > 2
 
 
 def multiplicity_cap(poly: LatticePolygon) -> int | None:
@@ -459,59 +465,41 @@ def minkowski_decompositions(poly: LatticePolygon) -> list[tuple[LatticePolygon,
     """All nontrivial Minkowski decompositions, up to swap and translation.
 
     Each edge contributes a stack of identical primitive segments; a summand
-    corresponds to a sub-multiset whose vectors sum to zero.  Empty result
-    means the polygon is integrally indecomposable.  Raises RangeError when
-    the search would pass _DECOMPOSITION_LIMIT sub-multisets.
+    corresponds to a sub-multiset whose vectors sum to zero.  The walk of
+    `is_decomposable`, `_closed_walks`, counts those; its layers, read back
+    from (0, 0), list them, and as every state is reached from the start that
+    reading meets no dead end.  A choice and its complement give one pair,
+    listed once.  Empty result means the polygon is integrally
+    indecomposable.  Raises RangeError when the search would pass
+    _DECOMPOSITION_LIMIT sub-multisets.
     """
     if poly.is_point:
         return []
     edges = _edge_multiset(poly)
-    counts = [g for _, g in edges]
-    total_combos = 1
-    for g in counts:
-        total_combos *= g + 1
+    total_combos = prod(g + 1 for _, g in edges)
     if total_combos > _DECOMPOSITION_LIMIT:
         raise RangeError(f"decomposition search space {total_combos} exceeds "
                          f"limit {_DECOMPOSITION_LIMIT}")
-    n = len(edges)
-    rem_x = [0] * (n + 1)
-    rem_y = [0] * (n + 1)
-    for i in range(n - 1, -1, -1):
-        (dx, dy), g = edges[i]
-        rem_x[i] = rem_x[i + 1] + abs(dx) * g
-        rem_y[i] = rem_y[i + 1] + abs(dy) * g
-    found = []
-
-    def dfs(i, sx, sy, chosen):
-        if abs(sx) > rem_x[i] or abs(sy) > rem_y[i]:
-            return
-        if i == n:
-            if sx == 0 and sy == 0:
-                total = sum(chosen)
-                if 0 < total < sum(counts):
-                    found.append(tuple(chosen))
-            return
-        (dx, dy), g = edges[i]
+    layers, n = _closed_walks(edges), len(edges)
+    # depth first from the last layer: an entry (i, s, c) is a state s of layer i
+    # reached with c segments of edge i, so choice[i:n] holds the path back to it
+    # (choice[n] is the start's spare slot)
+    pairs, choice, stack = [], [0] * (n + 1), [(n, (0, 0), 0)]
+    while stack:
+        i, (x, y), c = stack.pop()
+        choice[i] = c
+        if i == 0:
+            take, comp = choice[:n], [g - c for (_, g), c in zip(edges, choice)]
+            if any(take) and take <= comp:
+                p, q = _polygon_from_edges(edges, take), _polygon_from_edges(edges, comp)
+                pairs.append((p, q) if p.vertices <= q.vertices else (q, p))
+            continue
+        (dx, dy), g = edges[i - 1]
         for c in range(g + 1):
-            chosen.append(c)
-            dfs(i + 1, sx + c * dx, sy + c * dy, chosen)
-            chosen.pop()
-
-    dfs(0, 0, 0, [])
-    pairs = {}
-    for choice in found:
-        comp = tuple(g - c for g, c in zip(counts, choice))
-        if comp < choice:
-            continue  # complement pair already generated
-        p1 = _polygon_from_edges(
-            [(e, c) for (e, _), c in zip(edges, choice) if c > 0]
-        )
-        p2 = _polygon_from_edges(
-            [(e, c) for (e, _), c in zip(edges, comp) if c > 0]
-        )
-        key = tuple(sorted([p1.vertices, p2.vertices]))
-        pairs[key] = (p1, p2) if p1.vertices <= p2.vertices else (p2, p1)
-    return [pairs[k] for k in sorted(pairs)]
+            s = (x - c * dx, y - c * dy)
+            if s in layers[i - 1]:
+                stack.append((i - 1, s, c))
+    return sorted(pairs, key=lambda pq: (pq[0].vertices, pq[1].vertices))
 
 
 def _at_origin(points) -> tuple[Point, ...]:

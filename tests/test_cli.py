@@ -412,6 +412,9 @@ MALFORMED_INPUTS = {
     "seshadri-negative-m": lambda d: ["seshadri", "--vertices", "0,0 20,1 1,20",
                                       "--m", "-20"],
     "seshadri-zero-m": lambda d: ["seshadri", "--vertices", "0,0 20,1 1,20", "--m", "0"],
+    # --irreducible qualifies the estimate at --m; alone it was silently ignored
+    "seshadri-irreducible-without-m": lambda d: ["seshadri", "--vertices", "0,0 1,0 0,1",
+                                                 "--irreducible"],
     "polygon-info-zero-m": lambda d: ["polygon-info", "--vertices", "0,0 2,1 1,2", "--m", "0"],
     "headerless-table": lambda d: ["wpp", "--a", "9", "--b", "10", "--c", "13", "--table",
                                    _file(d, "table.csv", "36,1,0,0\n39,1,0,0\n")],

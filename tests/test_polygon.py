@@ -567,15 +567,49 @@ def test_minkowski_decompositions_sum_back():
         [(((0, 0), (2, 3)), ((0, 0), (4, 6)))]
 
 
+def brute_decompositions(p):
+    """Every sub-multiset of p's edge segments, all prod(g + 1) of them, unpruned:
+    the nontrivial ones that close up and take no more than their complement, as
+    sorted vertex pairs of the two summands, each traced by its partial sums."""
+    if p.is_point:
+        return []
+    edges = []
+    for (x0, y0), (x1, y1) in p.edges():
+        g = gcd(x1 - x0, y1 - y0)
+        edges.append(((x1 - x0) // g, (y1 - y0) // g, g))
+    found = []
+    for take in product(*(range(g + 1) for _, _, g in edges)):
+        comp = tuple(g - c for (_, _, g), c in zip(edges, take))
+        if 0 < sum(take) and take <= comp and all(
+                sum(c * e[k] for e, c in zip(edges, take)) == 0 for k in (0, 1)):
+            summands = []
+            for cs in (take, comp):
+                pts = [(0, 0)]
+                for (dx, dy, _), c in zip(edges, cs):
+                    pts.append((pts[-1][0] + c * dx, pts[-1][1] + c * dy))
+                summands.append(convex_hull(pts).translated_to_origin().vertices)
+            found.append(tuple(sorted(summands)))
+    return sorted(found)
+
+
 def test_is_decomposable_matches_the_decomposition_search():
+    # both read one walk, so each is checked against the unpruned search
     rng = random.Random(2001)
-    seen = set()
+    hulls = [polygon((0, 0)), polygon((3, -2))]
+    hulls += [polygon((1, 1), (1 + k * dx, 1 + k * dy)) for k in (1, 2, 3)
+              for dx, dy in ((1, 0), (0, 1), (2, -3))]
+    hulls += [polygon((0, 0), (k, 0), (k, k), (0, k)) for k in (1, 2, 3, 4)]
     for _ in range(3000):
         span = rng.randint(3, 10)
-        p = convex_hull([(rng.randint(0, span), rng.randint(0, span))
-                         for _ in range(rng.randint(1, 7))])
+        hulls.append(convex_hull([(rng.randint(0, span), rng.randint(0, span))
+                                  for _ in range(rng.randint(1, 7))]))
+    seen = set()
+    for p in hulls:
+        want = brute_decompositions(p)
+        assert [(a.vertices, b.vertices) for a, b in minkowski_decompositions(p)] == want, \
+            p.vertices
         got = is_decomposable(p)
-        assert got == bool(minkowski_decompositions(p)), p.vertices
+        assert got == bool(want), p.vertices
         seen.add((got, len(p.vertices) if len(p.vertices) < 3 else "polygon"))
     assert seen == {(False, 1), (False, 2), (True, 2), (False, "polygon"),
                     (True, "polygon")}

@@ -36,6 +36,10 @@ BATCH_TESTS = [
 ]
 RESULTANT_TEST = "tests/test_laurent.py::test_resultant_matches_direct_expansion"
 CLI = "src/latticecurves/cli.py"
+LINSYS = "src/latticecurves/linsys.py"
+ELIMINATION_TEST = "tests/test_linsys.py::test_forward_elimination_matches_gauss_jordan"
+POLYGON = "src/latticecurves/polygon.py"
+DECOMPOSITION_TEST = "tests/test_polygon.py::test_is_decomposable_matches_the_decomposition_search"
 CLOSED_STDOUT = "tests/test_cli.py::test_closed_stdout_exits_141_without_a_message"
 
 # (name, file, old snippet, new snippet, test node ids that must fail)
@@ -69,9 +73,15 @@ MUTANTS = [
      "    primes = primes[:-1] if len(primes) > 1 else primes\n",
      ["tests/test_laurent.py::test_resultant_matches_direct_expansion_with_huge_coefficients",
       "tests/test_laurent.py::test_implicitize_vanishes_on_random_parametrizations"]),
-    ("_reduce_mod skips the last back-substitution step", "src/latticecurves/linsys.py",
+    ("_reduce_mod skips the last back-substitution step", LINSYS,
      "for k in range(len(pivots) - 1, 0, -1):", "for k in range(len(pivots) - 1, 1, -1):",
-     ["tests/test_linsys.py::test_forward_elimination_matches_gauss_jordan"]),
+     [ELIMINATION_TEST]),
+    ("_reduce_mod bounds the pivot row and its update at column tail - 1", LINSYS,
+     "t = int(tail[r]) + 1", "t = int(tail[r])", [ELIMINATION_TEST]),
+    ("_reduce_mod stops its update one row before the last hit", LINSYS,
+     "a[r + 1:r + int(hit[-1]) + 1, c:t]", "a[r + 1:r + int(hit[-1]), c:t]", [ELIMINATION_TEST]),
+    ("_reduce_mod pivots on the first hit, not on the one of least tail", LINSYS,
+     "i = r + int(hit[tail[r + hit].argmin()])", "i = r + int(hit[0])", [ELIMINATION_TEST]),
     ("estimate tries SegmentEquality only when lw < vol/m", "src/latticecurves/seshadri.py",
      "if lw <= upper and", "if lw < upper and",
      ["tests/test_seshadri.py::test_count_route_matches_kernel_route",
@@ -80,10 +90,17 @@ MUTANTS = [
     ("the classify scan solves on past a one-curve system", "src/latticecurves/classify.py",
      "if system.dimension < 2:", "if system.dimension < 1:",
      ["tests/test_classify.py::test_scan_solves_only_its_first_system"]),
-    ("SegmentEquality reads the slices one offset to the right", "src/latticecurves/polygon.py",
+    ("SegmentEquality reads the slices one offset to the right", POLYGON,
      "offsets = range(lo, hi + 1)", "offsets = range(lo + 1, hi + 2)",
      ["tests/test_polygon.py::test_reduced_slices_by_length_match_fraction_lengths",
       "tests/test_seshadri.py::test_segment_equality_matches_pair_search"]),
+    ("the segment walk prunes a partial sum that the |dx| still to come can bring back",
+     POLYGON, "if abs(sx) <= left_x and", "if abs(sx) < left_x and", [DECOMPOSITION_TEST]),
+    ("is_decomposable takes the two trivial closing choices for a decomposition", POLYGON,
+     "[-1][0, 0] > 2", "[-1][0, 0] > 1", [DECOMPOSITION_TEST]),
+    ("the backward walk never takes every segment of an edge", POLYGON,
+     "        for c in range(g + 1):\n            s = (x - c * dx, y - c * dy)",
+     "        for c in range(g):\n            s = (x - c * dx, y - c * dy)", [DECOMPOSITION_TEST]),
     ("the command's own parser reports a leftover token itself, not the root parser", CLI,
      "        args, rest = _fill(one, argv[0]).parse_known_args(argv[1:])\n"
      "        if not rest:\n            return args\n",
