@@ -18,7 +18,7 @@ class MonomialInput(LatticeCurveError):
 
 
 class DegenerateInput(LatticeCurveError):
-    """Leading coefficient identically zero; caller must trim first."""
+    """A side of a resultant is constant in t."""
 
 
 class ConstantMap(LatticeCurveError):

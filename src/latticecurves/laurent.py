@@ -291,10 +291,6 @@ def geometric_sum(lo: int, hi: int) -> UniPoly:
 # ---------------------------------------------------------------------------
 # resultants and implicitization
 
-TPoly = list[LaurentPolynomial]  # polynomial in t with Laurent coefficients,
-                                 # lowest degree first
-
-
 def _res_mod(a, b, p: int, seen: set | None = None) -> int:
     """Res(a, b) mod p at formal degrees n = len(a) - 1 and m = len(b) - 1,
     by Euclid on one pair, coefficients lowest first, one step at a time: pop
@@ -462,78 +458,55 @@ def _interpolate_mod(values, p) -> np.ndarray:
     return buf[1:]
 
 
-def _integer_side(side: TPoly):
-    """Terms (p, q, c) of u^dp * v^dq * side, with p, q >= 0, and (dp, dq)."""
-    mins = [c.min_exponents() for c in side if not c.is_zero()]
-    dp = -min(0, min(p for p, _ in mins))
-    dq = -min(0, min(q for _, q in mins))
-    return [[(p + dp, q + dq, c) for (p, q), c in t.terms.items()] for t in side], (dp, dq)
+def _side_residues(f: UniPoly, g: UniPoly, n: int, primes: list[int]) -> np.ndarray:
+    """Residues of the t-coefficients f_i - x g_i at the nodes x = 1..n, mod
+    every prime: int64, indexed (prime, x, t-degree).  Each coefficient is
+    reduced once per prime in Python ints, so any size is exact; nodes and
+    residues below p < 2**31 keep each product below 2**62."""
+    fg = np.array([[(c % q, d % q) for c, d in zip_longest(f, g, fillvalue=0)]
+                   for q in primes], np.int64)  # (prime, t-degree, f or g)
+    x, p = np.arange(1, n + 1)[:, None], np.array(primes, np.int64)[:, None, None]
+    return (fg[:, None, :, 0] - x * fg[:, None, :, 1]) % p
 
 
-def _grid_residues(side, nx: int, ny: int, primes: list[int]) -> np.ndarray:
-    """Residues of an integer side's t-coefficients at the grid points (x, y),
-    x = 1..nx and y = 1..ny, mod every prime: int64, indexed (prime, y, x,
-    t-degree).  `side` lists the terms (e, f, c) of each t-coefficient, with
-    e, f >= 0, as `_integer_side` gives them.  Each coefficient is reduced
-    once per prime in Python ints, so any size is exact; the powers of the
-    nodes come from one table per prime, and each product of two residues
-    below p < 2**31 stays below 2**62."""
-    deg, e, f, c = zip(*((i, *term) for i, t in enumerate(side) for term in t))
-    deg, e, f = np.array(deg), np.array(e), np.array(f)
-    p = np.array(primes, dtype=np.int64)[:, None, None]
-    table = np.ones((len(primes), max(e.max(), f.max()) + 1, max(nx, ny)), np.int64)
-    for k in range(1, table.shape[1]):  # table[prime, k, node - 1] = node^k mod p
-        table[:, k] = table[:, k - 1] * np.arange(1, table.shape[2] + 1) % p[:, 0]
-    coef = np.array([[x % q for x in c] for q in primes], np.int64)
-    ux = coef[..., None] * table[:, e, :nx] % p  # (prime, term, x)
-    terms = ux[:, :, None, :] * table[:, f, :ny, None] % p[..., None]  # (prime, term, y, x)
-    first = np.flatnonzero(np.diff(deg, prepend=-1))  # terms come in t-degree order
-    out = np.zeros((len(primes), ny, nx, len(side)), np.int64)
-    out[..., deg[first]] = np.moveaxis(np.add.reduceat(terms, first, axis=1) % p[..., None],
-                                       1, -1)
-    return out
+def uni_resultant(f1: UniPoly, f2: UniPoly, f3: UniPoly, f4: UniPoly) -> LaurentPolynomial:
+    """Res_t(A, B) of the sides A = f1 - u f2 and B = f3 - v f4, for integer
+    polynomials f, as a polynomial in u and v; by Collins' modular method
+    (JACM 1971).
 
-
-def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
-    """Classical resultant in t, by Collins' modular method (JACM 1971).
-
-    Coefficients live in the Laurent ring; leading t-coefficients must be
-    nonzero (raise DegenerateInput otherwise; trimming is the caller's job).
-    Each side is shifted to nonnegative exponents, and the t-coefficients
-    of both sides are evaluated in one call on a (u, v) grid sized by the
-    degree bound, straight to int64 residues mod every word prime
-    (`_grid_residues`).  One lockstep Euclid takes the resultant at every
-    grid point mod every prime, a block of grid points per prime, then one
-    Newton interpolation over every prime in u, then in v.
+    deg_t A = max(deg f1, deg f2) and deg_t B = max(deg f3, deg f4); a side
+    constant in t raises DegenerateInput.  Each of the deg B rows of A in the
+    Sylvester matrix is linear in u, so the resultant has u-degree at most
+    deg B, and likewise v-degree at most deg A.  Each side is evaluated once,
+    on its own axis, straight to int64 residues mod every word prime
+    (`_side_residues`): A at u = 1..deg B + 1, B at v = 1..deg A + 1.  Both
+    are broadcast onto the (v, u) grid, and one lockstep Euclid takes the
+    resultant at every grid point mod every prime, a block of grid points per
+    prime, then one Newton interpolation over every prime in u, then in v.
     The primes, fixed up front, multiply past twice the Goldstein-Graham
-    bound (SIAM Review 1974) (sum_i ||a_i||_1^2)^(deg B/2) (sum_j
-    ||b_j||_1^2)^(deg A/2): Hadamard's inequality on the Sylvester matrix
-    over |u| = |v| = 1 bounds each integer coefficient by it, so the
-    symmetric Chinese-remainder lift is exact.  The lift visits only the
-    coefficients with a nonzero residue.
+    bound (SIAM Review 1974) (sum_i (|f1_i| + |f2_i|)^2)^(deg B/2)
+    (sum_j (|f3_j| + |f4_j|)^2)^(deg A/2): Hadamard's inequality on the
+    Sylvester matrix over |u| = |v| = 1 bounds each integer coefficient by
+    it, so the symmetric Chinese-remainder lift is exact.  The lift visits
+    only the coefficients with a nonzero residue.
     """
-    if len(a) < 2 or len(b) < 2:
-        raise DegenerateInput("resultant needs deg_t >= 1 on both sides")
-    if a[-1].is_zero() or b[-1].is_zero():
-        raise DegenerateInput("leading t-coefficient is identically zero")
-    (ia, sa), (ib, sb) = _integer_side(a), _integer_side(b)
-    deg_a, deg_b = len(a) - 1, len(b) - 1
+    deg_a, deg_b = max(len(f1), len(f2)) - 1, max(len(f3), len(f4)) - 1
+    if deg_a < 1 or deg_b < 1:
+        raise DegenerateInput("a side is constant in t")
 
-    def maxdeg(side, axis):
-        return max(e[axis] for t in side for e in t)
+    def squares(f, g):
+        return sum((abs(c) + abs(d)) ** 2 for c, d in zip_longest(f, g, fillvalue=0))
 
-    def squares(side):
-        return sum(sum(abs(c) for *_, c in t) ** 2 for t in side)
-
-    du, dv = (deg_b * maxdeg(ia, i) + deg_a * maxdeg(ib, i) for i in (0, 1))
-    bound = 2 * (isqrt(squares(ia) ** deg_b * squares(ib) ** deg_a) + 1)
+    bound = 2 * (isqrt(squares(f1, f2) ** deg_b * squares(f3, f4) ** deg_a) + 1)
     primes, stream = [], _word_primes()
     while prod(primes) <= bound:
         primes.append(next(stream))
-    grid = _grid_residues(ia + ib, du + 1, dv + 1, primes)  # (prime, y, x, t-degree)
-    grid, ps = grid.reshape(len(primes), -1, grid.shape[-1]), np.array(primes)
-    vals = _res_mod_batch(grid[..., :len(ia)], grid[..., len(ia):], ps)  # rows by lines v = y
-    vals = vals.reshape(len(primes), dv + 1, du + 1)
+    ps, nu, nv = np.array(primes), deg_b + 1, deg_a + 1
+    a = _side_residues(f1, f2, nu, primes)  # (prime, u, t-degree)
+    b = _side_residues(f3, f4, nv, primes)  # (prime, v, t-degree)
+    # grid rows run v-major: row v nu + u pairs a[:, u] with b[:, v]
+    vals = _res_mod_batch(np.tile(a, (1, nv, 1)), np.repeat(b, nu, axis=1), ps)
+    vals = vals.reshape(len(primes), nv, nu)
     in_u = _interpolate_mod(vals.transpose(2, 0, 1), ps[:, None])  # (u, prime, v)
     coeffs = _interpolate_mod(in_u.transpose(2, 1, 0), ps[:, None])  # (v, prime, u)
     qs, us = np.nonzero(coeffs.any(axis=1))
@@ -541,8 +514,7 @@ def uni_resultant(a: TPoly, b: TPoly) -> LaurentPolynomial:
     for p, r in zip(primes, coeffs[qs, :, us].T):
         crt, mod = crt_step(crt, mod, r.astype(object), p), mod * p
     crt = np.where(2 * crt > mod, crt - mod, crt)
-    shift_u, shift_v = (deg_b * sa[i] + deg_a * sb[i] for i in (0, 1))
-    return LaurentPolynomial({(p - shift_u, q - shift_v): c
+    return LaurentPolynomial({(p, q): c
                               for q, p, c in zip(qs.tolist(), us.tolist(), crt.tolist())})
 
 
@@ -627,8 +599,9 @@ def implicitize(f1: UniPoly, f2: UniPoly, f3: UniPoly, f4: UniPoly,
 
     The f are integer polynomials; gcd(f1, f2) = gcd(f3, f4) = 1 is proved
     by resultants mod word primes (`shares_factor`), else SharedRoot.
-    Resultant of f1 - u f2 and f3 - v f4 with respect to t, cleared once to
-    its primitive integer form (`_primitive`); a perfect power g^k is replaced
+    Res_t(f1 - u f2, f3 - v f4) (`uni_resultant`, which raises
+    DegenerateInput when a side is constant in t), cleared once to its
+    primitive integer form (`_primitive`); a perfect power g^k is replaced
     by g, checked exactly.  When that is neither a certified power nor
     certified irreducible by `irreducibility_certificate`, it is returned as
     is and details["normalized"] is False.  details["newton_polygon"] is the
@@ -640,11 +613,7 @@ def implicitize(f1: UniPoly, f2: UniPoly, f3: UniPoly, f4: UniPoly,
         raise SharedRoot("f3 and f4 share a factor")
     if f1.degree <= 0 and f2.degree <= 0 and f3.degree <= 0 and f4.degree <= 0:
         raise ConstantMap("parametrization is constant")
-    a = [LaurentPolynomial({(0, 0): c, (1, 0): -d})
-         for c, d in zip_longest(f1, f2, fillvalue=0)]  # f1 - u f2
-    b = [LaurentPolynomial({(0, 0): c, (0, 1): -d})
-         for c, d in zip_longest(f3, f4, fillvalue=0)]  # f3 - v f4
-    res = uni_resultant(a, b)
+    res = uni_resultant(f1, f2, f3, f4)
     if res.is_zero():
         raise ConstantMap("degenerate parametrization: resultant vanished")
     f = _primitive(res)

@@ -109,4 +109,6 @@ def ingest_table(path=None):
         except ValueError as exc:
             raise ParseError(f"malformed row {row!r}: {exc}", lineno) from exc
         entries.append(ClassEntry(d, m, c2, pa))
+    if not header_seen:  # an empty or comment-only file
+        raise ParseError("expected header d,m,c2,pa")
     return entries

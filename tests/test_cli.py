@@ -418,6 +418,11 @@ MALFORMED_INPUTS = {
     "polygon-info-zero-m": lambda d: ["polygon-info", "--vertices", "0,0 2,1 1,2", "--m", "0"],
     "headerless-table": lambda d: ["wpp", "--a", "9", "--b", "10", "--c", "13", "--table",
                                    _file(d, "table.csv", "36,1,0,0\n39,1,0,0\n")],
+    # no header row and no data row: an empty table, not the default one
+    "empty-table": lambda d: ["wpp", "--a", "9", "--b", "10", "--c", "13", "--table",
+                              _file(d, "table.csv", "")],
+    "comment-only-table": lambda d: ["wpp", "--a", "9", "--b", "10", "--c", "13", "--table",
+                                     _file(d, "table.csv", "# generators\n\n# none\n")],
     "family-out-of-range": lambda d: ["family", "--id", "III", "--m", "7"],
     # Pick's count passes the point limit before any point is listed
     "linsys-huge-triangle": lambda d: ["linsys", "--vertices", "0,0 10000000000,0 0,1",

@@ -18,8 +18,6 @@ from latticecurves.laurent import (
     IrreducibilityCertificate,
     LaurentPolynomial,
     UniPoly,
-    _grid_residues,
-    _integer_side,
     _interpolate_mod,
     _int_kth_root,
     _inverse_mod,
@@ -27,6 +25,7 @@ from latticecurves.laurent import (
     _primitive,
     _res_mod,
     _res_mod_batch,
+    _side_residues,
     geometric_sum,
     implicitize,
     irreducibility_certificate,
@@ -316,43 +315,82 @@ def test_unipoly_arithmetic_and_gcd():
         LaurentPolynomial({(0, 0): Fraction(1, 2)})
 
 
+def _random_laurent(rng):
+    return LaurentPolynomial({(rng.randint(-1, 1), rng.randint(-1, 2)): rng.randint(-12, 12)
+                              for _ in range(rng.randint(1, 3))})
+
+
+def _direct(f1, f2, f3, f4) -> LaurentPolynomial:
+    """Res_t(f1 - u f2, f3 - v f4) by cofactor expansion over the Laurent ring."""
+    return sylvester_det_direct(_side(f1, f2, U), _side(f3, f4, V))
+
+
 def test_resultant_matches_direct_expansion():
     m = 3
     f1 = UniPoly([-1])
     f2 = geometric_sum(1, m)
     f3 = UniPoly.t_power(m)
     f4 = f1 - f2 + f3
-    a, b = _side(f1, f2, U), _side(f3, f4, V)
-    assert uni_resultant(a, b) == sylvester_det_direct(a, b)
+    assert uni_resultant(f1, f2, f3, f4) == _direct(f1, f2, f3, f4)
 
 
-def _random_laurent(rng):
-    return LaurentPolynomial({(rng.randint(-1, 1), rng.randint(-1, 2)): rng.randint(-12, 12)
-                              for _ in range(rng.randint(1, 3))})
+def _side_kinds(f, g, nodes) -> set:
+    """What makes the side f - x g of a resultant input unusual, x = 1..nodes
+    being its evaluation grid."""
+    n = max(len(f), len(g)) - 1
+    fn, gn = (h[n] if len(h) > n else 0 for h in (f, g))
+    return {k for k, hit in (
+        ("lead vanishes at a grid node", gn and fn % gn == 0 and 1 <= fn // gn <= nodes),
+        ("lead constant in x", len(g) < len(f)),
+        ("zero inner coefficient", any(not (c or d) for c, d in
+                                       islice(zip_longest(f, g, fillvalue=0), n))),
+        ("g = 0", not g)) if hit}
 
 
-def _random_tpoly(rng, deg):
-    """Random t-polynomial: integer Laurent coefficients, some zero inside,
-    a nonzero leading one that may vanish on the evaluation grid."""
-    side = [_random_laurent(rng) if rng.random() < 0.7 else LaurentPolynomial.zero()
-            for _ in range(deg)]
-    lead = rng.choice([U - _const_lp(2), V - ONE, U * V - _const_lp(3),
-                       _random_laurent(rng), _random_laurent(rng)])
-    return side + [lead if lead else ONE]
+def _random_side(rng, deg, nodes):
+    """(f, g) for the side f - x g of t-degree deg: small integers, zero ones
+    among them; the lead vanishes at a grid node (f_n = x g_n, x = 1..nodes),
+    is constant in x (deg g < deg f), or is the lead of -x g; or g is 0."""
+    def small():
+        return rng.choice([0, rng.randint(-12, 12)])
+
+    def nonzero():
+        return rng.choice([-1, 1]) * rng.randint(1, 12)
+
+    f, g = [small() for _ in range(deg)], [small() for _ in range(deg)]
+    kind = rng.choice(["node", "constant", "zero g", "zero f", "random", "random"])
+    if kind == "node":
+        d = nonzero()
+        f, g = f + [rng.randint(1, nodes) * d], g + [d]
+    elif kind == "constant":
+        f, g = f + [nonzero()], g[:rng.randint(0, deg)]
+    elif kind == "zero g":
+        f, g = f + [nonzero()], []
+    elif kind == "zero f":
+        f, g = [], g + [nonzero()]
+    else:
+        f, g = f + [small()], g + [nonzero()]
+    return UniPoly(f), UniPoly(g)
 
 
-def _random_pair(seed, count, max_deg):
+def _random_inputs(seed, count, max_deg):
+    """`count` seeded (f1, f2, f3, f4), both sides of t-degree 1..max_deg."""
     rng = random.Random(seed)
     for _ in range(count):
-        yield (_random_tpoly(rng, rng.randint(1, max_deg)),
-               _random_tpoly(rng, rng.randint(1, max_deg)))
+        deg_a, deg_b = rng.randint(1, max_deg), rng.randint(1, max_deg)
+        yield (*_random_side(rng, deg_a, deg_b + 1), *_random_side(rng, deg_b, deg_a + 1))
 
 
 def test_resultant_matches_direct_expansion_on_random_laurent_inputs():
-    a, b = [ONE, U - _const_lp(2)], [ONE, ONE, V]
-    assert uni_resultant(a, b) == sylvester_det_direct(a, b)
-    for a, b in _random_pair(20260418, 100, 3):
-        assert uni_resultant(a, b) == sylvester_det_direct(a, b)
+    f1, f2, f3, f4 = UniPoly([1]), UniPoly([0, -1]), UniPoly([1, 1]), UniPoly([0, 0, -1])
+    assert uni_resultant(f1, f2, f3, f4) == _direct(f1, f2, f3, f4)
+    seen = set()
+    for f1, f2, f3, f4 in _random_inputs(20260418, 150, 3):
+        assert uni_resultant(f1, f2, f3, f4) == _direct(f1, f2, f3, f4), (f1, f2, f3, f4)
+        deg_a, deg_b = max(len(f1), len(f2)) - 1, max(len(f3), len(f4)) - 1
+        seen |= _side_kinds(f1, f2, deg_b + 1) | _side_kinds(f3, f4, deg_a + 1)
+    assert seen == {"lead vanishes at a grid node", "lead constant in x",
+                    "zero inner coefficient", "g = 0"}
 
 
 def test_resultant_matches_direct_expansion_with_huge_coefficients():
@@ -360,23 +398,24 @@ def test_resultant_matches_direct_expansion_with_huge_coefficients():
     # and the lift gives negative coefficients
     rng = random.Random(25)
 
-    def coefficient():
-        return LaurentPolynomial({(rng.randint(-1, 1), rng.randint(0, 1)):
-                                  rng.randint(-10**25, 10**25) for _ in range(2)})
+    def side():
+        return (UniPoly([rng.randint(-10**25, 10**25) for _ in range(rng.randint(2, 3))])
+                for _ in range(2))
 
-    def norm(side):
-        return sum(abs(c) for t in _integer_side(side)[0] for *_, c in t)
+    def norm(f, g):
+        return sum(map(abs, f)) + sum(map(abs, g))
 
-    def squares(side):  # bounds the squared norm of a Sylvester row on |u| = |v| = 1
-        return sum(sum(abs(c) for *_, c in t) ** 2 for t in _integer_side(side)[0])
+    def squares(f, g):  # bounds the squared norm of a Sylvester row on |u| = |v| = 1
+        return sum((abs(c) + abs(d)) ** 2 for c, d in zip_longest(f, g, fillvalue=0))
 
     for _ in range(6):
-        a, b = ([coefficient() for _ in range(rng.randint(2, 3))] for _ in range(2))
-        assert 2 * norm(a) ** (len(b) - 1) * norm(b) ** (len(a) - 1) > 2**93  # > 3 primes
+        (f1, f2), (f3, f4) = side(), side()
+        n, m = max(len(f1), len(f2)) - 1, max(len(f3), len(f4)) - 1
+        assert 2 * norm(f1, f2) ** m * norm(f3, f4) ** n > 2**93  # > 3 primes
         # and so does the Goldstein-Graham bound that uni_resultant uses
-        assert 2 * (isqrt(squares(a) ** (len(b) - 1) * squares(b) ** (len(a) - 1)) + 1) > 2**93
-        res = uni_resultant(a, b)
-        assert res == sylvester_det_direct(a, b)
+        assert 2 * (isqrt(squares(f1, f2) ** m * squares(f3, f4) ** n) + 1) > 2**93
+        res = uni_resultant(f1, f2, f3, f4)
+        assert res == _direct(f1, f2, f3, f4)
         assert min(res.terms.values()) < 0
 
 
@@ -384,10 +423,8 @@ def test_resultant_keeps_a_coefficient_that_vanishes_mod_a_prime():
     # Res(t + p u, t - 1) = -1 - p u needs two primes, and its u-coefficient
     # is zero mod the first: the lift must still visit it
     p = next(_word_primes())
-    a = [LaurentPolynomial.monomial(1, 0, p), ONE]
-    b = [_const_lp(-1), ONE]
-    assert uni_resultant(a, b) == sylvester_det_direct(a, b) == \
-        LaurentPolynomial({(0, 0): -1, (1, 0): -p})
+    f = (UniPoly([0, 1]), UniPoly([-p]), UniPoly([-1, 1]), UniPoly())
+    assert uni_resultant(*f) == _direct(*f) == LaurentPolynomial({(0, 0): -1, (1, 0): -p})
 
 
 def test_resultant_matches_sympy_up_to_sign():
@@ -397,13 +434,15 @@ def test_resultant_matches_sympy_up_to_sign():
     def expr(f):
         return sum(c * u**p * v**q for (p, q), c in f.terms.items())
 
+    def side(f, g, x):
+        return sum((c - x * d) * t**i for i, (c, d) in enumerate(zip_longest(f, g, fillvalue=0)))
+
     # sympy's sign convention differs from the classical one: Res(t - 2, t^3) = 8
-    cube = [LaurentPolynomial.zero()] * 3 + [ONE]
-    assert uni_resultant([_const_lp(-2), ONE], cube) == _const_lp(8)
-    for a, b in _random_pair(7, 20, 2):
-        ours = expr(uni_resultant(a, b))
-        theirs = sympy.resultant(sum(expr(c) * t**i for i, c in enumerate(a)),
-                                 sum(expr(c) * t**i for i, c in enumerate(b)), t)
+    assert uni_resultant(UniPoly([-2, 1]), UniPoly(), UniPoly.t_power(3), UniPoly()) \
+        == _const_lp(8)
+    for f1, f2, f3, f4 in _random_inputs(7, 20, 2):
+        ours = expr(uni_resultant(f1, f2, f3, f4))
+        theirs = sympy.resultant(side(f1, f2, u), side(f3, f4, v), t)
         assert sympy.cancel(theirs - ours) == 0 or sympy.cancel(theirs + ours) == 0
 
 
@@ -673,26 +712,26 @@ def test_inverse_mod_matches_pow():
     assert seen == {"one entry", "blocks of one row", "2 and 3", "several primes"}
 
 
-def test_grid_residues_match_exact_evaluation():
+def test_side_residues_match_exact_evaluation():
     # coefficients past 2**64 of both signs, zero t-coefficients, 1 to 14
-    # primes; exponents up to 40 make node powers full-size residues
+    # primes, up to 40 nodes
     rng = random.Random(4711)
     seen = set()
     for _ in range(60):
-        deg, top = rng.randint(0, 5), rng.choice([4, 40])
-        side = [[(rng.randint(0, top), rng.randint(0, top),
-                  rng.choice([-1, 1]) * rng.randint(1, 2 ** rng.choice([8, 40, 70, 130])))
-                 for _ in range(rng.randint(0 if i < deg else 1, 3))] for i in range(deg + 1)]
-        nx, ny = rng.randint(1, 8), rng.randint(1, 8)
+        deg, n = rng.randint(0, 5), rng.choice([1, 3, 40])
+
+        def coefficient():
+            return rng.choice([0, rng.choice([-1, 1])
+                               * rng.randint(1, 2 ** rng.choice([8, 40, 70, 130]))])
+
+        f, g = (UniPoly([coefficient() for _ in range(deg)] + [rng.randint(1, 9)])
+                for _ in range(2))
         primes = list(islice(_word_primes(), rng.randint(1, 14)))
-        x = np.arange(1, nx + 1, dtype=object)
-        y = np.arange(1, ny + 1, dtype=object)[:, None]
-        exact = np.stack([sum((c * x ** e * y ** f for e, f, c in t), 0 * x * y)
-                          for t in side], axis=-1)
-        want = np.stack([(exact % q).astype(np.int64) for q in primes])
-        assert np.array_equal(_grid_residues(side, nx, ny, primes), want)
-        cs = [c for t in side for *_, c in t]
-        seen.update(k for k, hit in (("zero coefficient", not all(side)),
+        want = [[[(c - x * d) % q for c, d in zip_longest(f, g, fillvalue=0)]
+                 for x in range(1, n + 1)] for q in primes]
+        assert _side_residues(f, g, n, primes).tolist() == want
+        cs = [*f, *g]
+        seen.update(k for k, hit in (("zero coefficient", 0 in cs),
                                      ("past 2**64", max(map(abs, cs)) > 2**64),
                                      ("negative", min(cs) < 0),
                                      (f"{len(primes)} primes", len(primes) in (1, 14)))
@@ -700,9 +739,9 @@ def test_grid_residues_match_exact_evaluation():
     assert seen >= {"zero coefficient", "past 2**64", "negative", "1 primes", "14 primes"}
 
 
-def test_uni_resultant_evaluates_the_grid_once_and_runs_one_batch(monkeypatch):
-    # both sides share one grid evaluation, split at len(ia), and every grid
-    # point and prime goes through a single lockstep batch of prime blocks
+def test_uni_resultant_evaluates_each_side_once_and_runs_one_batch(monkeypatch):
+    # each side is evaluated once on its own axis, and every grid point and
+    # prime goes through a single lockstep batch of prime blocks
     from latticecurves import laurent
 
     calls = Counter()
@@ -715,14 +754,14 @@ def test_uni_resultant_evaluates_the_grid_once_and_runs_one_batch(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(laurent, name, wrapped)
 
-    for name in ("_grid_residues", "_res_mod_batch"):
+    for name in ("_side_residues", "_res_mod_batch"):
         counting(name)
-    a = [U - ONE, U + V, U * V * 2 - _const_lp(3)]
-    b = [V * V + ONE, U - V, ONE + U, ONE]
-    for x, y in ((a, b), (b, a), (a[:2], b)):
+    a = UniPoly([-1, 0, -3]), UniPoly([-1, -1, -2])
+    b = UniPoly([1, 0, 1, 1]), UniPoly([0, 1, -1])
+    for x, y in ((a, b), (b, a), ((a[0][:2], a[1][:2]), b)):
         calls.clear()
-        assert uni_resultant(x, y) == sylvester_det_direct(x, y)
-        assert calls == {"_grid_residues": 1, "_res_mod_batch": 1}
+        assert uni_resultant(*x, *y) == _direct(*x, *y)
+        assert calls == {"_side_residues": 2, "_res_mod_batch": 1}
 
 
 def test_interpolate_mod_recovers_integer_polynomials():
@@ -744,9 +783,11 @@ def test_interpolate_mod_recovers_integer_polynomials():
 
 
 def test_resultant_rejects_constant_input():
-    one = [LaurentPolynomial.one()]
-    with pytest.raises(DegenerateInput):
-        uni_resultant(one, one)
+    one, t = UniPoly([1]), UniPoly([0, 1])
+    for f in ((one, one, one, one), (one, UniPoly(), t, one), (t, one, UniPoly([3]), one),
+              (UniPoly(),) * 4):
+        with pytest.raises(DegenerateInput, match="a side is constant in t"):
+            uni_resultant(*f)
 
 
 def test_implicitize_family_i_m2():
@@ -843,7 +884,7 @@ def test_implicitize_matches_the_primitive_resultant_and_the_fraction_route():
         f1, f2, f3, f4 = (at_power(f, k) for f in (*rand_pair(), *rand_pair()))
         details = {}
         g = implicitize(f1, f2, f3, f4, details)
-        res = uni_resultant(_side(f1, f2, U), _side(f3, f4, V))
+        res = uni_resultant(f1, f2, f3, f4)
         power = ONE
         for _ in range(details["power"]):
             power = power * g

@@ -75,6 +75,10 @@ def test_ingest_rejects_malformed(tmp_path):
     with pytest.raises(ParseError) as err:
         ingest_table(str(nohdr))
     assert err.value.line == 3
+    for text in ("", "# generators\n\n"):
+        nohdr.write_text(text)
+        with pytest.raises(ParseError, match="expected header d,m,c2,pa"):
+            ingest_table(str(nohdr))
 
 
 def test_ingest_header_after_comment(tmp_path, capsys):

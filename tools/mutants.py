@@ -34,7 +34,12 @@ BATCH_TESTS = [
     "tests/test_laurent.py::test_res_mod_batch_matches_scalar_euclid",
     "tests/test_laurent.py::test_res_mod_batch_takes_every_branch_like_scalar_euclid",
 ]
+# the two batch tests that take about 0.1 s each
+FAST_BATCH_TESTS = BATCH_TESTS[2:]
 RESULTANT_TEST = "tests/test_laurent.py::test_resultant_matches_direct_expansion"
+RANDOM_RESULTANT_TEST = f"{RESULTANT_TEST}_on_random_laurent_inputs"
+SHARES_FACTOR_TEST = "tests/test_laurent.py::test_shares_factor_matches_fraction_euclid"
+FAMILIES = "src/latticecurves/families.py"
 CLI = "src/latticecurves/cli.py"
 LINSYS = "src/latticecurves/linsys.py"
 ELIMINATION_TEST = "tests/test_linsys.py::test_forward_elimination_matches_gauss_jordan"
@@ -58,11 +63,57 @@ MUTANTS = [
     ("batch inverse takes the prefix product through its own entry, the wrong neighbour",
      LAURENT, "* v[0, :, :-1] % q", "* v[0, :, 1:] % q",
      ["tests/test_laurent.py::test_inverse_mod_matches_pow", *BATCH_TESTS]),
-    ("the one grid evaluation splits its sides one t-coefficient late", LAURENT,
-     "grid[..., :len(ia)], grid[..., len(ia):]",
-     "grid[..., :len(ia) + 1], grid[..., len(ia) + 1:]",
-     [RESULTANT_TEST, "tests/test_laurent.py::"
-      "test_uni_resultant_evaluates_the_grid_once_and_runs_one_batch"]),
+    ("the side evaluation takes the nodes 0..n-1, not 1..n", LAURENT,
+     "np.arange(1, n + 1)[:, None]", "np.arange(n)[:, None]",
+     [RESULTANT_TEST, "tests/test_laurent.py::test_side_residues_match_exact_evaluation"]),
+    ("the v side is broadcast along u, like the u side", LAURENT,
+     "np.repeat(b, nu, axis=1)", "np.tile(b, (1, nu, 1))",
+     [RESULTANT_TEST, RANDOM_RESULTANT_TEST]),
+    ("the grid has one u node too few", LAURENT,
+     "nu, nv = np.array(primes), deg_b + 1, deg_a + 1",
+     "nu, nv = np.array(primes), deg_b, deg_a + 1", [RESULTANT_TEST, RANDOM_RESULTANT_TEST]),
+    ("the lift skips the coefficients that vanish mod the first prime", LAURENT,
+     "np.nonzero(coeffs.any(axis=1))", "np.nonzero(coeffs[:, 0])",
+     ["tests/test_laurent.py::test_resultant_keeps_a_coefficient_that_vanishes_mod_a_prime"]),
+    ("the suffix products stop one column early", LAURENT,
+     "for e in range(width - 1, 0, -1):", "for e in range(width - 1, 1, -1):", FAST_BATCH_TESTS),
+    ("a finished row keeps its b", LAURENT,
+     "B[done], da[done], db[done] = cols == 0, -1, -1", "da[done], db[done] = -1, -1",
+     FAST_BATCH_TESTS),
+    ("the batch drops the gathered sign", LAURENT,
+     "np.where(odd & 1, (p - res) % p, res)", "res", FAST_BATCH_TESTS),
+    ("the batch inverse takes every block's total mod the first prime", LAURENT,
+     "zip(v[0, :, -1].tolist(), p.tolist())", "zip(v[0, :, -1].tolist(), p[:1].tolist() * len(p))",
+     ["tests/test_laurent.py::test_inverse_mod_matches_pow"]),
+    ("the batch inverse drops the suffix products", LAURENT,
+     " % q * v[1, :, -2::-1] % q", " % q",
+     ["tests/test_laurent.py::test_inverse_mod_matches_pow"]),
+    ("a finished row takes its constant to one power too few", LAURENT,
+     "times(np.where(done, da + db, 0),", "times(np.where(done, np.maximum(da + db - 1, 0), 0),",
+     FAST_BATCH_TESTS),
+    ("the interpolation inverts its node gaps mod the first prime only", LAURENT,
+     "for q in p.ravel().tolist()]", "for q in p.ravel()[:1].tolist() * p.size]",
+     ["tests/test_laurent.py::test_interpolate_mod_recovers_integer_polynomials"]),
+    ("shares_factor never finds a factor", LAURENT,
+     "        if mod * mod > bound:\n            return True\n",
+     "        if mod * mod > bound:\n            return False\n", [SHARES_FACTOR_TEST]),
+    ("shares_factor trusts the first prime", LAURENT,
+     "        if mod * mod > bound:\n", "        if True:\n", [SHARES_FACTOR_TEST]),
+    ("shares_factor calls gcd(0, 0) and gcd(0, c) shared", LAURENT,
+     "return min(n, m) < 0 < max(n, m)", "return min(n, m) < 0", [SHARES_FACTOR_TEST]),
+    ("the perfect-power search has no candidates", LAURENT,
+     "for k in range(edge_gcd, 1, -1):", "for k in range(1, 1, -1):",
+     ["tests/test_laurent.py::test_perfect_power_extraction",
+      "tests/test_laurent.py::test_implicitize_reduces_the_square_of_a_torus_curve"]),
+    ("a power root is taken without the exact check g^k == f", LAURENT,
+     "if prod([g] * k) == f:", "if True:",
+     ["tests/test_laurent.py::test_integer_power_route_matches_fraction_route"]),
+    ("family III's f2 is rescaled by d", FAMILIES,
+     "f2 = t(2 * k - 3) * UniPoly([-n, d])", "f2 = d * t(2 * k - 3) * UniPoly([-n, d])",
+     ["tests/test_families.py::test_family_iii_s_form_has_the_image_of_the_t_form"]),
+    ("the family polygon comparison drops the translation", FAMILIES,
+     "np_.translated_to_origin() == target.translated_to_origin()", "np_ == target",
+     ["tests/test_families.py::test_newton_polygon_match_ignores_translation"]),
     ("Horner never refreshes buf[0] with the next divided difference", LAURENT,
      "        buf[0] = c[k]\n", "",
      ["tests/test_laurent.py::test_interpolate_mod_recovers_integer_polynomials",
