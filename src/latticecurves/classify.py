@@ -69,14 +69,10 @@ def expected_case(poly: LatticePolygon, m: int):
             or pair.arithmetic_genus < 0):
         return "NotApplicable"
     _, b, i = poly.lattice_counts()
-    base = (m * m - m) // 2
-    if (b, i) == (m, base + 1):
-        return 1
-    if (b, i) == (m + 2, base):
-        return 2
-    if (b, i) == (m + 1, base):
-        return 3
-    return "NotApplicable"
+    # i = (m²−m)/2 + s: g ≥ 0 reads s ≥ 0, and by Pick C² ≤ 0 reads b ≤ m + 2 − 2s and
+    # "Expected" b ≥ m + 1 − s, so s ≤ 1 and (b, s) is one of the three; the one
+    # segment that qualifies, of 2 points at m = 1, is case 3
+    return {(m, 1): 1, (m + 2, 0): 2, (m + 1, 0): 3}[b, i - (m * m - m) // 2]
 
 
 def intersection_product(pair1: IntrinsicPair, pair2: IntrinsicPair) -> int:

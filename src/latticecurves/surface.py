@@ -60,11 +60,8 @@ def is_principal(a) -> bool:
     """
     r1, r2 = RELATIONS
     # solve x*r1 + y*r2 = a on coordinates 0,1; det = (-1)(3) - (-2)(2) = 1
-    det = r1[0] * r2[1] - r1[1] * r2[0]
-    x, rx = divmod(a[0] * r2[1] - a[1] * r2[0], det)
-    y, ry = divmod(r1[0] * a[1] - r1[1] * a[0], det)
-    if rx or ry:
-        return False
+    x = a[0] * r2[1] - a[1] * r2[0]
+    y = r1[0] * a[1] - r1[1] * a[0]
     return all(x * r1[i] + y * r2[i] == a[i] for i in range(7))
 
 

@@ -2,11 +2,12 @@ import random
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
-from importlib import import_module, resources
+from importlib import resources
 from math import gcd
 
 import pytest
 
+import latticecurves.polygon as polygon_module
 from latticecurves.classify import (
     ClassificationHit,
     _examine,
@@ -59,6 +60,7 @@ def test_numeric_invariants_examples():
     assert (prime.self_intersection, prime.arithmetic_genus) == (-2, 0)
     empty = numeric_invariants(polygon((0, 0), (1, 4), (2, 4), (4, 3)), 4)
     assert empty.self_intersection == -2 and empty.minus_n() == 2
+    assert numeric_invariants(polygon((0, 0), (2, 1), (1, 2)), 1).minus_n() is None
     with pytest.raises(RangeError):
         numeric_invariants(polygon((0, 0), (2, 1), (1, 2)), 0)
 
@@ -81,6 +83,7 @@ def test_expected_case_trichotomy():
     assert expected_case(fam_i, 3) == 3
     assert expected_case(polygon((0, 0), (1, 4), (2, 4), (4, 3)), 4) \
         == "NotApplicable"
+    assert expected_case(polygon((0, 0), (1, 0)), 1) == 3
 
 
 def test_expected_case_inequalities():
@@ -444,7 +447,7 @@ def test_multiplicity_cap_walks_only_when_both_reduced_directions_are_paired(mon
     def no_walk(*args):
         raise AssertionError("direction walk")
 
-    monkeypatch.setattr(import_module("latticecurves.polygon"), "count", no_walk)
+    monkeypatch.setattr(polygon_module, "count", no_walk)
     assert multiplicity_cap(polygon((0, 0), (4, 0), (0, 1))) == 1
     # (0, 1) is 4 wide along a pair of edges, and the next direction is free
     assert multiplicity_cap(polygon((-1, -3), (0, -3), (1000003, -2), (1000002, 1),

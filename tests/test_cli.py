@@ -220,6 +220,14 @@ def test_cli_import_leaves_the_process_pool_out():
     assert proc.returncode == 0 and proc.stdout.strip() == "False", proc.stderr
 
 
+def test_package_import_loads_no_module_and_polygon_or_wpp_no_numpy():
+    proc = run_child("-c", "import sys, latticecurves; "
+                           "print([k for k in sys.modules if k.startswith('latticecurves.')]); "
+                           "import latticecurves.polygon, latticecurves.wpp; "
+                           "print('numpy' in sys.modules)")
+    assert proc.returncode == 0 and proc.stdout.split("\n")[:2] == ["[]", "False"], proc.stderr
+
+
 @pytest.mark.parametrize("argv, read", [
     # about 200 kB, more than a pipe holds, so a write meets the closed end
     (["linsys", "--vertices", "0,0 40,0 0,40", "--m", "1", "--pretty"], 300),
@@ -604,11 +612,18 @@ def test_a_failed_verification_exits_1_after_its_report(monkeypatch, capsys, arg
     assert (report if argv[0] == "family" else report["ledger"]) == failed
 
 
-def test_load_oracle_verifies():
+def test_load_oracle_verifies(tmp_path):
     oracle = load_oracle(data_path("oracle_vol6.json"))
     assert len(oracle) == 6
     for (verts, m), factors in oracle.items():
         assert isinstance(m, int) and len(factors) >= 2
+    # an entry of another verdict is skipped before its factors are read
+    entries = json.loads(open(data_path("oracle_vol6.json")).read())
+    other = {k: v for k, v in entries[0].items() if k != "factors"}
+    path = tmp_path / "oracle.json"
+    path.write_text(json.dumps([{**other, "verdict": "irreducible"}] + entries[1:]))
+    skipped = load_oracle(str(path))
+    assert len(skipped) == 5 and skipped.items() < oracle.items()
 
 
 def test_bad_input_exit_code(capsys):

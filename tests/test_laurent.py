@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from latticecurves.errors import (
+    ConstantMap,
     DegenerateInput,
     HypothesisFailure,
     MonomialInput,
@@ -149,6 +150,8 @@ def test_newton_polygon():
     assert G.newton_polygon() == polygon((0, 0), (2, 1), (1, 2))
     with pytest.raises(ZeroPolynomial):
         LaurentPolynomial.zero().newton_polygon()
+    with pytest.raises(ZeroPolynomial):
+        LaurentPolynomial.zero().min_exponents()
 
 
 def test_multiplicity_at_identity():
@@ -282,6 +285,8 @@ def test_irreducibility_certificates():
         == IrreducibilityCertificate.INCONCLUSIVE
     with pytest.raises(MonomialInput):
         irreducibility_certificate(LaurentPolynomial.monomial(2, -3))
+    with pytest.raises(ZeroPolynomial):
+        irreducibility_certificate(LaurentPolynomial.zero())
 
 
 def test_certificate_past_the_decomposition_limit_is_inconclusive():
@@ -308,6 +313,8 @@ def test_unipoly_arithmetic_and_gcd():
     assert a * b == UniPoly([1, -1, -1, 1]) and (a - a).is_zero()
     assert 3 * a == a * 3 == UniPoly([-3, 0, 3])
     assert UniPoly([0, 0, 3, 6]).valuation_at_zero() == 2
+    with pytest.raises(ZeroPolynomial):
+        UniPoly([0]).valuation_at_zero()
     assert geometric_sum(1, 4) == UniPoly([0, 1, 1, 1, 1])
     with pytest.raises(TypeError):  # integer coefficients only
         UniPoly([Fraction(1, 2)])
@@ -895,9 +902,13 @@ def test_implicitize_matches_the_primitive_resultant_and_the_fraction_route():
 
 
 def test_implicitize_rejects_shared_roots():
-    t = UniPoly([0, 1])
-    with pytest.raises(SharedRoot):
-        implicitize(t, t, UniPoly([1]), UniPoly([1]))
+    t, one = UniPoly([0, 1]), UniPoly([1])
+    with pytest.raises(SharedRoot, match="f1 and f2"):
+        implicitize(t, t, one, one)
+    with pytest.raises(SharedRoot, match="f3 and f4"):
+        implicitize(t, one, t, t * t)
+    with pytest.raises(ConstantMap):
+        implicitize(one, UniPoly([2]), UniPoly([3]), one)
 
 
 def _power_root(f):
@@ -1047,6 +1058,10 @@ def test_ord_profile():
     f4 = f1 - f2 + f3
     assert ord_profile(f1, f2, f3, f4, "zero") == (-1, 4)
     assert ord_profile(f1, f2, f3, f4, "infinity") == (4, -1)
+    with pytest.raises(ConstantMap):
+        ord_profile(f1, f2, UniPoly([0]), f4)
+    with pytest.raises(ValueError):
+        ord_profile(f1, f2, f3, f4, "one")
 
 
 def test_json_roundtrip():

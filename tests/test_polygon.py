@@ -1,7 +1,6 @@
 import hashlib
 import random
 import signal
-import sys
 import time
 from fractions import Fraction
 from itertools import product
@@ -9,6 +8,7 @@ from math import ceil, floor, gcd
 
 import pytest
 
+import latticecurves.polygon as polygon_module
 from latticecurves.errors import DegeneratePolygon, RangeError
 from latticecurves.polygon import (
     LatticePolygon,
@@ -36,6 +36,8 @@ def test_vertices_must_be_integers():
         polygon((0, 0), (2.5, 1), (1, 2.5))
     with pytest.raises(TypeError):
         LatticePolygon.hull([(0, 0), (1, 0), (0, Fraction(1))])
+    with pytest.raises(ValueError):
+        convex_hull([])
 
 
 def test_hull_strips_interior_and_collinear_points():
@@ -95,6 +97,12 @@ def test_lattice_width_examples():
     assert polygon((0, 0), (1, 4), (2, 4), (4, 3)).lattice_width()[0] == 4
     for m in (2, 3, 5, 9):
         assert polygon((0, 0), (m, 1), (1, m)).lattice_width()[0] == m
+    # width 0 along the normal normalized to a > 0, or a = 0 < b; (0, 1) for a point
+    assert polygon((3, -2)).lattice_width() == (0, (0, 1))
+    for ends, normal in ((((0, 0), (4, 0)), (0, 1)), (((1, 1), (1, -5)), (1, 0)),
+                         (((0, 0), (3, 3)), (1, -1)), (((-2, 5), (2, 1)), (1, 1))):
+        assert polygon(*ends).lattice_width() == polygon(*ends[::-1]).lattice_width() \
+            == (0, normal)
 
 
 def test_width_in_direction():
@@ -111,6 +119,8 @@ def test_normal_fan_and_ample_coefficients():
     assert [coeffs[r] for r in
             ((-1, 2), (-2, 3), (-1, 1), (-2, -5), (5, -1), (1, 0))] == \
         [0, 1, 2, 32, 1, 0]
+    with pytest.raises(DegeneratePolygon):
+        polygon((0, 0), (1, 2)).ample_coefficients()
 
 
 def test_minkowski_sum_and_mixed_volume():
@@ -333,15 +343,14 @@ def test_enumeration_is_pinned(coord_max, volume_max):
 def test_enumeration_decides_most_candidates_without_a_hull(monkeypatch):
     """The edge-cross prefilter and the hull-free images leave fewer than
     1000 hulls for enumerate_polygons(3, 6) (2644 without them)."""
-    module = sys.modules[LatticePolygon.__module__]
     calls = []
-    hull = module._hull_vertices
+    hull = polygon_module._hull_vertices
 
     def counted(points):
         calls.append(1)
         return hull(points)
 
-    monkeypatch.setattr(module, "_hull_vertices", counted)
+    monkeypatch.setattr(polygon_module, "_hull_vertices", counted)
     assert len(enumerate_polygons(3, 6)) == 30
     assert 0 < len(calls) < 1000
 
@@ -383,7 +392,6 @@ def test_width_cap_and_points_build_no_hull_or_fan(monkeypatch):
     """The direction walk takes its half-planes from vertex pairs and the
     point walk from the CCW edges: no hull of the vertex differences or of
     the reduced image, and no ample coefficients."""
-    module = sys.modules[LatticePolygon.__module__]
     polys = [polygon((0, 0), (1, 0), (2, -2), (1, -2)), polygon((0, 0), (1, 0), (50, 51)),
              polygon((-3, 2), (4, -1), (6, 5), (0, 7), (-2, 6))]
     calls = []
@@ -396,7 +404,7 @@ def test_width_cap_and_points_build_no_hull_or_fan(monkeypatch):
             return fn(*args)
         monkeypatch.setattr(owner, name, wrapper)
 
-    counted(module, "_hull_vertices")
+    counted(polygon_module, "_hull_vertices")
     counted(LatticePolygon, "ample_coefficients")
     assert [p.lattice_width() for p in polys] == [(2, (0, 1)), (2, (1, -1)), (8, (0, 1))]
     assert [multiplicity_cap(p) for p in polys] == [2, 2, 8]

@@ -1,10 +1,10 @@
 import random
-import sys
 from fractions import Fraction
 from math import gcd
 
 import pytest
 
+import latticecurves.polygon as polygon_module
 from latticecurves.errors import (
     DegeneratePolygon,
     EmptyList,
@@ -58,6 +58,8 @@ def test_segment_equality():
     assert segment_equality(quad(6)) == 6
     assert segment_equality(polygon((0, 0), (1, 0), (1, 1), (0, 1))) == 1
     assert segment_equality(polygon((0, 0), (3, 1), (1, 3))) is None
+    with pytest.raises(DegeneratePolygon):
+        segment_equality(polygon((0, 0), (3, 0)))
 
 
 def pair_segment_equality(poly):
@@ -115,6 +117,8 @@ def test_component_minimum():
     assert component_minimum([(13, 2), (35, 5)]) == Fraction(13, 2)
     with pytest.raises(EmptyList):
         component_minimum([])
+    with pytest.raises(RangeError):
+        component_minimum([(3, 1), (5, 0)])
 
 
 def test_estimate_family_i_both_routes():
@@ -220,10 +224,6 @@ def _outcome(fn, *args):
         return fn(*args)
     except LatticeCurveError as exc:
         return type(exc)
-
-
-# the module, which the package's `polygon` function shadows as an attribute
-polygon_module = sys.modules[LatticePolygon.__module__]
 
 
 def _random_unimodular_map(rng):

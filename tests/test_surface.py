@@ -69,6 +69,8 @@ def test_e_k_values():
     assert e_k_class(2) == (0, 0, 27, 537, 183, 34, -130)
     with pytest.raises(ZeroK):
         e_k_class(0)
+    with pytest.raises(ZeroK):
+        verify_ek(0)
 
 
 def test_e_k_identities_range():

@@ -37,12 +37,16 @@ def test_slope_compare():
     assert slope_compare(CTX, ClassEntry(891, 26)) == "Above"
     assert slope_compare(WppContext(1, 1, 1), ClassEntry(1, 1)) == "On"
     assert slope_compare(CTX, ClassEntry(34, 1)) == "Below"
+    with pytest.raises(RangeError):
+        slope_compare(CTX, ClassEntry(34, 0))
 
 
 def test_self_intersection_on_x():
     assert self_intersection_on_x(CTX, ClassEntry(83, 2)) == Fraction(2209, 1170)
     assert self_intersection_on_x(CTX, ClassEntry(36, 1)) == Fraction(126, 1170)
     assert self_intersection_on_x(WppContext(1, 1, 1), ClassEntry(1, 1)) == 0
+    with pytest.raises(RangeError):
+        self_intersection_on_x(CTX, ClassEntry(36, -1))
 
 
 def test_signs_agree():

@@ -171,6 +171,20 @@ MUTANTS = [
     ("load_oracle accepts a system of several curves", CLI,
      "if system.dimension != 1:", "if system.dimension < 1:",
      ["tests/test_cli.py::test_bad_oracle_entry_names_its_index"]),
+    ("load_oracle reads the factors of every verdict", CLI,
+     'if item["verdict"] != "reducible":', 'if item["verdict"] == "skipped":',
+     ["tests/test_cli.py::test_load_oracle_verifies"]),
+    ("the hull starts one vertex past the least", POLYGON,
+     "    return tuple(lower[:-1] + upper[:-1])",
+     "    return tuple((lower[:-1] + upper[:-1])[1:] + (lower[:-1] + upper[:-1])[:1])",
+     ["tests/test_polygon.py::test_hull_starts_at_the_least_vertex_and_turns_left",
+      "tests/test_polygon.py::test_hull_strips_interior_and_collinear_points"]),
+    ("the decomposition search raises ValueError past its limit, not RangeError", POLYGON,
+     'raise RangeError(f"decomposition search', 'raise ValueError(f"decomposition search',
+     ["tests/test_polygon.py::test_is_decomposable_past_the_search_limit"]),
+    ("a horizontal segment takes the normal (0, -1)", POLYGON,
+     "if dy < 0 or (dy == 0 and dx > 0) else", "if dy < 0 else",
+     ["tests/test_polygon.py::test_lattice_width_examples"]),
 ]
 
 
