@@ -13,11 +13,7 @@ from fractions import Fraction
 from math import isqrt
 
 from .errors import RangeError
-from .laurent import (
-    IrreducibilityCertificate,
-    LaurentPolynomial,
-    irreducibility_certificate,
-)
+from .laurent import INCONCLUSIVE, LaurentPolynomial, irreducibility_certificate
 from .linsys import compute_system, expected_dimension
 from .polygon import LatticePolygon, canonical_form, mixed_volume, multiplicity_cap
 
@@ -32,10 +28,7 @@ class IntrinsicPair:
 
     def minus_n(self):
         """n for a (−n)-pair, else None."""
-        for t in self.tags:
-            if isinstance(t, tuple) and t[0] == "MinusNPair":
-                return t[1]
-        return None
+        return -self.self_intersection if "MinusNPair" in self.tags else None
 
 
 def numeric_invariants(poly: LatticePolygon, m: int) -> IntrinsicPair:
@@ -50,7 +43,7 @@ def numeric_invariants(poly: LatticePolygon, m: int) -> IntrinsicPair:
     if c2 <= 0:
         tags.add("NumericallyNonPositive")
     if c2 < 0 and pa == 0:
-        tags.add(("MinusNPair", -c2))
+        tags.add("MinusNPair")
     if expected_dimension(poly, m) > 0:
         tags.add("Expected")
     return IntrinsicPair(poly, m, c2, pa, frozenset(tags))
@@ -85,8 +78,7 @@ def intersection_product(pair1: IntrinsicPair, pair2: IntrinsicPair) -> int:
 class ClassificationHit:
     pair: IntrinsicPair
     polynomial: LaurentPolynomial
-    irreducibility: IrreducibilityCertificate
-    warning: bool = False  # set when irreducibility is Inconclusive
+    irreducibility: str  # a `laurent.irreducibility_certificate` verdict
 
     def to_json(self) -> dict:
         return {
@@ -96,8 +88,8 @@ class ClassificationHit:
             "arithmetic_genus": str(self.pair.arithmetic_genus),
             "dimension": 1,
             "polynomial": self.polynomial.to_json(),
-            "irreducibility": self.irreducibility.verdict,
-            "warning": self.warning,
+            "irreducibility": self.irreducibility,
+            "warning": self.irreducibility == INCONCLUSIVE,
         }
 
 
@@ -126,9 +118,8 @@ def _examine(task):
     newton = f.newton_polygon()
     if newton != poly.translated_to_origin():
         return None
-    cert = irreducibility_certificate(f, newton=newton)
-    warning = cert.verdict == IrreducibilityCertificate.INCONCLUSIVE
-    return ClassificationHit(numeric_invariants(poly, system.order), f, cert, warning)
+    return ClassificationHit(numeric_invariants(poly, system.order), f,
+                             irreducibility_certificate(f, newton=newton))
 
 
 def classify_dataset(polygons, m_max: int, volume_max: int, oracle=None,

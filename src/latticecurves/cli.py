@@ -17,7 +17,7 @@ from . import __version__
 from .classify import classify_dataset, numeric_invariants
 from .errors import LatticeCurveError, ParseError, RangeError
 from .families import FAMILIES, FamilySpec, family_invariants, verify_family_end_to_end
-from .laurent import IrreducibilityCertificate, LaurentPolynomial, irreducibility_certificate
+from .laurent import LaurentPolynomial, verify_factorization
 from .linsys import compute_system
 from .polygon import LatticePolygon, canonical_form, enumerate_polygons, json_int, polygon
 from .seshadri import estimate, rationality_certificates, width_upper_bound
@@ -29,6 +29,8 @@ def parse_vertices(text: str) -> LatticePolygon:
     pts = []
     for tok in text.split():
         try:
+            if not tok.isascii() or "_" in tok:  # int() reads 1_0 and non-ASCII digits
+                raise ValueError
             x, y = map(int, tok.split(","))
         except ValueError:
             raise ParseError(f"bad vertex {tok!r}: expected x,y with integer x and y") from None
@@ -54,8 +56,9 @@ def load_oracle(path):
 
     This is the one place a witness is checked: an entry is accepted only
     when L(Δ, m) holds one curve and its factors are two or more non-monomials
-    whose product is that member up to a unit (`ReducibleByWitness`).
-    `classify_dataset` trusts the pairs it is given."""
+    whose product is that member up to a unit and scalar
+    (`laurent.verify_factorization`).  `classify_dataset` trusts the pairs it
+    is given."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
@@ -75,8 +78,8 @@ def load_oracle(path):
         if system.dimension != 1:
             raise ParseError(f"oracle entry {index}: the system for {poly.vertices} at m={m} "
                              f"has dimension {system.dimension}, not one curve")
-        if (irreducibility_certificate(system.members()[0], witness_factors=factors)
-                .verdict != IrreducibilityCertificate.REDUCIBLE):
+        if (len(factors) < 2 or any(f.is_monomial() for f in factors)
+                or not verify_factorization(system.members()[0], factors)):
             raise ParseError(
                 f"oracle entry {index}: factors are not two or more non-monomials "
                 f"whose product is the system member for {poly.vertices} at m={m}")

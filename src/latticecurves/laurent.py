@@ -9,7 +9,6 @@ on Newton-polygon indecomposability.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import zip_longest
 from math import comb, gcd, isqrt, lcm, prod
@@ -178,47 +177,21 @@ def verify_factorization(f: LaurentPolynomial, factors) -> bool:
     return _primitive(f) == _primitive(product)
 
 
-@dataclass(frozen=True)
-class IrreducibilityCertificate:
-    """Verdict with optional witnessing factors (for the reducible case)."""
-
-    verdict: str  # IrreducibleByIndecomposability | ReducibleByWitness | Inconclusive
-    factors: tuple[LaurentPolynomial, ...] = ()
-
-    IRREDUCIBLE = "IrreducibleByIndecomposability"
-    REDUCIBLE = "ReducibleByWitness"
-    INCONCLUSIVE = "Inconclusive"
+IRREDUCIBLE = "IrreducibleByIndecomposability"
+INCONCLUSIVE = "Inconclusive"
 
 
-def irreducibility_certificate(
-    f: LaurentPolynomial, witness_factors=None, newton: LatticePolygon | None = None
-) -> IrreducibilityCertificate:
-    """Certificate for absolute irreducibility.
-
-    An integrally indecomposable Newton polygon is sufficient for
-    irreducibility (after stripping the monomial unit); `newton` is f's
-    Newton polygon when the caller has already built it.  Reducibility is
-    accepted only with externally supplied factors that verify exactly;
-    everything else is Inconclusive.
-    """
+def irreducibility_certificate(f: LaurentPolynomial, newton: LatticePolygon | None = None) -> str:
+    """IRREDUCIBLE when f's Newton polygon is integrally indecomposable, which
+    proves f absolutely irreducible up to its monomial unit (Gao, J. Algebra
+    237, 2001), else INCONCLUSIVE; `newton` is f's Newton polygon when the
+    caller has already built it.  Reducibility is never decided here: a
+    witness is a list of factors checked by `verify_factorization`."""
     if f.is_zero():
         raise ZeroPolynomial("certificate undefined for zero")
     if f.is_monomial():
         raise MonomialInput("certificate undefined for monomials")
-    if witness_factors:
-        factors = tuple(witness_factors)
-        if len(factors) >= 2 and verify_factorization(f, factors) and all(
-            not g.is_monomial() for g in factors
-        ):
-            return IrreducibilityCertificate(
-                IrreducibilityCertificate.REDUCIBLE, factors
-            )
-        return IrreducibilityCertificate(IrreducibilityCertificate.INCONCLUSIVE)
-    if newton is None:
-        newton = f.newton_polygon()
-    if not is_decomposable(newton):
-        return IrreducibilityCertificate(IrreducibilityCertificate.IRREDUCIBLE)
-    return IrreducibilityCertificate(IrreducibilityCertificate.INCONCLUSIVE)
+    return INCONCLUSIVE if is_decomposable(newton or f.newton_polygon()) else IRREDUCIBLE
 
 
 # ---------------------------------------------------------------------------
@@ -625,6 +598,5 @@ def implicitize(f1: UniPoly, f2: UniPoly, f3: UniPoly, f4: UniPoly,
         _details["power"] = k
         _details["newton_polygon"] = newton
         _details["normalized"] = g.is_monomial() or k > 1 or (
-            irreducibility_certificate(g, newton=newton).verdict
-            == IrreducibilityCertificate.IRREDUCIBLE)
+            irreducibility_certificate(g, newton=newton) == IRREDUCIBLE)
     return g

@@ -26,8 +26,11 @@ from .polygon import LatticePolygon, equivalent
 class SeshadriEstimate:
     lower: Fraction
     upper: Fraction
-    exact: Fraction | None
     certificates: tuple[str, ...]
+
+    @property
+    def exact(self) -> Fraction | None:
+        return self.upper if self.lower == self.upper else None
 
     def to_json(self) -> dict:
         return {
@@ -147,7 +150,6 @@ def estimate(poly: LatticePolygon, m: int, irreducible: bool = False) -> Seshadr
     upper = Fraction(vol, m)
     certs = ["VolOverM"]
     lower = Fraction(0)
-    exact = None
     if lw <= upper and segment_equality(poly) is not None:
         lower = Fraction(lw)
         certs.append("SegmentEquality")
@@ -155,11 +157,8 @@ def estimate(poly: LatticePolygon, m: int, irreducible: bool = False) -> Seshadr
         ito = ito_family_i_lower(m)
         certs.append("ItoFamilyI")
         lower = max(lower, ito)
-    if irreducible:
-        exact = upper
+    if irreducible:  # no lower bound above exceeds vol/m
         certs.append("IrreducibleEquality")
-        lower = max(lower, upper)
-    elif lower == upper:
-        exact = upper
+        lower = upper
     certs.append("WidthBound")
-    return SeshadriEstimate(lower, upper, exact, tuple(certs))
+    return SeshadriEstimate(lower, upper, tuple(certs))

@@ -105,6 +105,8 @@ def ingest_table(path=None):
             header_seen = True
             continue
         try:
+            if not all(x.isascii() and "_" not in x for x in row):  # int() reads 1_0, ٢
+                raise ValueError("an entry is not an optional sign and ASCII digits")
             d, m, c2, pa = (int(x) for x in row)
         except ValueError as exc:
             raise ParseError(f"malformed row {row!r}: {exc}", lineno) from exc

@@ -19,7 +19,7 @@ from latticecurves.classify import (
 from latticecurves.cli import load_oracle
 from latticecurves.errors import RangeError
 from latticecurves.laurent import (
-    IrreducibilityCertificate,
+    INCONCLUSIVE,
     LaurentPolynomial,
     irreducibility_certificate,
     verify_factorization,
@@ -156,7 +156,7 @@ def test_classify_rejects_negative_limits():
 def test_classify_with_oracle_drops_reducible():
     square = polygon((0, 0), (1, 0), (1, 1), (0, 1))
     without = classify_dataset([square], 2, 16)
-    assert len(without) == 1 and without[0].warning
+    assert len(without) == 1 and without[0].irreducibility == INCONCLUSIVE
     u1 = LaurentPolynomial({(1, 0): 1, (0, 0): -1})
     v1 = LaurentPolynomial({(0, 1): 1, (0, 0): -1})
     from latticecurves.polygon import canonical_form
@@ -233,10 +233,8 @@ def flat_classify(polygons, m_max, volume_max, oracle=None):
             f = system.members()[0]
             if f.newton_polygon() != poly.translated_to_origin():
                 continue
-            cert = irreducibility_certificate(f)
             results[key, m] = ClassificationHit(
-                numeric_invariants(poly, m), f, cert,
-                warning=cert.verdict == IrreducibilityCertificate.INCONCLUSIVE)
+                numeric_invariants(poly, m), f, irreducibility_certificate(f))
     return [results[k] for k in sorted(results, key=lambda k: (k[1], k[0]))]
 
 
@@ -389,8 +387,8 @@ def test_exempt_hits_above_the_width():
                     (polygon((0, 0), (2, 1), (3, 2), (1, 1)), 2)):
         assert multiplicity_cap(poly) == m and poly.lattice_width()[0] < m
         hits = [h for h in classify_dataset([poly], m, 36) if h.pair.m == m]
-        assert len(hits) == 1 and hits[0].warning
-        assert hits[0].irreducibility.verdict == IrreducibilityCertificate.INCONCLUSIVE
+        assert len(hits) == 1 and hits[0].irreducibility == INCONCLUSIVE
+        assert hits[0].to_json()["warning"] is True
 
 
 def _brute_cap(poly):

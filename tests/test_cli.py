@@ -324,10 +324,19 @@ def test_bad_oracle_entry_names_its_index(tmp_path, capsys):
         err = capsys.readouterr().err
         assert f"oracle entry {index}:" in err and "line" not in err
     # the first two witnesses multiply out to the member, but neither proves it
-    # reducible; the third names a system of three curves, which has no unique member
-    for case in ("oracle-monomial-factor", "oracle-single-factor", "oracle-not-unique"):
+    # reducible; the third does not multiply out to it; the fourth names a
+    # system of three curves, which has no unique member
+    for case in ("oracle-monomial-factor", "oracle-single-factor", "oracle-wrong-product",
+                 "oracle-not-unique"):
         assert main(MALFORMED_INPUTS[case](tmp_path)) == 2
         assert "oracle entry 0:" in capsys.readouterr().err
+
+
+def test_integer_tokens_keep_their_sign_and_surrounding_spaces(tmp_path, capsys):
+    assert parse_vertices("+0,-0 2,1 1,2") == polygon((0, 0), (2, 1), (1, 2))
+    table = _file(tmp_path, "table.csv", "d,m,c2,pa\n 36 , +1 ,0,-0\n")
+    code, out = run(capsys, "wpp", "--a", "9", "--b", "10", "--c", "13", "--table", table)
+    assert code == 0 and out["entries"] == 1
 
 
 def test_oracle_numbers_must_be_integers(tmp_path, capsys):
@@ -385,6 +394,9 @@ MALFORMED_INPUTS = {
         '[{' + SQUARE + ', "m": 2, "factors": [' + SQUARE_MEMBER + ', ' + ONE + ']}]'),
     "oracle-single-factor": _oracle_case(
         '[{' + SQUARE + ', "m": 2, "factors": [' + SQUARE_MEMBER + ']}]'),
+    # two non-monomials, but (u - 1)² is not the member (1 - u)(1 - v)
+    "oracle-wrong-product": _oracle_case(
+        '[{' + SQUARE + ', "m": 2, "factors": [' + U_MINUS_ONE + ', ' + U_MINUS_ONE + ']}]'),
     # numbers that int() would truncate to the shipped square entry at m = 2
     "oracle-float-m": _oracle_case(
         '[{' + SQUARE + ', "m": 2.5, "factors": [' + U_MINUS_ONE + ', ' + V_MINUS_ONE + ']}]'),
@@ -414,6 +426,11 @@ MALFORMED_INPUTS = {
         '[{"polygon": {"vertices": [[0, 0], [2, 0], [0, 2]]}, "verdict": "reducible", '
         '"m": 2, "factors": [' + U_MINUS_ONE + ', ' + U_MINUS_ONE + ']}]'),
     "bad-vertices": lambda d: ["polygon-info", "--vertices", "0,0 1"],
+    # int() would read the vertex (10, 2), and the triangle in Arabic-Indic digits
+    "vertices-underscore": lambda d: ["polygon-info", "--vertices", "1_0,2 0,0 3,4"],
+    "vertices-non-ascii-digits": lambda d: ["polygon-info", "--vertices", "٠,٠ ٢,١ ١,٢"],
+    "dataset-underscore": lambda d: ["classify", "--dataset",
+                                     _file(d, "polys.txt", "0,0 1_0,0 0,1\n")],
     "classify-negative-jobs": lambda d: ["classify", "--jobs", "-3", "--dataset",
                                          _file(d, "polys.txt", "0,0 1,0 0,1\n")],
     "negative-m": lambda d: ["linsys", "--vertices", "0,0 2,1 1,2", "--m", "-3"],
@@ -431,6 +448,11 @@ MALFORMED_INPUTS = {
                               _file(d, "table.csv", "")],
     "comment-only-table": lambda d: ["wpp", "--a", "9", "--b", "10", "--c", "13", "--table",
                                      _file(d, "table.csv", "# generators\n\n# none\n")],
+    # int() would load d = 10, and d = 36 from Arabic-Indic digits
+    "table-underscore": lambda d: ["wpp", "--a", "9", "--b", "10", "--c", "13", "--table",
+                                   _file(d, "table.csv", "d,m,c2,pa\n1_0,1,-1,0\n")],
+    "table-non-ascii-digits": lambda d: ["wpp", "--a", "9", "--b", "10", "--c", "13", "--table",
+                                         _file(d, "table.csv", "d,m,c2,pa\n٣٦,1,0,0\n")],
     "family-out-of-range": lambda d: ["family", "--id", "III", "--m", "7"],
     # Pick's count passes the point limit before any point is listed
     "linsys-huge-triangle": lambda d: ["linsys", "--vertices", "0,0 10000000000,0 0,1",

@@ -23,7 +23,6 @@ from latticecurves.polygon import (
     polygon,
 )
 from latticecurves.seshadri import (
-    SeshadriEstimate,
     component_minimum,
     estimate,
     ito_family_i_lower,
@@ -141,6 +140,15 @@ def test_estimate_preconditions():
         estimate(polygon((0, 0), (1, 4), (2, 4), (4, 3)), 4)  # empty system
 
 
+def test_estimate_is_exact_only_where_a_lower_bound_meets_vol_over_m():
+    # lw = 5 and vol = 24: no lower bound enters, so the constant stays open
+    tri = polygon((0, 0), (6, 3), (2, 5))
+    est = estimate(tri, 5)
+    assert est.lower == 0 < est.upper == Fraction(24, 5)
+    assert est.exact is None and est.to_json()["exact"] is None
+    assert estimate(tri, 5, irreducible=True).to_json()["exact"] == "24/5"
+
+
 def test_estimate_matches_c2_formula_across_families():
     for fam, m in (("I", 6), ("II", 6), ("III", 8), ("IV", 6), ("V", 8)):
         spec = FamilySpec(fam, m)
@@ -193,8 +201,9 @@ def kernel_certificates(poly, m):
 
 
 def kernel_estimate(poly, m, irreducible):
-    """Reference for `estimate`: L(Δ, m) ≠ 0 from the kernel, and every
-    lower bound computed whether or not it can enter."""
+    """Reference for `estimate(...).to_json()`: L(Δ, m) ≠ 0 from the kernel,
+    every lower bound computed whether or not it can enter, and the constant
+    exact once a lower bound meets vol/m."""
     vol = poly.volume
     lw = width_upper_bound(poly)
     if m < 1:
@@ -216,7 +225,8 @@ def kernel_estimate(poly, m, irreducible):
         certs.append("IrreducibleEquality")
         lower = upper
     certs.append("WidthBound")
-    return SeshadriEstimate(lower, upper, upper if lower == upper else None, tuple(certs))
+    return {"lower": str(lower), "upper": str(upper),
+            "exact": str(upper) if lower == upper else None, "certificates": certs}
 
 
 def _outcome(fn, *args):
@@ -267,7 +277,8 @@ def test_count_route_matches_kernel_route(monkeypatch):
             est = _outcome(estimate, poly, m, irr)
             if forms:
                 assert len(poly.vertices) == 3 and poly.volume == m * m - 1, poly.vertices
-            assert est == _outcome(kernel_estimate, poly, m, irr), (poly.vertices, m, irr)
+            assert (est if isinstance(est, type) else est.to_json()) \
+                == _outcome(kernel_estimate, poly, m, irr), (poly.vertices, m, irr)
             if not poly.is_degenerate:
                 seen.add((expected_dimension(poly, m) > 0, isinstance(est, type)))
             if not isinstance(est, type):

@@ -46,6 +46,10 @@ ELIMINATION_TEST = "tests/test_linsys.py::test_forward_elimination_matches_gauss
 POLYGON = "src/latticecurves/polygon.py"
 DECOMPOSITION_TEST = "tests/test_polygon.py::test_is_decomposable_matches_the_decomposition_search"
 CLOSED_STDOUT = "tests/test_cli.py::test_closed_stdout_exits_141_without_a_message"
+BAD_ORACLE_TEST = "tests/test_cli.py::test_bad_oracle_entry_names_its_index"
+MALFORMED_TEST = "tests/test_cli.py::test_malformed_input_exits_2_without_traceback"
+SESHADRI = "src/latticecurves/seshadri.py"
+CLASSIFY = "src/latticecurves/classify.py"
 
 # (name, file, old snippet, new snippet, test node ids that must fail)
 MUTANTS = [
@@ -133,12 +137,12 @@ MUTANTS = [
      "a[r + 1:r + int(hit[-1]) + 1, c:t]", "a[r + 1:r + int(hit[-1]), c:t]", [ELIMINATION_TEST]),
     ("_reduce_mod pivots on the first hit, not on the one of least tail", LINSYS,
      "i = r + int(hit[tail[r + hit].argmin()])", "i = r + int(hit[0])", [ELIMINATION_TEST]),
-    ("estimate tries SegmentEquality only when lw < vol/m", "src/latticecurves/seshadri.py",
+    ("estimate tries SegmentEquality only when lw < vol/m", SESHADRI,
      "if lw <= upper and", "if lw < upper and",
      ["tests/test_seshadri.py::test_count_route_matches_kernel_route",
       "tests/test_seshadri.py::"
       "test_estimate_walks_points_and_builds_forms_only_where_they_can_enter"]),
-    ("the classify scan solves on past a one-curve system", "src/latticecurves/classify.py",
+    ("the classify scan solves on past a one-curve system", CLASSIFY,
      "if system.dimension < 2:", "if system.dimension < 1:",
      ["tests/test_classify.py::test_scan_solves_only_its_first_system"]),
     ("SegmentEquality reads the slices one offset to the right", POLYGON,
@@ -170,10 +174,28 @@ MUTANTS = [
      [f"{CLOSED_STDOUT}[argv1-0]"]),
     ("load_oracle accepts a system of several curves", CLI,
      "if system.dimension != 1:", "if system.dimension < 1:",
-     ["tests/test_cli.py::test_bad_oracle_entry_names_its_index"]),
+     [BAD_ORACLE_TEST]),
     ("load_oracle reads the factors of every verdict", CLI,
      'if item["verdict"] != "reducible":', 'if item["verdict"] == "skipped":',
      ["tests/test_cli.py::test_load_oracle_verifies"]),
+    ("load_oracle accepts factors whose product is not the member", CLI,
+     "\n                or not verify_factorization(system.members()[0], factors))", ")",
+     [BAD_ORACLE_TEST, f"{MALFORMED_TEST}[oracle-wrong-product]"]),
+    ("load_oracle accepts monomial factors", CLI,
+     "len(factors) < 2 or any(f.is_monomial() for f in factors)", "len(factors) < 2",
+     [BAD_ORACLE_TEST, f"{MALFORMED_TEST}[oracle-monomial-factor]"]),
+    ("a Seshadri estimate is exact at its upper bound whatever its lower bound", SESHADRI,
+     "return self.upper if self.lower == self.upper else None", "return self.upper",
+     ["tests/test_seshadri.py::test_count_route_matches_kernel_route",
+      "tests/test_seshadri.py::test_estimate_is_exact_only_where_a_lower_bound_meets_vol_over_m"]),
+    ("a hit warns when its verdict is IrreducibleByIndecomposability", CLASSIFY,
+     '"warning": self.irreducibility == INCONCLUSIVE',
+     '"warning": self.irreducibility == "IrreducibleByIndecomposability"',
+     ["tests/test_cli.py::test_readme_classify_stdout_is_golden",
+      "tests/test_classify.py::test_exempt_hits_above_the_width"]),
+    ("minus_n returns the self-intersection, not its negative", CLASSIFY,
+     "return -self.self_intersection if", "return self.self_intersection if",
+     ["tests/test_classify.py::test_numeric_invariants_examples"]),
     ("the hull starts one vertex past the least", POLYGON,
      "    return tuple(lower[:-1] + upper[:-1])",
      "    return tuple((lower[:-1] + upper[:-1])[1:] + (lower[:-1] + upper[:-1])[:1])",
