@@ -25,14 +25,23 @@ from .surface import rr_polygon, verify_ek, verify_ek_symbolic, verify_ledger
 from .wpp import WppContext, best_approximation, ingest_table, intrinsic_minus_one
 
 
+def integer(text: str) -> int:
+    """An optional sign and ASCII digits (int() alone also reads 1_0 and ٢), as a coordinate
+    or an integer option.  Else a ParseError, which argparse lets through to `main`: exit 2."""
+    try:
+        if text.isascii() and "_" not in text:
+            return int(text)
+    except ValueError:
+        pass
+    raise ParseError(f"bad integer {text!r}: expected an optional sign and ASCII digits")
+
+
 def parse_vertices(text: str) -> LatticePolygon:
     pts = []
     for tok in text.split():
         try:
-            if not tok.isascii() or "_" in tok:  # int() reads 1_0 and non-ASCII digits
-                raise ValueError
-            x, y = map(int, tok.split(","))
-        except ValueError:
+            x, y = map(integer, tok.split(","))
+        except (ValueError, ParseError):
             raise ParseError(f"bad vertex {tok!r}: expected x,y with integer x and y") from None
         pts.append((x, y))
     return polygon(*pts)
@@ -54,11 +63,11 @@ def ingest_polygon_dataset(path):
 def load_oracle(path):
     """Reducibility annotations keyed by (canonical vertices, m).
 
-    This is the one place a witness is checked: an entry is accepted only
-    when L(Δ, m) holds one curve and its factors are two or more non-monomials
-    whose product is that member up to a unit and scalar
-    (`laurent.verify_factorization`).  `classify_dataset` trusts the pairs it
-    is given."""
+    Entries with the verdict "irreducible" are skipped, any verdict but that and
+    "reducible" is an error.  This is the one place a witness is checked: a reducible
+    entry is accepted only when L(Δ, m) holds one curve and its factors are two or more
+    non-monomials whose product is that member up to a unit and scalar
+    (`laurent.verify_factorization`).  `classify_dataset` trusts the pairs it is given."""
     with open(path) as fh:
         raw = json.load(fh)
     if not isinstance(raw, list):
@@ -68,8 +77,10 @@ def load_oracle(path):
         try:
             poly = LatticePolygon.from_json(item["polygon"])
             m = json_int(item["m"])
-            if item["verdict"] != "reducible":
+            if item["verdict"] == "irreducible":
                 continue
+            if item["verdict"] != "reducible":
+                raise ValueError(f"verdict {item['verdict']!r}, not reducible or irreducible")
             factors = tuple(LaurentPolynomial.from_json(f) for f in item["factors"])
             system = compute_system(poly, m)
         except (KeyError, IndexError, TypeError, ValueError, OverflowError,
@@ -173,26 +184,28 @@ def cmd_wpp(args) -> tuple[dict, int]:
 # A handler returns (report, exit code) and writes nothing: `main` prints.
 COMMANDS = {
     "polygon-info": (cmd_polygon_info, (("--vertices", {"required": True}),
-                                        ("--m", {"type": int}))),
+                                        ("--m", {"type": integer}))),
     "linsys": (cmd_linsys, (("--vertices", {"required": True}),
-                            ("--m", {"type": int, "required": True}))),
+                            ("--m", {"type": integer, "required": True}))),
     "classify": (cmd_classify, (
         ("--dataset", {"required": True}), ("--oracle", {}),
-        ("--m-max", {"type": int, "default": 4}), ("--volume-max", {"type": int, "default": 16}),
+        ("--m-max", {"type": integer, "default": 4}),
+        ("--volume-max", {"type": integer, "default": 16}),
         ("--enumerate", {"action": "store_true",
                          "help": "append the built-in small-volume enumeration"}),
-        ("--jobs", {"type": int, "default": 0}))),
+        ("--jobs", {"type": integer, "default": 0}))),
     "family": (cmd_family, (
         ("--id", {"required": True, "choices": FAMILIES}),
-        ("--m", {"type": int, "required": True}), ("--verify", {"action": "store_true"}),
-        ("--budget", {"type": int, "default": 20}))),
-    "surface": (cmd_surface, (("--k-range", {"type": int, "default": 50}),
-                              ("--rr-range", {"type": int, "default": 10}))),
-    "seshadri": (cmd_seshadri, (("--vertices", {"required": True}), ("--m", {"type": int}),
+        ("--m", {"type": integer, "required": True}), ("--verify", {"action": "store_true"}),
+        ("--budget", {"type": integer, "default": 20}))),
+    "surface": (cmd_surface, (("--k-range", {"type": integer, "default": 50}),
+                              ("--rr-range", {"type": integer, "default": 10}))),
+    "seshadri": (cmd_seshadri, (("--vertices", {"required": True}), ("--m", {"type": integer}),
                                 ("--irreducible", {"action": "store_true"}))),
     "wpp": (cmd_wpp, (
-        ("--a", {"type": int, "required": True}), ("--b", {"type": int, "required": True}),
-        ("--c", {"type": int, "required": True}), ("--table", {}),
+        ("--a", {"type": integer, "required": True}),
+        ("--b", {"type": integer, "required": True}),
+        ("--c", {"type": integer, "required": True}), ("--table", {}),
         ("--best", {"action": "store_true"}))),
 }
 
@@ -229,8 +242,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def main(argv=None) -> int:
-    args = parse_args(sys.argv[1:] if argv is None else argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         report, code = args.fn(args)
         print(json.dumps(report, indent=2 if args.pretty else None), flush=True)
         return code

@@ -79,7 +79,7 @@ def family_invariants(spec: FamilySpec) -> tuple[int, int, int]:
     pair = numeric_invariants(poly, spec.m)
     g = pair.arithmetic_genus
     assert g.denominator == 1
-    return pair.self_intersection, int(g), poly.lattice_width()[0]
+    return pair.self_intersection, int(g), poly.width
 
 
 def family_parametrization(spec: FamilySpec) -> Parametrization:

@@ -160,8 +160,8 @@ class LatticePolygon:
             (dx, dy), g = _edge_multiset(self)[0]
             return sorted((x0 + k * dx, y0 + k * dy) for k in range(g + 1))
         (p, q), (r, s), img = self._reduced
-        x0, lw = min(img.vertices)[0], img.width_in_direction((1, 0))
-        pts = [(x0 + t, y) for t, (lo, hi) in enumerate(self.reduced_slices(range(lw + 1)))
+        x0 = min(img.vertices)[0]
+        pts = [(x0 + t, y) for t, (lo, hi) in enumerate(self.reduced_slices(range(self.width + 1)))
                for y in range(lo, hi + 1)]
         if img is self:
             return pts
@@ -175,7 +175,7 @@ class LatticePolygon:
         offsets, every t whose real slice is at least `length` long: one range, as the real
         length is concave in t, which a half-line in t per pair of edges cuts out."""
         img = self._reduced[2]
-        x0, x1 = min(x for x, _ in img.vertices), max(x for x, _ in img.vertices)
+        x0 = min(img.vertices)[0]
         # n . v >= n . u for each CCW edge u -> w, n = (u_y - w_y, w_x - u_x)
         # its inward normal; the edges of a two-dimensional polygon bound it
         halfplanes = [(uy - wy, wx - ux, (uy - wy) * ux + (wx - ux) * uy)
@@ -183,7 +183,7 @@ class LatticePolygon:
         if offsets is None:  # upper minus lower bound, (c - n0 x)/n1 - (d - m0 x)/m1 >= length
             ts = [(0, a, c * m1 - d * n1 - length * n1 * m1 - a * x0) for n0, n1, c in halfplanes
                   if n1 < 0 for m0, m1, d in halfplanes if m1 > 0 for a in [n0 * m1 - m0 * n1]]
-            lo, hi = _slice(ts + [(0, 1, 0), (0, -1, x0 - x1)], 0) or (0, -1)
+            lo, hi = _slice(ts + [(0, 1, 0), (0, -1, -self.width)], 0) or (0, -1)
             offsets = range(lo, hi + 1)
         return (_slice(halfplanes, x0 + t) for t in offsets)
 
@@ -216,16 +216,17 @@ class LatticePolygon:
         vals = [x * v[0] + y * v[1] for x, y in self.vertices]
         return max(vals) - min(vals)
 
+    @cached_property
+    def width(self) -> int:
+        """Lattice width, no tie-break: the reduced image's x-span (`_reduced`); 0 if degenerate."""
+        return 0 if self.is_degenerate else self._reduced[2].width_in_direction((1, 0))
+
     def lattice_width(self) -> tuple[int, Point]:
-        """Minimal spread of a primitive linear form, with one minimizing direction.
+        """(`width`, a direction of that width) for `polygon-info`; other callers read `width`.
 
         Ties are broken by the lexicographically smallest key (|a|+|b|, a, b)
         over directions normalized to a > 0, or a = 0 and b > 0.
         """
-        return self._lattice_width
-
-    @cached_property
-    def _lattice_width(self) -> tuple[int, Point]:
         if self.is_point:
             return 0, (0, 1)
         if self.is_segment:
@@ -233,12 +234,13 @@ class LatticePolygon:
             # width 0 along either normal; return the normalized one
             return 0, ((-dy, dx) if dy < 0 or (dy == 0 and dx > 0) else (dy, -dx))
         (p, q), (r, s), img = self._reduced
-        lw, n2 = img.width_in_direction((1, 0)), img.width_in_direction((0, 1))
+        lw, n2 = self.width, img.width_in_direction((0, 1))
         # w = (x, y) in the image is x b1 + y b2, and N(b2 + k b1) >= n2 >= lw for every k, so
         # with k nearest x/y the triangle inequality gives N(w) >= |y| (n2 - lw/2) and
         # N(w) >= |x| lw - |y| n2: if n2 > lw only (1, 0) is lw wide, else |y| <= 2, |x| <= 1 + |y|.
-        near = [(1, 0)] if n2 > lw else [(1, 0), *((x, 1) for x in range(-2, 3)),
-                                          *((x, 2) for x in (-3, -1, 1, 3))]
+        # Of y = 2 only x = +-1 is left: h(t) = N(t, 1) is convex with h(+-1) >= h(0) = n2, so
+        # N(+-3, 2) = 2 h(+-3/2) >= 2 h(+-1) >= 2 lw > lw.
+        near = [(1, 0)] if n2 > lw else [(1, 0), *((x, 1) for x in range(-2, 3)), (-1, 2), (1, 2)]
         signed = [(x * p + y * r, x * q + y * s) for x, y in near
                   if img.width_in_direction((x, y)) == lw]
         _, a, b = min((abs(a) + abs(b), a, b) for a, b in (max(d, (-d[0], -d[1])) for d in signed))
@@ -257,8 +259,10 @@ class LatticePolygon:
             # k -> N(b2 - k b1) is convex: gallop from 0 the way it falls, bisect
             f = lambda k: N((b2[0] - k * b1[0], b2[1] - k * b1[1]))
             s = 1 if f(1) < n2 else -1 if f(-1) < n2 else 0
+            if not s:  # b2 is already least, and n2 >= n1
+                break
             lo, hi = 0, 1  # f falls on the step from s * lo and not on the one from s * hi
-            while s and f(s * hi + s) < f(s * hi):
+            while f(s * hi + s) < f(s * hi):
                 lo, hi = hi, 2 * hi
             while hi - lo > 1:
                 mid = (lo + hi) // 2
@@ -438,7 +442,7 @@ def multiplicity_cap(poly: LatticePolygon) -> int | None:
     than (1, 0), and none but (1, 0) narrower than (0, 1): the first of them
     without an edge pair gives the cap.  Else N(x, 1) is convex and least at
     x = 0, so the first free x on each side gives a width `best`, and by the
-    bounds of `_lattice_width` only rows 2 <= y <= 2 best / (2 N(0, 1) - N(1, 0))
+    bounds of `lattice_width` only rows 2 <= y <= 2 best / (2 N(0, 1) - N(1, 0))
     can be narrower: a box that the number of edge pairs bounds.
     """
     if poly.is_degenerate:

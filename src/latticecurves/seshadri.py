@@ -42,9 +42,10 @@ class SeshadriEstimate:
 
 
 def width_upper_bound(poly: LatticePolygon) -> int:
+    """lw(Δ), an upper bound on the Seshadri constant: the number `LatticePolygon.width`."""
     if poly.volume <= 0:
         raise DegeneratePolygon("width bound needs a two-dimensional polygon")
-    return poly.lattice_width()[0]
+    return poly.width
 
 
 def rationality_certificates(poly: LatticePolygon, m: int | None = None) -> list[str]:
@@ -75,11 +76,11 @@ def segment_equality(poly: LatticePolygon) -> Fraction | None:
     lie in the end slices, tested first.  Then only the slices whose real
     length reaches lw are read, up to the first hit; a real length of lw + 1
     holds lw + 1 points, so the cost stays linear only where that length
-    stays between lw and lw + 1 over a long stretch.
+    stays between lw and lw + 1 over a long stretch.  lw is `LatticePolygon.width`.
     """
     if poly.volume <= 0:
         raise DegeneratePolygon("needs a two-dimensional polygon")
-    lw = poly.lattice_width()[0]
+    lw = poly.width
     (lo0, hi0), (lo1, hi1) = poly.reduced_slices((0, lw))
     # y' - y runs over [lo1 - hi0, hi1 - lo0]: does it hold a multiple of lw?
     if (hi1 - lo0) // lw * lw >= lo1 - hi0 or any(

@@ -193,10 +193,10 @@ def rr_polygon(k: int) -> tuple[LatticePolygon, dict]:
         "m": m,
         "vol": vol,
         "boundary": b,
-        "lattice_width": poly.lattice_width()[0],
+        "lattice_width": poly.width,
         "vol_ok": vol == m * m - 1,
         "boundary_ok": b == m + 1,
-        "width_ok": poly.lattice_width()[0] == m,
+        "width_ok": poly.width == m,
         "minus_one_pair": pair_inv.minus_n() == 1,
     }
     report["passed"] = (report["vol_ok"] and report["boundary_ok"]

@@ -270,6 +270,7 @@ PARSER_ARGVS = README_COMMANDS + [[name, "--help"] for name in COMMANDS] + [
     ["classify", "--dataset", "x", "--", "foo"],
     ["classify", "--data", "x", "--m-max", "2"],    # an abbreviated option
     ["family", "--id", "I", "--m", "x"],            # a bad integer
+    ["classify", "--dataset", "x", "--m-max", "1_0", "--bogus"],  # a bad integer, then more
     ["family", "--id", "I", "--m", "3", "--verify", "--budget"],  # a missing value
     ["polygon-info", "--vertices", "-1,0"],         # a value that looks like an option
     ["polygon-info", "--vertices", "-2,-1 3,0 0,3"],
@@ -285,6 +286,8 @@ def _parse(parse, argv, capsys):
     except SystemExit as exc:
         captured = capsys.readouterr()
         return exc.code, captured.out, captured.err
+    except ParseError as exc:  # a bad integer, which `main` reports with exit 2
+        return 2, "", str(exc)
 
 
 @pytest.mark.parametrize("argv", PARSER_ARGVS, ids=" ".join)
@@ -316,6 +319,7 @@ def test_bad_oracle_entry_names_its_index(tmp_path, capsys):
     dataset = tmp_path / "polys.txt"
     dataset.write_text("0,0 1,0 0,1\n")
     for index, broken in ((1, {"verdict": "reducible"}),
+                          (1, {**entries[0], "verdict": "Reducible"}),
                           (2, {**entries[0], "factors": entries[0]["factors"][:1]})):
         oracle = tmp_path / "oracle.json"
         oracle.write_text(json.dumps(entries[:index] + [broken]))
@@ -327,7 +331,7 @@ def test_bad_oracle_entry_names_its_index(tmp_path, capsys):
     # reducible; the third does not multiply out to it; the fourth names a
     # system of three curves, which has no unique member
     for case in ("oracle-monomial-factor", "oracle-single-factor", "oracle-wrong-product",
-                 "oracle-not-unique"):
+                 "oracle-not-unique", "oracle-misspelt-verdict"):
         assert main(MALFORMED_INPUTS[case](tmp_path)) == 2
         assert "oracle entry 0:" in capsys.readouterr().err
 
@@ -422,6 +426,10 @@ MALFORMED_INPUTS = {
     "oracle-bool-coefficient": _oracle_case(
         '[{' + SQUARE + ', "m": 2, "factors": [' + V_MINUS_ONE + ', '
         '{"terms": [{"e": [1, 0], "c": true}, {"e": [0, 0], "c": -1}]}]}]'),
+    # a verdict other than "reducible" and "irreducible" was skipped, witness and all
+    "oracle-misspelt-verdict": _oracle_case(
+        '[{' + SQUARE.replace('"reducible"', '"Reducible"') + ', "m": 2, "factors": ['
+        + U_MINUS_ONE + ', ' + V_MINUS_ONE + ']}]'),
     "oracle-not-unique": _oracle_case(
         '[{"polygon": {"vertices": [[0, 0], [2, 0], [0, 2]]}, "verdict": "reducible", '
         '"m": 2, "factors": [' + U_MINUS_ONE + ', ' + U_MINUS_ONE + ']}]'),
@@ -429,6 +437,9 @@ MALFORMED_INPUTS = {
     # int() would read the vertex (10, 2), and the triangle in Arabic-Indic digits
     "vertices-underscore": lambda d: ["polygon-info", "--vertices", "1_0,2 0,0 3,4"],
     "vertices-non-ascii-digits": lambda d: ["polygon-info", "--vertices", "٠,٠ ٢,١ ١,٢"],
+    # int() would read m = 10, and m = 2 from an Arabic-Indic digit
+    "option-underscore": lambda d: ["polygon-info", "--vertices", "0,0 2,1 1,2", "--m", "1_0"],
+    "option-non-ascii-digits": lambda d: ["linsys", "--vertices", "0,0 2,1 1,2", "--m", "٢"],
     "dataset-underscore": lambda d: ["classify", "--dataset",
                                      _file(d, "polys.txt", "0,0 1_0,0 0,1\n")],
     "classify-negative-jobs": lambda d: ["classify", "--jobs", "-3", "--dataset",

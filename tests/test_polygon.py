@@ -103,6 +103,11 @@ def test_lattice_width_examples():
                          (((0, 0), (3, 3)), (1, -1)), (((-2, 5), (2, 1)), (1, 1))):
         assert polygon(*ends).lattice_width() == polygon(*ends[::-1]).lattice_width() \
             == (0, normal)
+    # the number alone, without the tie-break
+    for p, lw in ((polygon((3, -2)), 0), (polygon((0, 0), (4, 0)), 0),
+                  (polygon((-2, 5), (2, 1)), 0), (polygon((0, 0), (1, 4), (2, 4), (4, 3)), 4),
+                  (polygon((0, 0), (1, 0), (50, 51)), 2)):
+        assert p.width == lw
 
 
 def test_width_in_direction():

@@ -159,6 +159,55 @@ def test_lattice_width_vs_brute_force_200():
         assert p.lattice_width() == reference_width_and_cap(p)[:2]
 
 
+def ten_direction_width(p):
+    """`lattice_width` as it was read before the image directions (+-3, 2) were
+    shown never to tie: the segment and point answers, and over the reduced
+    image the ten candidates of |y| <= 2, |x| <= 1 + |y|."""
+    if p.is_point:
+        return 0, (0, 1)
+    if p.is_segment:
+        (x0, y0), (x1, y1) = p.vertices
+        g = gcd(x1 - x0, y1 - y0)
+        dx, dy = (x1 - x0) // g, (y1 - y0) // g
+        return 0, ((-dy, dx) if dy < 0 or (dy == 0 and dx > 0) else (dy, -dx))
+    (a1, b1), (a2, b2), img = p._reduced
+    lw, n2 = img.width_in_direction((1, 0)), img.width_in_direction((0, 1))
+    near = [(1, 0)] if n2 > lw else [(1, 0), *((x, 1) for x in range(-2, 3)),
+                                      *((x, 2) for x in (-3, -1, 1, 3))]
+    signed = [(x * a1 + y * a2, x * b1 + y * b2) for x, y in near
+              if img.width_in_direction((x, y)) == lw]
+    _, a, b = min((abs(a) + abs(b), a, b) for a, b in (max(d, (-d[0], -d[1])) for d in signed))
+    return lw, (a, b)
+
+
+def test_width_matches_the_ten_direction_scan():
+    """Two routes to the lattice width: the number `width`, which runs no
+    tie-break, against `lattice_width()`, and that against the scan that also
+    read (+-3, 2).  Hulls with negative coordinates and their images under
+    shears up to 10^30, images of the tie configurations (where the scan
+    reads rows 1 and 2), points and segments."""
+    r = rng(3838)
+    shapes = [random_polygon(r, span=6, npts=r.randint(3, 7)) for _ in range(600)]
+    ties = [polygon((0, 0), (1, 0), (2, -2), (1, -2)), polygon((1, 0), (0, 1), (-1, 0), (0, -1)),
+            polygon((0, 0), (1, 0), (1, 1), (0, 1)), polygon((0, 0), (2, 1), (1, 2))]
+    shapes += [random_unimodular(r, span=6).apply(p) for _ in range(150) for p in ties]
+    polys = []
+    for p in shapes:
+        k = r.choice((-1, 1)) * 10 ** r.randint(0, 30)
+        shear = ((1, k), (0, 1)) if r.random() < 0.5 else ((1, 0), (k, 1))
+        polys += [p, UnimodularMap(shear, (-r.randint(0, 10 ** 6), -r.randint(0, 9))).apply(p)]
+    for _ in range(200):
+        x, y = r.randint(-9, 9), r.randint(-9, 9)
+        dx, dy = r.choice((-1, 1)) * 10 ** r.randint(0, 30), r.randint(-5, 5)
+        polys += [polygon((x, y)), polygon((x, y), (x + dx, y + dy)),
+                  polygon((x, y), (x + dy, y - dx))]
+    assert len(polys) >= 2000
+    for p in polys:
+        fresh = LatticePolygon(p.vertices)
+        assert fresh.width == p.lattice_width()[0], p.vertices
+        assert p.lattice_width() == ten_direction_width(p), p.vertices
+
+
 def _scan(p):
     xs, ys = zip(*p.vertices)
     return [(x, y) for x in range(min(xs), max(xs) + 1)

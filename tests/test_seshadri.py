@@ -30,6 +30,7 @@ from latticecurves.seshadri import (
     segment_equality,
     width_upper_bound,
 )
+from latticecurves.surface import rr_polygon
 
 
 def quad(m):
@@ -185,6 +186,22 @@ def test_estimate_at_m20_solves_no_kernel():
     est = estimate(tri, 20, irreducible=True)
     assert compute_system.cache_info() == before
     assert est.exact == Fraction(399, 20)
+
+
+def test_width_readers_run_no_tie_break(monkeypatch):
+    # every caller but `polygon-info` reads the number `width`, never the direction
+    def tie_break(self):
+        raise AssertionError("the tie-break ran")
+
+    monkeypatch.setattr(LatticePolygon, "lattice_width", tie_break)
+    tri = polygon((0, 0), (5, 1), (1, 5))
+    assert width_upper_bound(tri) == 5
+    assert estimate(tri, 5).exact == Fraction(24, 5)
+    assert segment_equality(quad(5)) == 5 and segment_equality(tri) is None
+    assert family_invariants(FamilySpec("I", 4)) == (-1, 0, 4)
+    assert family_invariants(FamilySpec("III", 8)) == (-2, 0, 8)
+    _, report = rr_polygon(2)
+    assert report["lattice_width"] == 130 and report["passed"]
 
 
 def kernel_certificates(poly, m):

@@ -49,6 +49,7 @@ CLOSED_STDOUT = "tests/test_cli.py::test_closed_stdout_exits_141_without_a_messa
 BAD_ORACLE_TEST = "tests/test_cli.py::test_bad_oracle_entry_names_its_index"
 MALFORMED_TEST = "tests/test_cli.py::test_malformed_input_exits_2_without_traceback"
 SESHADRI = "src/latticecurves/seshadri.py"
+WIDTH_TEST = "tests/test_properties.py::test_width_matches_the_ten_direction_scan"
 CLASSIFY = "src/latticecurves/classify.py"
 
 # (name, file, old snippet, new snippet, test node ids that must fail)
@@ -176,7 +177,7 @@ MUTANTS = [
      "if system.dimension != 1:", "if system.dimension < 1:",
      [BAD_ORACLE_TEST]),
     ("load_oracle reads the factors of every verdict", CLI,
-     'if item["verdict"] != "reducible":', 'if item["verdict"] == "skipped":',
+     '            if item["verdict"] == "irreducible":\n                continue\n', "",
      ["tests/test_cli.py::test_load_oracle_verifies"]),
     ("load_oracle accepts factors whose product is not the member", CLI,
      "\n                or not verify_factorization(system.members()[0], factors))", ")",
@@ -207,6 +208,20 @@ MUTANTS = [
     ("a horizontal segment takes the normal (0, -1)", POLYGON,
      "if dy < 0 or (dy == 0 and dx > 0) else", "if dy < 0 else",
      ["tests/test_polygon.py::test_lattice_width_examples"]),
+    ("the width reads the reduced image's y-span", POLYGON,
+     "self._reduced[2].width_in_direction((1, 0))", "self._reduced[2].width_in_direction((0, 1))",
+     ["tests/test_polygon.py::test_lattice_width_examples", WIDTH_TEST]),
+    ("a segment's width is its lattice length", POLYGON,
+     "return 0 if self.is_degenerate else",
+     "return (self.boundary_count - 1 if self.is_segment else 0) if self.is_degenerate else",
+     ["tests/test_polygon.py::test_lattice_width_examples", WIDTH_TEST]),
+    ("the oracle skips every verdict but reducible", CLI,
+     'if item["verdict"] == "irreducible":', 'if item["verdict"] != "reducible":',
+     [BAD_ORACLE_TEST, f"{MALFORMED_TEST}[oracle-misspelt-verdict]"]),
+    ("an integer option reads what int() reads", CLI,
+     'if text.isascii() and "_" not in text:', "if True:",
+     [f"{MALFORMED_TEST}[option-underscore]", f"{MALFORMED_TEST}[option-non-ascii-digits]",
+      f"{MALFORMED_TEST}[vertices-underscore]"]),
 ]
 
 
